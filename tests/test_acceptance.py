@@ -1,13 +1,15 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each test runs one criterion from the acceptance module (fixed published
-seeds), prints its PASS/FAIL line, and asserts the verdict. Run with
-`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines,
-or `qsim acceptance` for the standalone report.
+seeds), prints its PASS/FAIL line, asserts the verdict, and compares the
+criterion's details, timings aside, with its golden (make_goldens.py).
+Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
+lines, or `qsim acceptance` for the standalone report.
 """
 
 import pytest
 
+from make_goldens import acceptance_path, details_line
 from qsim.acceptance import CRITERIA, CriterionResult, run_acceptance
 
 
@@ -19,6 +21,7 @@ def test_criterion(cid):
     for key, value in result.details.items():
         print(f"    {key}: {value}")
     assert result.passed, f"{result.name} failed: {result.details}"
+    assert details_line(cid, result.details) + "\n" == acceptance_path(cid).read_text()
 
 
 def test_negative_control_corruption_fails_loudly():
