@@ -3,11 +3,13 @@
 Every criterion checks an analytic value, a dense-oracle comparison, or a
 Monte Carlo estimate at its stated tolerance, and returns a structured
 result. The CLI `acceptance` command prints one line per criterion; the
-pytest suite asserts each one.
+pytest suite asserts each one. A criterion with a `qsim run` twin calls
+the same library function, and the threshold functions below serve both.
 
 `tol_scale` shrinks the central tolerance of a criterion and exists for
-the negative-control test (a corrupted tolerance must fail loudly); the
-published tolerances correspond to tol_scale = 1.
+the negative-control test (at 0 no criterion can pass, so a corrupted
+tolerance fails loudly); the published tolerances, which `qsim run
+--assert` also applies, correspond to tol_scale = 1.
 """
 
 from __future__ import annotations
@@ -24,8 +26,38 @@ from .rng import Stream
 
 SEED = 20260808
 
-TSIRELSON = 2.0 * math.sqrt(2.0)
+TSIRELSON = entangle.TSIRELSON_BOUND
 CHI2_99_9_DF15 = 37.697  # chi-square critical value, df = 15, right tail 0.001
+
+
+def within_4_sigma(estimate, reference, stderr, tol_scale: float = 1.0) -> bool:
+    return abs(estimate - reference) <= 4.0 * stderr * max(tol_scale, 1e-12)
+
+
+def teleport_ok(min_fidelity: float, tol_scale: float = 1.0) -> bool:
+    return min_fidelity >= 1.0 - 1e-10 * max(tol_scale, 1e-12)
+
+
+def error_ok(error: float, tol_scale: float = 1.0) -> bool:
+    """An error that must vanish up to rounding; at tol_scale = 0 none passes."""
+    return error <= 1e-9 * tol_scale and tol_scale > 0
+
+
+def unit_ok(value: float) -> bool:
+    """A fidelity or success probability that must be 1 up to rounding."""
+    return value >= 1.0 - 1e-9
+
+
+def grover_ok(rate: float, plan: algorithms.GroverPlan, shots: int) -> bool:
+    """At least 1 - 1/N, less 3 sigma of the binomial success count."""
+    p = plan.success_probability
+    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / shots)
+    return rate >= 1.0 - 1.0 / plan.N - 3.0 * sigma
+
+
+def chi_square_ok(stat: float, tol_scale: float = 1.0) -> bool:
+    """Uniformity of 16 bins at the 0.1% level."""
+    return stat < CHI2_99_9_DF15 * max(tol_scale, 1e-12)
 
 
 @dataclass
@@ -55,7 +87,7 @@ def criterion_1_chsh(tol_scale: float = 1.0) -> tuple[bool, dict]:
                 abs(analytic - TSIRELSON))
     result = entangle.chsh_experiment(100_000, Stream(SEED, "acc/chsh"))
     ok &= _check(details, "mc_deviation_over_se",
-                 abs(result.value - TSIRELSON) <= 4.0 * result.stderr,
+                 within_4_sigma(result.value, TSIRELSON, result.stderr),
                  abs(result.value - TSIRELSON) / result.stderr)
     elapsed = time.perf_counter() - start
     ok &= _check(details, "runtime_s", elapsed < 5.0, elapsed)
@@ -73,7 +105,7 @@ def criterion_2_tsirelson(tol_scale: float = 1.0) -> tuple[bool, dict]:
     for i in range(1000):
         rho = qstate.random_density(2, rng.substream(i))
         worst = max(worst, entangle.chsh_quantum_value(rho, setting))
-    ok = _check(details, "max_quantum_value", worst <= TSIRELSON + 1e-9 * tol_scale, worst)
+    ok = _check(details, "max_quantum_value", worst <= (TSIRELSON + 1e-9) * tol_scale, worst)
     classical = entangle.classical_chsh_maximum()
     ok &= _check(details, "classical_max", classical == 2.0, classical)
     elapsed = time.perf_counter() - start
@@ -84,13 +116,8 @@ def criterion_2_tsirelson(tol_scale: float = 1.0) -> tuple[bool, dict]:
 def criterion_3_teleport(tol_scale: float = 1.0) -> tuple[bool, dict]:
     """Unit fidelity over random inputs; uniform classical bits."""
     details = {}
-    rng = Stream(SEED, "acc/teleport")
-    worst = 1.0
-    for i in range(1000):
-        psi = qstate.random_state(1, rng.substream(2 * i))
-        bob, _ = entangle.teleport(psi, rng.substream(2 * i + 1))
-        worst = min(worst, qstate.fidelity(bob, psi))
-    ok = _check(details, "min_fidelity", worst >= 1.0 - 1e-10 * max(tol_scale, 1e-12), worst)
+    worst, _ = entangle.teleport_trials(1000, Stream(SEED, "acc/teleport"))
+    ok = _check(details, "min_fidelity", teleport_ok(worst, tol_scale), worst)
 
     shots = 10_000
     counts = {"00": 0, "01": 0, "10": 0, "11": 0}
@@ -110,21 +137,11 @@ def criterion_3_teleport(tol_scale: float = 1.0) -> tuple[bool, dict]:
 def criterion_4_qft(tol_scale: float = 1.0) -> tuple[bool, dict]:
     """Circuit vs dense DFT matrix for n = 1..6, and the round trip."""
     details = {}
-    worst = 0.0
-    for n in range(1, 7):
-        circuit = algorithms.qft(n)
-        dense = algorithms.dft_matrix(n)
-        for j in range(1 << n):
-            out = gates.run_circuit(circuit, qstate.basis_state(n, j))
-            worst = max(worst, float(np.max(np.abs(out.amps - dense[:, j]))))
-    ok = _check(details, "max_amplitude_error", worst <= 1e-9 * tol_scale, worst)
-    worst_rt = 1.0
     rng = Stream(SEED, "acc/qft")
-    for n in range(1, 7):
-        s = qstate.random_state(n, rng.substream(n))
-        back = gates.run_circuit(algorithms.inverse_qft(n), algorithms.apply_qft(s))
-        worst_rt = min(worst_rt, qstate.fidelity(back, s))
-    ok &= _check(details, "min_roundtrip_fidelity", worst_rt >= 1.0 - 1e-9, worst_rt)
+    errors, fidelities = zip(*(algorithms.qft_check(n, rng.substream(n)) for n in range(1, 7)))
+    ok = _check(details, "max_amplitude_error", error_ok(max(errors), tol_scale), max(errors))
+    worst_rt = min(1.0, *fidelities)
+    ok &= _check(details, "min_roundtrip_fidelity", unit_ok(worst_rt), worst_rt)
     return ok, details
 
 
@@ -144,21 +161,13 @@ def criterion_5_phase_estimation(tol_scale: float = 1.0) -> tuple[bool, dict]:
                 exact_failures += 1
     ok = _check(details, "exact_case_failures", exact_failures == 0, exact_failures)
 
-    phi = 1.0 / 3.0
     plan = algorithms.PhasePlan(zeta=2.0**-4, epsilon=0.1)
     details["plan_b"] = plan.b
-    u = gates.GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    eigenstate = qstate.basis_state(1, 1)
     runs = 2000
-    hits = 0
-    rng = Stream(SEED, "acc/pe-bound")
-    for i in range(runs):
-        estimate = algorithms.phase_estimate(u, eigenstate, plan, rng.substream(i))
-        if algorithms.phase_distance(estimate, phi) <= plan.zeta:
-            hits += 1
+    coverage = algorithms.phase_coverage(1.0 / 3.0, plan, runs, Stream(SEED, "acc/pe-bound"))
     sigma = math.sqrt(0.9 * 0.1 / runs)
-    threshold = (1.0 - plan.epsilon) * tol_scale - 3.0 * sigma
-    ok &= _check(details, "coverage", hits / runs >= threshold, hits / runs)
+    threshold = ((1.0 - plan.epsilon) - 3.0 * sigma) / max(tol_scale, 1e-12)
+    ok &= _check(details, "coverage", coverage >= threshold, coverage)
     return ok, details
 
 
@@ -167,20 +176,14 @@ def criterion_6_grover(tol_scale: float = 1.0) -> tuple[bool, dict]:
     details = {}
     f4 = gates.BooleanOracle.from_solutions(2, [3])
     amp = algorithms.grover_solution_amplitude(f4, 1, algorithms.grover_iterations(4, 1))
-    ok = _check(details, "n4_success_prob_error", abs(amp * amp - 1.0) <= 1e-9 * tol_scale,
-                abs(amp * amp - 1.0))
+    error = abs(amp * amp - 1.0)
+    ok = _check(details, "n4_success_prob_error", error_ok(error, tol_scale), error)
 
     f64 = gates.BooleanOracle.from_solutions(6, [37])
     plan = algorithms.GroverPlan.for_counts(64, 1)
     runs = 1000
-    rng = Stream(SEED, "acc/grover")
-    hits = sum(
-        1 for i in range(runs) if algorithms.grover_search(f64, 1, rng.substream(i)) == 37
-    )
-    p_theory = math.sin((2 * plan.R + 1) * plan.theta / 2.0) ** 2
-    sigma = math.sqrt(p_theory * (1.0 - p_theory) / runs)
-    ok &= _check(details, "n64_success_rate",
-                 hits / runs >= 63.0 / 64.0 - 3.0 * sigma, hits / runs)
+    rate = algorithms.grover_success_rate(f64, 37, runs, Stream(SEED, "acc/grover"))
+    ok &= _check(details, "n64_success_rate", grover_ok(rate, plan, runs), rate)
 
     worst = 0.0
     for r in range(plan.R + 1):
@@ -201,13 +204,8 @@ def criterion_7_order_finding(tol_scale: float = 1.0) -> tuple[bool, dict]:
             if math.gcd(x, n_mod) != 1:
                 continue
             pairs += 1
-            reference = algorithms.order_brute_force(x, n_mod)
-            try:
-                found = algorithms.order_find(
-                    x, n_mod, Stream(SEED, f"acc/order/{n_mod}/{x}"), max_runs=25
-                )
-            except NotFoundError:
-                found = None
+            rng = Stream(SEED, f"acc/order/{n_mod}/{x}")
+            found, reference = algorithms.order_trial(x, n_mod, rng)
             if found != reference:
                 failures.append((n_mod, x, found, reference))
     elapsed = time.perf_counter() - start
@@ -236,13 +234,8 @@ def criterion_8_trotter(tol_scale: float = 1.0) -> tuple[bool, dict]:
     ok &= _check(details, "error_slope", 1.8 <= slope <= 2.2, slope)
     details["errors"] = errors
 
-    worst = 1.0
-    for b in (1, 2, 3):
-        uniform = gates.hadamard_layer(b)
-        h, t_measure = hamsim.grover_hamiltonian((1 << b) - 1, uniform)
-        evolved = hamsim.exact_evolve(h, t_measure, uniform)
-        worst = min(worst, float(np.abs(evolved.amps[(1 << b) - 1]) ** 2))
-    ok &= _check(details, "search_success_prob", worst >= 1.0 - 1e-9, worst)
+    worst = min(1.0, *(hamsim.grover_hamiltonian_success(b, (1 << b) - 1)[0] for b in (1, 2, 3)))
+    ok &= _check(details, "search_success_prob", unit_ok(worst), worst)
     return ok, details
 
 
@@ -345,26 +338,12 @@ def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
 def criterion_11_qmc(tol_scale: float = 1.0) -> tuple[bool, dict]:
     """Bias/variance split of the Trotterized Monte Carlo estimator."""
     details = {}
-    model = hamsim.ising_chain(2, coupling=0.6, field=0.7)
-    psi0 = qstate.basis_state(2, 0)
-    t_final = 1.0
-    coarse = hamsim.TrotterPlan(t_final, 2)
-    obs = qstate.Observable(np.kron(gates.PAULI_Z, np.eye(2)))
-
-    target = hamsim.exact_evolve(model, t_final, psi0)
-    prepare = lambda: hamsim.trotter_evolve(model, coarse, psi0)[-1]
-    shots = 10_000
-    result = statharness.qmc_estimate(obs, prepare, shots, Stream(SEED, "acc/qmc"), target)
-
-    theta_prepared = qstate.expectation(prepare(), obs)
-    theta_true = qstate.expectation(target, obs)
+    result = hamsim.trotter_qmc(1.0, 2, 10_000, Stream(SEED, "acc/qmc"))
     ok = _check(details, "sampling_deviation",
-                abs(result.theta_hat - theta_prepared)
-                <= 4.0 * math.sqrt(result.variance / shots) * max(tol_scale, 1e-12),
-                abs(result.theta_hat - theta_prepared))
-    ok &= _check(details, "bias_identity_error",
-                 abs(result.bias - (theta_prepared - theta_true)) <= 1e-9,
-                 abs(result.bias - (theta_prepared - theta_true)))
+                within_4_sigma(result.theta_hat, result.theta_prepared, result.stderr, tol_scale),
+                abs(result.theta_hat - result.theta_prepared))
+    bias_error = abs(result.bias - (result.theta_prepared - result.theta_true))
+    ok &= _check(details, "bias_identity_error", bias_error <= 1e-9, bias_error)
     details["bias"] = result.bias
     details["theta_hat"] = result.theta_hat
     return ok, details
@@ -373,13 +352,8 @@ def criterion_11_qmc(tol_scale: float = 1.0) -> tuple[bool, dict]:
 def criterion_12_qrng(tol_scale: float = 1.0) -> tuple[bool, dict]:
     """Chi-square uniformity of 4-bit extraction at 10^5 shots."""
     details = {}
-    shots = 100_000
-    values = statharness.quantum_rng(4, shots, Stream(SEED, "acc/qrng"))
-    counts = [0] * 16
-    for v in values:
-        counts[v] += 1
-    stat = statharness.chi_square_uniform(counts)
-    ok = _check(details, "chi_square", stat < CHI2_99_9_DF15 * max(tol_scale, 1e-12), stat)
+    stat = statharness.quantum_rng_chi_square(4, 100_000, Stream(SEED, "acc/qrng"))
+    ok = _check(details, "chi_square", chi_square_ok(stat, tol_scale), stat)
     details["critical_value"] = CHI2_99_9_DF15
     return ok, details
 

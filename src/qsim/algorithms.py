@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statharness
-from .errors import DomainError, InternalError, ResourceError, ValidationError
+from .errors import DomainError, InternalError, NotFoundError, ResourceError, ValidationError
 from .gates import (
     BooleanOracle,
     Circuit,
@@ -28,7 +28,7 @@ from .gates import (
     run_circuit,
     swap_gate,
 )
-from .qstate import StateVector, _apply_matrix, basis_state, qubit_cap
+from .qstate import StateVector, _apply_matrix, basis_state, fidelity, qubit_cap, random_state
 from .rng import Stream, sample_index
 
 
@@ -102,6 +102,19 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * j * k / dim).T / math.sqrt(dim)
 
 
+def qft_check(n: int, rng: Stream) -> tuple[float, float]:
+    """(largest amplitude error of the QFT circuit against the dense DFT,
+    fidelity of a random state from rng after the QFT and its inverse)."""
+    dense = dft_matrix(n)
+    circuit = qft(n)
+    worst = 0.0
+    for j in range(1 << n):
+        out = run_circuit(circuit, basis_state(n, j))
+        worst = max(worst, float(np.max(np.abs(out.amps - dense[:, j]))))
+    s = random_state(n, rng)
+    return worst, fidelity(run_circuit(inverse_qft(n), apply_qft(s)), s)
+
+
 # ---------------------------------------------------------------------------
 # phase estimation
 
@@ -153,8 +166,9 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
 EIGENSTATE_TOL = 1e-8
 
 
-def phase_estimate(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rng: Stream) -> float:
-    """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}).
+def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rngs) -> list:
+    """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) once per
+    stream in `rngs`; the register distribution is computed once.
 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
@@ -164,8 +178,20 @@ def phase_estimate(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rng: Str
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
     dist = _pe_register_distribution(u, eigenstate, plan.b)
-    idx, _ = sample_index(dist, rng)
-    return idx / float(1 << plan.b)
+    return [sample_index(dist, rng)[0] / float(1 << plan.b) for rng in rngs]
+
+
+def phase_estimate(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rng: Stream) -> float:
+    """One phase_estimates estimate drawn from rng."""
+    return phase_estimates(u, eigenstate, plan, [rng])[0]
+
+
+def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> float:
+    """Fraction of `shots` estimates of the phase of diag(1, e^{2 pi i phi})
+    on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta."""
+    u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
+    estimates = phase_estimates(u, basis_state(1, 1), plan, map(rng.substream, range(shots)))
+    return sum(1 for e in estimates if phase_distance(e, phi) <= plan.zeta) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +216,11 @@ class GroverPlan:
         if r > (math.pi / 4.0) * math.sqrt(N / M) + 1.0:
             raise InternalError("iteration count exceeded its analytic bound")
         return cls(N=N, M=M, theta=theta, R=r)
+
+    @property
+    def success_probability(self) -> float:
+        """sin^2((2R + 1) theta / 2), the solution mass after R iterations."""
+        return math.sin((2 * self.R + 1) * self.theta / 2.0) ** 2
 
 
 def grover_iterations(N: int, M: int) -> int:
@@ -233,6 +264,11 @@ def grover_search(f: BooleanOracle, M: int, rng: Stream) -> int:
     return idx
 
 
+def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) -> float:
+    """Fraction of `shots` searches, shot i on rng.substream(i), that find `marked`."""
+    return sum(1 for i in range(shots) if grover_search(f, 1, rng.substream(i)) == marked) / shots
+
+
 def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
     """Dense N x N Grover operator: oracle phase flip followed by the
     reflection about the uniform state."""
@@ -242,8 +278,9 @@ def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
     return (reflect * signs[np.newaxis, :]).astype(complex)
 
 
-def quantum_count(f: BooleanOracle, plan: PhasePlan, rng: Stream) -> int:
-    """Estimate the solution count by phase-estimating the Grover operator.
+def quantum_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
+    """Estimate the solution count by phase-estimating the Grover operator,
+    once per stream in `rngs`; the register distribution is computed once.
 
     The uniform state splits over the e^{+-i theta} eigenvectors; estimates
     above one half are folded down before inverting sin^2(theta/2) = M/N.
@@ -251,13 +288,12 @@ def quantum_count(f: BooleanOracle, plan: PhasePlan, rng: Stream) -> int:
     N = 1 << f.b
     gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
     dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
-    idx, _ = sample_index(dist, rng)
-    omega = idx / float(1 << plan.b)
-    if omega > 0.5:
-        omega = 1.0 - omega
-    theta = 2.0 * math.pi * omega
-    m_hat = round(N * math.sin(theta / 2.0) ** 2)
-    return min(max(m_hat, 0), N)
+    counts = []
+    for rng in rngs:
+        omega = sample_index(dist, rng)[0] / float(1 << plan.b)
+        theta = 2.0 * math.pi * min(omega, 1.0 - omega)
+        counts.append(min(max(round(N * math.sin(theta / 2.0) ** 2), 0), N))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +376,12 @@ def order_find(x: int, N: int, rng: Stream, max_runs: int = 25) -> int:
 
     report = statharness.repeat_verified(run, verify, max_runs)
     return report.estimate
+
+
+def order_trial(x: int, N: int, rng: Stream):
+    """(order_find's answer, or None if its budget ran out; the true order)."""
+    reference = order_brute_force(x, N)
+    try:
+        return order_find(x, N, rng), reference
+    except NotFoundError:
+        return None, reference

@@ -18,10 +18,8 @@ import io
 import math
 import sys
 
-import numpy as np
-
 from . import acceptance, algorithms, entangle, gates, hamsim, qec, qstate, statharness
-from .errors import NotFoundError, QsimError
+from .errors import DomainError, QsimError
 from .pool import default_threads
 from .rng import Stream
 
@@ -74,66 +72,43 @@ def _run_chsh(args):
         args.shots, Stream(args.seed, "cli/chsh"), collect_rows=args.emit_shots,
         threads=args.threads,
     )
-    reference = 2.0 * math.sqrt(2.0)
-    rows = [_row(args, "chsh_value", result.value, stderr=result.stderr, reference=reference)]
+    rows = [_row(args, "chsh_value", result.value, stderr=result.stderr,
+                 reference=entangle.TSIRELSON_BOUND)]
     for label, corr in result.correlators.items():
         rows.append(_row(args, f"correlator_{label}", corr, pairs=result.counts[label]))
     if args.emit_shots:
         for shot, label, a, b in result.rows:
             rows.append(_row(args, "shot", a * b, shot=shot, setting=label, alice=a, bob=b))
-    return rows, abs(result.value - reference) <= 4.0 * result.stderr
+    return rows, acceptance.within_4_sigma(result.value, entangle.TSIRELSON_BOUND, result.stderr)
 
 
 @experiment("teleport")
 def _run_teleport(args):
-    rng = Stream(args.seed, "cli/teleport")
-    worst = 1.0
-    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
-    for i in range(args.shots):
-        psi = qstate.random_state(1, rng.substream(2 * i))
-        bob, bits = entangle.teleport(psi, rng.substream(2 * i + 1))
-        worst = min(worst, qstate.fidelity(bob, psi))
-        counts[bits] += 1
+    worst, counts = entangle.teleport_trials(args.shots, Stream(args.seed, "cli/teleport"))
     rows = [_row(args, "min_fidelity", worst, reference=1.0)]
     for bits in sorted(counts):
         rows.append(_row(args, f"bits_{bits}_fraction", counts[bits] / args.shots,
                          reference=0.25))
-    return rows, worst >= 1.0 - 1e-10
+    return rows, acceptance.teleport_ok(worst)
 
 
 @experiment("qft")
 def _run_qft(args):
-    n = args.bits
-    dense = algorithms.dft_matrix(n)
-    circuit = algorithms.qft(n)
-    worst = 0.0
-    for j in range(1 << n):
-        out = gates.run_circuit(circuit, qstate.basis_state(n, j))
-        worst = max(worst, float(np.max(np.abs(out.amps - dense[:, j]))))
-    s = qstate.random_state(n, Stream(args.seed, "cli/qft"))
-    fid = qstate.fidelity(gates.run_circuit(algorithms.inverse_qft(n), algorithms.apply_qft(s)), s)
+    worst, fid = algorithms.qft_check(args.bits, Stream(args.seed, "cli/qft"))
     rows = [
-        _row(args, "max_amplitude_error", worst, bits=n, reference=0.0),
-        _row(args, "roundtrip_fidelity", fid, bits=n, reference=1.0),
+        _row(args, "max_amplitude_error", worst, bits=args.bits, reference=0.0),
+        _row(args, "roundtrip_fidelity", fid, bits=args.bits, reference=1.0),
     ]
-    return rows, worst <= 1e-9 and fid >= 1.0 - 1e-9
+    return rows, acceptance.error_ok(worst) and acceptance.unit_ok(fid)
 
 
 @experiment("phase-est")
 def _run_phase_est(args):
     plan = algorithms.PhasePlan(zeta=args.zeta, epsilon=args.epsilon)
-    phi = args.phase
-    u = gates.GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    eigenstate = qstate.basis_state(1, 1)
-    rng = Stream(args.seed, "cli/phase-est")
-    hits = 0
-    for i in range(args.shots):
-        estimate = algorithms.phase_estimate(u, eigenstate, plan, rng.substream(i))
-        if algorithms.phase_distance(estimate, phi) <= plan.zeta:
-            hits += 1
-    coverage = hits / args.shots
-    rows = [_row(args, "coverage", coverage, reference=1.0 - args.epsilon,
-                 zeta=args.zeta, epsilon=args.epsilon, phase=phi, register_qubits=plan.b)]
+    coverage = algorithms.phase_coverage(args.phase, plan, args.shots,
+                                         Stream(args.seed, "cli/phase-est"))
+    rows = [_row(args, "coverage", coverage, reference=1.0 - args.epsilon, zeta=args.zeta,
+                 epsilon=args.epsilon, phase=args.phase, register_qubits=plan.b)]
     sigma = math.sqrt(max(coverage * (1 - coverage), 1e-12) / args.shots)
     return rows, coverage >= 1.0 - args.epsilon - 3.0 * sigma
 
@@ -143,17 +118,12 @@ def _run_grover(args):
     if args.marked >= (1 << args.bits):
         raise QsimError("marked index out of range")
     f = gates.BooleanOracle.from_solutions(args.bits, [args.marked])
-    n = 1 << args.bits
-    plan = algorithms.GroverPlan.for_counts(n, 1)
-    rng = Stream(args.seed, "cli/grover")
-    hits = sum(1 for i in range(args.shots)
-               if algorithms.grover_search(f, 1, rng.substream(i)) == args.marked)
-    rate = hits / args.shots
-    reference = math.sin((2 * plan.R + 1) * plan.theta / 2.0) ** 2
-    rows = [_row(args, "success_rate", rate, reference=reference,
+    plan = algorithms.GroverPlan.for_counts(1 << args.bits, 1)
+    rate = algorithms.grover_success_rate(f, args.marked, args.shots,
+                                          Stream(args.seed, "cli/grover"))
+    rows = [_row(args, "success_rate", rate, reference=plan.success_probability,
                  bits=args.bits, marked=args.marked, iterations=plan.R)]
-    sigma = math.sqrt(max(reference * (1 - reference), 1e-12) / args.shots)
-    return rows, rate >= 1.0 - 1.0 / n - 3.0 * sigma
+    return rows, acceptance.grover_ok(rate, plan, args.shots)
 
 
 @experiment("count")
@@ -161,7 +131,7 @@ def _run_count(args):
     f = gates.BooleanOracle.from_solutions(args.bits, list(range(args.m_count)))
     plan = algorithms.PhasePlan(zeta=args.zeta, epsilon=args.epsilon)
     rng = Stream(args.seed, "cli/count")
-    estimates = [algorithms.quantum_count(f, plan, rng.substream(i)) for i in range(args.shots)]
+    estimates = algorithms.quantum_counts(f, plan, map(rng.substream, range(args.shots)))
     correct = sum(1 for m in estimates if m == args.m_count)
     rows = [
         _row(args, "count_mode", max(set(estimates), key=estimates.count),
@@ -173,14 +143,9 @@ def _run_count(args):
 
 @experiment("order-find")
 def _run_order_find(args):
-    reference = algorithms.order_brute_force(args.x_base, args.modulus)
-    try:
-        found = algorithms.order_find(
-            args.x_base, args.modulus, Stream(args.seed, "cli/order"), max_runs=25
-        )
-    except NotFoundError:
-        found = -1
-    rows = [_row(args, "order", found, reference=reference,
+    found, reference = algorithms.order_trial(args.x_base, args.modulus,
+                                              Stream(args.seed, "cli/order"))
+    rows = [_row(args, "order", -1 if found is None else found, reference=reference,
                  x_base=args.x_base, modulus=args.modulus)]
     return rows, found == reference
 
@@ -198,13 +163,10 @@ def _run_trotter(args):
 
 @experiment("grover-ham")
 def _run_grover_ham(args):
-    uniform = gates.hadamard_layer(args.bits)
-    h, t_measure = hamsim.grover_hamiltonian(args.marked, uniform)
-    evolved = hamsim.exact_evolve(h, t_measure, uniform)
-    prob = float(np.abs(evolved.amps[args.marked]) ** 2)
+    prob, t_measure = hamsim.grover_hamiltonian_success(args.bits, args.marked)
     rows = [_row(args, "success_probability", prob, reference=1.0,
                  bits=args.bits, marked=args.marked, t_measure=t_measure)]
-    return rows, prob >= 1.0 - 1e-9
+    return rows, acceptance.unit_ok(prob)
 
 
 @experiment("qec-sweep")
@@ -224,35 +186,24 @@ def _run_qec_sweep(args):
 
 @experiment("qrng")
 def _run_qrng(args):
-    values = statharness.quantum_rng(args.bits, args.shots,
-                                     Stream(args.seed, "cli/qrng"), threads=args.threads)
-    counts = [0] * (1 << args.bits)
-    for v in values:
-        counts[v] += 1
-    stat = statharness.chi_square_uniform(counts)
-    critical = acceptance.CHI2_99_9_DF15 if args.bits == 4 else float("inf")
+    stat = statharness.quantum_rng_chi_square(args.bits, args.shots,
+                                              Stream(args.seed, "cli/qrng"), threads=args.threads)
+    tabulated = args.bits == 4  # the critical value is tabulated for 16 bins only
     rows = [_row(args, "chi_square", stat, bits=args.bits,
-                 reference=critical if math.isfinite(critical) else None)]
-    return rows, stat < critical
+                 reference=acceptance.CHI2_99_9_DF15 if tabulated else None)]
+    return rows, not tabulated or acceptance.chi_square_ok(stat)
 
 
 @experiment("qmc")
 def _run_qmc(args):
-    model = hamsim.ising_chain(2, coupling=0.6, field=0.7)
-    psi0 = qstate.basis_state(2, 0)
-    plan = hamsim.TrotterPlan(args.t_final, args.steps)
-    obs = qstate.Observable(np.kron(gates.PAULI_Z, np.eye(2)))
-    target = hamsim.exact_evolve(model, args.t_final, psi0)
-    prepare = lambda: hamsim.trotter_evolve(model, plan, psi0)[-1]
-    result = statharness.qmc_estimate(obs, prepare, args.shots,
-                                      Stream(args.seed, "cli/qmc"), target)
+    result = hamsim.trotter_qmc(args.t_final, args.steps, args.shots, Stream(args.seed, "cli/qmc"))
     rows = [
         _row(args, "theta_hat", result.theta_hat, stderr=result.stderr,
              reference=result.theta_prepared, steps=args.steps, t_final=args.t_final),
         _row(args, "bias", result.bias, reference=result.theta_prepared - result.theta_true),
         _row(args, "theta_true", result.theta_true),
     ]
-    return rows, abs(result.theta_hat - result.theta_prepared) <= 4.0 * result.stderr
+    return rows, acceptance.within_4_sigma(result.theta_hat, result.theta_prepared, result.stderr)
 
 
 @experiment("stats-bound")
@@ -335,6 +286,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
+            if args.shots < 1:
+                raise DomainError(f"--shots must be at least 1, got {args.shots}")
             rows, ok = EXPERIMENTS[args.experiment](args)
             buffer = io.StringIO()
             _emit(rows, args.format, buffer)

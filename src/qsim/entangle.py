@@ -74,6 +74,11 @@ class ChshSetting:
             if np.max(np.abs(obs.mat @ obs.mat - _ID2)) > 1e-9:
                 raise ValidationError(f"{label} does not square to the identity")
 
+    def pairs(self) -> dict:
+        """The (Alice, Bob) observable pair of each term of the CHSH sum."""
+        return {"13": (self.x1, self.x3), "23": (self.x2, self.x3),
+                "24": (self.x2, self.x4), "14": (self.x1, self.x4)}
+
 
 def default_chsh_setting() -> ChshSetting:
     """The maximally violating setting: sigma_z, sigma_x for Alice and the
@@ -152,6 +157,19 @@ def teleport(psi: StateVector, rng: Stream):
     return bob, bits
 
 
+def teleport_trials(shots: int, rng: Stream):
+    """(minimum fidelity, count of each bit pair) over `shots` teleported random
+    states; shot i draws its input from substream 2i, its measurement from 2i + 1."""
+    worst = 1.0
+    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
+    for i in range(shots):
+        psi = qstate.random_state(1, rng.substream(2 * i))
+        bob, bits = teleport(psi, rng.substream(2 * i + 1))
+        worst = min(worst, qstate.fidelity(bob, psi))
+        counts[bits] += 1
+    return worst, counts
+
+
 def _extract_bob(post: StateVector, bits: str) -> StateVector:
     block = post.amps.reshape(2, 2, 2)[int(bits[0]), int(bits[1]), :]
     return StateVector(1, block.copy(), _trusted=True)
@@ -189,8 +207,6 @@ def teleport_branches(psi: StateVector):
 # ---------------------------------------------------------------------------
 # CHSH
 
-_PAIR_LABELS = ("13", "23", "24", "14")
-
 
 def chsh_quantum_value(state, setting: ChshSetting) -> float:
     """E(X1 X3) + E(X2 X3) + E(X2 X4) - E(X1 X4) with tensor-product
@@ -198,15 +214,9 @@ def chsh_quantum_value(state, setting: ChshSetting) -> float:
     dim = state.dim if hasattr(state, "dim") else 0
     if dim != 4:
         raise DomainError("CHSH needs a two-qubit state")
-    pairs = {
-        "13": (setting.x1, setting.x3),
-        "23": (setting.x2, setting.x3),
-        "24": (setting.x2, setting.x4),
-        "14": (setting.x1, setting.x4),
-    }
     corr = {
         label: qstate._expect_matrix(state, np.kron(a.mat, b.mat))
-        for label, (a, b) in pairs.items()
+        for label, (a, b) in setting.pairs().items()
     }
     return corr["13"] + corr["23"] + corr["24"] - corr["14"]
 
@@ -244,45 +254,36 @@ def chsh_experiment(
     """
     if shots < 1:
         raise DomainError("chsh_experiment needs at least one shot")
-    setting = default_chsh_setting()
-    alice = {
-        "13": Observable(np.kron(setting.x1.mat, _ID2)),
-        "23": Observable(np.kron(setting.x2.mat, _ID2)),
-        "24": Observable(np.kron(setting.x2.mat, _ID2)),
-        "14": Observable(np.kron(setting.x1.mat, _ID2)),
-    }
-    bob = {
-        "13": Observable(np.kron(_ID2, setting.x3.mat)),
-        "23": Observable(np.kron(_ID2, setting.x3.mat)),
-        "24": Observable(np.kron(_ID2, setting.x4.mat)),
-        "14": Observable(np.kron(_ID2, setting.x4.mat)),
-    }
+    pairs = default_chsh_setting().pairs()
+    labels = tuple(pairs)
+    alice = {label: Observable(np.kron(a.mat, _ID2)) for label, (a, _) in pairs.items()}
+    bob = {label: Observable(np.kron(_ID2, b.mat)) for label, (_, b) in pairs.items()}
     base = singlet()
 
     def one_shot(shot: int):
         stream = rng.substream(shot)
-        label = _PAIR_LABELS[stream.integer(4)]
+        label = labels[stream.integer(4)]
         a, collapsed = measure_observable(base, alice[label], stream)
         b, _ = measure_observable(collapsed, bob[label], stream)
         return label, int(round(a)), int(round(b))
 
     outcomes = shot_map(one_shot, shots, threads)
-    sums = {label: 0.0 for label in _PAIR_LABELS}
-    counts = {label: 0 for label in _PAIR_LABELS}
+    sums = {label: 0.0 for label in labels}
+    counts = {label: 0 for label in labels}
     rows = [] if collect_rows else None
     for shot, (label, a, b) in enumerate(outcomes):
         sums[label] += a * b
         counts[label] += 1
         if rows is not None:
             rows.append((shot, label, a, b))
-    for label in _PAIR_LABELS:
+    for label in labels:
         if counts[label] == 0:
             raise DomainError(f"no shots landed on pair {label}; increase shots")
-    corr = {label: sums[label] / counts[label] for label in _PAIR_LABELS}
+    corr = {label: sums[label] / counts[label] for label in labels}
     value = corr["13"] + corr["23"] + corr["24"] - corr["14"]
     # products are +-1, so Var = 1 - mean^2 per pair; pairs are independent
     variance = sum(
-        (1.0 - corr[label] ** 2) / counts[label] for label in _PAIR_LABELS
+        (1.0 - corr[label] ** 2) / counts[label] for label in labels
     )
     return ChshResult(
         value=value,

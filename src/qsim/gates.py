@@ -23,6 +23,8 @@ from .qstate import (
     StateVector,
     _apply_matrix,
     _check_targets,
+    _from_pairs,
+    _to_pairs,
     basis_state,
     diagonal_vector,
     permutation_vector,
@@ -306,9 +308,7 @@ def circuit_to_json(c: Circuit) -> str:
         }
         base = op.name.lstrip("c")
         if not (base in _NAMED_MATRICES and np.array_equal(op.matrix, _NAMED_MATRICES[base])):
-            entry["matrix"] = [
-                [float(z.real), float(z.imag)] for z in op.matrix.reshape(-1)
-            ]
+            entry["matrix"] = _to_pairs(op.matrix)
         ops.append(entry)
     return json.dumps({"qubits": c.qubits, "ops": ops})
 
@@ -321,8 +321,7 @@ def circuit_from_json(text: str) -> Circuit:
         controls = entry.get("controls", [])
         if "matrix" in entry:
             dim = 1 << len(targets)
-            flat = np.array([complex(re, im) for re, im in entry["matrix"]])
-            mat = flat.reshape(dim, dim)
+            mat = _from_pairs(entry["matrix"]).reshape(dim, dim)
         else:
             base = entry["name"].lstrip("c")
             if base not in _NAMED_MATRICES:

@@ -19,8 +19,11 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, ResourceError, ValidationError
-from .gates import PAULI_X, PAULI_Z
-from .qstate import StateVector, _apply_matrix, _check_targets, basis_state
+from .gates import PAULI_X, PAULI_Z, hadamard_layer
+from .qstate import Observable, StateVector, _apply_matrix, _check_targets, basis_state
+from .qstate import _from_pairs, _to_pairs
+from .rng import Stream
+from .statharness import QmcResult, qmc_estimate
 
 EXACT_ORACLE_MAX_QUBITS = 10
 MAX_TERM_QUBITS = 3
@@ -215,6 +218,23 @@ def grover_hamiltonian(x: int, psi: StateVector):
     return h, t_measure
 
 
+def grover_hamiltonian_success(b: int, marked: int):
+    """(success probability of the b-qubit search Hamiltonian at t_measure, t_measure)."""
+    uniform = hadamard_layer(b)
+    h, t_measure = grover_hamiltonian(marked, uniform)
+    evolved = exact_evolve(h, t_measure, uniform)
+    return float(np.abs(evolved.amps[marked]) ** 2), t_measure
+
+
+def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
+    """qmc_estimate of Z (x) I after a `steps`-step Trotterized evolution of |00>."""
+    model = ising_chain(2, coupling=0.6, field=0.7)
+    psi0 = basis_state(2, 0)
+    prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
+    obs = Observable(np.kron(PAULI_Z, np.eye(2)))
+    return qmc_estimate(obs, prepared, shots, rng, exact_evolve(model, t_final, psi0))
+
+
 def ising_chain(qubits: int, coupling: float = 0.5, field: float = 0.4) -> HamiltonianTerms:
     """Transverse-field Ising chain: ZZ couplings on neighbors plus X
     fields. Non-commuting for any nonzero coupling and field; the
@@ -245,13 +265,7 @@ def commuting_chain(qubits: int, coupling: float = 0.5) -> HamiltonianTerms:
 
 def hamiltonian_to_json(h: HamiltonianTerms) -> str:
     """JSON {qubits, terms: [{targets, matrix}]}, matrix row-major [re, im]."""
-    terms = [
-        {
-            "targets": list(targets),
-            "matrix": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
-        }
-        for mat, targets in h.terms
-    ]
+    terms = [{"targets": list(targets), "matrix": _to_pairs(mat)} for mat, targets in h.terms]
     return json.dumps({"qubits": h.qubits, "terms": terms})
 
 
@@ -261,6 +275,5 @@ def hamiltonian_from_json(text: str) -> HamiltonianTerms:
     for entry in data["terms"]:
         targets = tuple(entry["targets"])
         dim = 1 << len(targets)
-        flat = np.array([complex(re, im) for re, im in entry["matrix"]])
-        terms.append((flat.reshape(dim, dim), targets))
+        terms.append((_from_pairs(entry["matrix"]).reshape(dim, dim), targets))
     return HamiltonianTerms(int(data["qubits"]), tuple(terms))

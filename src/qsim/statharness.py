@@ -177,24 +177,22 @@ class QmcResult:
         return math.sqrt(self.variance / self.n) if self.n else float("inf")
 
 
-def qmc_estimate(obs: Observable, prepare, shots: int, rng: Stream, target) -> QmcResult:
+def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> QmcResult:
     """Estimate Tr(X rho) by repeated preparation and measurement.
 
-    `prepare` is a deterministic state-preparation procedure (exact or
-    Trotterized); `target` is the exact-oracle state defining the true
-    theta. The reported bias Tr(X rho_tilde) - Tr(X rho) is computed from
-    dense expectations, the sampling part from the measured eigenvalues.
+    `prepared` is the state a deterministic preparation (exact or Trotterized)
+    yields on every shot; `target` is the exact-oracle state defining the
+    true theta. The bias Tr(X rho_tilde) - Tr(X rho) comes from dense
+    expectations, the sampling part from the measured eigenvalues.
     """
     if shots < 1:
         raise DomainError("qmc_estimate needs at least one shot")
-    prepared = prepare()
     theta_prepared = expectation(prepared, obs)
     theta_true = expectation(target, obs)
     total = 0.0
     total_sq = 0.0
     for shot in range(shots):
-        state = prepared if shot == 0 else prepare()
-        x, _ = measure_observable(state, obs, rng.substream(shot))
+        x, _ = measure_observable(prepared, obs, rng.substream(shot))
         total += x
         total_sq += x * x
     theta_hat = total / shots
@@ -226,6 +224,14 @@ def quantum_rng(b: int, shots: int, rng: Stream, threads: int = 1):
         return int(bits, 2)
 
     return shot_map(one_shot, shots, threads)
+
+
+def quantum_rng_chi_square(b: int, shots: int, rng: Stream, threads: int = 1) -> float:
+    """Chi-square statistic of `shots` quantum_rng draws over the 2^b values."""
+    counts = [0] * (1 << b)
+    for v in quantum_rng(b, shots, rng, threads):
+        counts[v] += 1
+    return chi_square_uniform(counts)
 
 
 def chi_square_uniform(counts) -> float:

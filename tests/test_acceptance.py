@@ -24,8 +24,9 @@ def test_criterion(cid):
     assert details_line(cid, result.details) + "\n" == acceptance_path(cid).read_text()
 
 
-def test_negative_control_corruption_fails_loudly():
-    result = run_acceptance(ids=[1], corrupt=1)[0]
+@pytest.mark.parametrize("cid", [1, 2, 5, 6])
+def test_negative_control_corruption_fails_loudly(cid):
+    result = run_acceptance(ids=[cid], corrupt=cid)[0]
     assert not result.passed
     assert isinstance(result, CriterionResult)
     assert result.line().startswith("FAIL")

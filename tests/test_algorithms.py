@@ -20,7 +20,7 @@ from qsim.algorithms import (
     phase_distance,
     phase_estimate,
     qft,
-    quantum_count,
+    quantum_counts,
     register_size,
     _pe_register_distribution,
 )
@@ -203,13 +203,13 @@ class TestQuantumCount:
     def test_empty_oracle_counts_zero(self):
         f = BooleanOracle(3, fn=lambda x: 0)
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.25)
-        assert quantum_count(f, plan, Stream(23, "qc0")) == 0
+        assert quantum_counts(f, plan, [Stream(23, "qc0")]) == [0]
 
     def test_sixteen_four(self):
         f = BooleanOracle.from_solutions(4, [0, 3, 9, 14])
         plan = PhasePlan(zeta=2.0**-7, epsilon=0.1)
         rng = Stream(29, "qc")
-        estimates = [quantum_count(f, plan, rng.substream(i)) for i in range(30)]
+        estimates = quantum_counts(f, plan, map(rng.substream, range(30)))
         hits = sum(1 for m in estimates if m == 4)
         assert hits / 30 >= 1 - plan.epsilon - 3 * math.sqrt(0.1 * 0.9 / 30)
 
@@ -217,8 +217,8 @@ class TestQuantumCount:
         f = BooleanOracle.from_solutions(2, [0, 1])
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.25)
         rng = Stream(31, "clamp")
-        for i in range(20):
-            assert 0 <= quantum_count(f, plan, rng.substream(i)) <= 4
+        for m in quantum_counts(f, plan, map(rng.substream, range(20))):
+            assert 0 <= m <= 4
 
 
 class TestModMul:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qsim.cli import main
+from qsim.cli import EXPERIMENTS, main
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +89,13 @@ class TestRun:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_shots_below_one_exit_2(self, capsys, experiment, shots):
+        code, out, err = run_cli(capsys, "run", "--experiment", experiment, "--shots", shots)
+        assert code == 2 and out == ""
+        assert "--shots must be at least 1" in err
 
     def test_unknown_experiment_exit_2(self):
         proc = subprocess.run(

@@ -210,17 +210,16 @@ class TestQmc:
 
     def test_exact_preparation_is_unbiased(self):
         model, psi0, obs, target = self._setup()
-        prepare = lambda: target
-        result = qmc_estimate(obs, prepare, 4000, Stream(13, "qmc"), target)
+        result = qmc_estimate(obs, target, 4000, Stream(13, "qmc"), target)
         assert result.bias == pytest.approx(0.0, abs=1e-12)
         assert abs(result.theta_hat - result.theta_true) <= 4.0 * result.stderr
 
     def test_trotterized_bias_identity(self):
         model, psi0, obs, target = self._setup()
         plan = TrotterPlan(1.0, 2)
-        prepare = lambda: trotter_evolve(model, plan, psi0)[-1]
-        result = qmc_estimate(obs, prepare, 4000, Stream(17, "qmc-b"), target)
-        theta_tilde = expectation(prepare(), obs)
+        prepared = trotter_evolve(model, plan, psi0)[-1]
+        result = qmc_estimate(obs, prepared, 4000, Stream(17, "qmc-b"), target)
+        theta_tilde = expectation(prepared, obs)
         theta = expectation(target, obs)
         assert result.bias == pytest.approx(theta_tilde - theta, abs=1e-9)
         assert abs(result.theta_hat - theta_tilde) <= 4.0 * result.stderr
@@ -228,7 +227,7 @@ class TestQmc:
 
     def test_single_shot_returns_one_eigenvalue(self):
         _, _, obs, target = self._setup()
-        result = qmc_estimate(obs, lambda: target, 1, Stream(19, "one"), target)
+        result = qmc_estimate(obs, target, 1, Stream(19, "one"), target)
         assert result.theta_hat in (-1.0, 1.0)
         assert result.n == 1
 
