@@ -26,8 +26,6 @@ from .qstate import (
     _from_pairs,
     _to_pairs,
     basis_state,
-    diagonal_vector,
-    permutation_vector,
     qubit_cap,
 )
 
@@ -51,7 +49,7 @@ _ORACLE_TABLE_MAX_BITS = 20
 class GateOp:
     """A unitary on `targets`, optionally conditioned on `controls`."""
 
-    __slots__ = ("name", "matrix", "targets", "controls", "_perm_src", "_diag")
+    __slots__ = ("name", "matrix", "targets", "controls")
 
     def __init__(self, name: str, matrix, targets, controls=()):
         self.name = name
@@ -67,8 +65,6 @@ class GateOp:
                 f"matrix dim {self.matrix.shape[0]} does not match "
                 f"{len(self.targets)} target qubits"
             )
-        self._perm_src = permutation_vector(self.matrix)
-        self._diag = diagonal_vector(self.matrix)
 
     def qubits_touched(self):
         return self.controls + self.targets
@@ -254,10 +250,7 @@ def hadamard_layer(b: int) -> StateVector:
 
 def apply_gate(s: StateVector, op: GateOp) -> StateVector:
     _check_targets(s.qubits, op.targets, op.controls)
-    out = _apply_matrix(
-        s.amps, s.qubits, op.matrix, list(op.targets), list(op.controls),
-        op._perm_src, op._diag,
-    )
+    out = _apply_matrix(s.amps, s.qubits, op.matrix, op.targets, op.controls)
     return StateVector(s.qubits, out, _trusted=True)
 
 

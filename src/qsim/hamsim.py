@@ -121,11 +121,16 @@ def exact_evolve(h: HamiltonianTerms, t: float, psi0: StateVector) -> StateVecto
     """|psi(t)> = e^{-i H t} |psi(0)> through the dense eigendecomposition."""
     if psi0.qubits != h.qubits:
         raise DomainError("state and Hamiltonian qubit counts differ")
-    total = h.assemble()
+    return StateVector(h.qubits, _evolve_dense(h.assemble(), t, psi0.amps), _trusted=True)
+
+
+def _evolve_dense(total: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
+    """e^{-i H t} amps for a dense Hermitian H, through its eigendecomposition."""
+    if total.shape[0] > 1 << EXACT_ORACLE_MAX_QUBITS:
+        raise ResourceError(f"dense evolution supports at most {EXACT_ORACLE_MAX_QUBITS} qubits")
     vals, vecs = linalg.jacobi_eigh(total)
     phases = np.exp(-1j * vals * t)
-    amps = vecs @ (phases * (vecs.conj().T @ psi0.amps))
-    return StateVector(h.qubits, amps, _trusted=True)
+    return vecs @ (phases * (vecs.conj().T @ amps))
 
 
 class TrotterStep:
@@ -153,7 +158,7 @@ class TrotterStep:
             raise DomainError("state size does not match the step")
         amps = s.amps
         for mat, targets in self.factors:
-            amps = _apply_matrix(amps, self.qubits, mat, list(targets))
+            amps = _apply_matrix(amps, self.qubits, mat, targets)
         return StateVector(self.qubits, amps, _trusted=True)
 
     def dense(self) -> np.ndarray:
@@ -201,6 +206,12 @@ def grover_hamiltonian(x: int, psi: StateVector):
             f"search Hamiltonian stores the full register as one local term; "
             f"at most {MAX_TERM_QUBITS} qubits"
         )
+    mat, t_measure = _search_matrix(x, psi)
+    return HamiltonianTerms(psi.qubits, ((0.5 * mat, tuple(range(psi.qubits))),)), t_measure
+
+
+def _search_matrix(x: int, psi: StateVector):
+    """(dense |x><x| + |psi><psi|, t_measure) of grover_hamiltonian."""
     dim = psi.dim
     if not 0 <= x < dim:
         raise DomainError(f"solution index {x} out of range")
@@ -213,25 +224,29 @@ def grover_hamiltonian(x: int, psi: StateVector):
     mat = np.outer(solution.amps, solution.amps.conj()) + np.outer(
         psi.amps, psi.amps.conj()
     )
-    h = HamiltonianTerms(psi.qubits, ((0.5 * mat, tuple(range(psi.qubits))),))
-    t_measure = math.pi / (2.0 * alpha.real)
-    return h, t_measure
+    return mat, math.pi / (2.0 * alpha.real)
 
 
 def grover_hamiltonian_success(b: int, marked: int):
-    """(success probability of the b-qubit search Hamiltonian at t_measure, t_measure)."""
+    """(success probability of the b-qubit search Hamiltonian at t_measure,
+    t_measure); the dense Hamiltonian is evolved, so b is not term-capped."""
     uniform = hadamard_layer(b)
-    h, t_measure = grover_hamiltonian(marked, uniform)
-    evolved = exact_evolve(h, t_measure, uniform)
-    return float(np.abs(evolved.amps[marked]) ** 2), t_measure
+    mat, t_measure = _search_matrix(marked, uniform)
+    evolved = _evolve_dense(mat, t_measure, uniform.amps)
+    return float(np.abs(evolved[marked]) ** 2), t_measure
+
+
+def qmc_problem():
+    """(model, observable) of trotter_qmc: the two-qubit Ising chain with
+    coupling 0.6 and field 0.7, and Z (x) I; the input state is |00>."""
+    return ising_chain(2, coupling=0.6, field=0.7), Observable(np.kron(PAULI_Z, np.eye(2)))
 
 
 def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
     """qmc_estimate of Z (x) I after a `steps`-step Trotterized evolution of |00>."""
-    model = ising_chain(2, coupling=0.6, field=0.7)
+    model, obs = qmc_problem()
     psi0 = basis_state(2, 0)
     prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
-    obs = Observable(np.kron(PAULI_Z, np.eye(2)))
     return qmc_estimate(obs, prepared, shots, rng, exact_evolve(model, t_final, psi0))
 
 

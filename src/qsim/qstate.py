@@ -202,80 +202,27 @@ class MeasurementRecord:
 # gate application kernel
 
 
-def permutation_vector(mat: np.ndarray):
-    """Source-index array if `mat` is an exact 0/1 permutation, else None."""
-    ones = mat == 1.0
-    if not np.all(ones | (mat == 0.0)):
-        return None
-    if not (np.all(ones.sum(axis=0) == 1) and np.all(ones.sum(axis=1) == 1)):
-        return None
-    return np.argmax(ones, axis=1)
-
-
-def diagonal_vector(mat: np.ndarray):
-    """Diagonal of `mat` if it is exactly diagonal, else None."""
-    diag = np.diag(mat)
-    if np.count_nonzero(mat - np.diag(diag)):
-        return None
-    return diag.copy()
-
-
-def _apply_matrix(amps, b, mat, targets, controls=(), perm_src=None, diag=None):
+def _apply_matrix(amps, b, mat, targets, controls=()):
     """Apply `mat` to the target qubits of a 2^b amplitude array,
-    conditioned on all control qubits being 1. Returns a new array.
+    conditioned on all control qubits being 1. Returns a new complex128
+    array, whatever the dtype of `amps`.
 
-    Diagonal matrices and matrices on trailing target qubits skip the
-    transpose round trip; the general path permutes the target axes to
-    the end, applies the matrix blockwise, and permutes back.
+    The controls are fixed to 1 by slicing, the remaining block is
+    transposed so that the targets are its last axes, and every row of
+    2^k target amplitudes is multiplied by mat^T.
     """
-    k = len(targets)
-    dim_k = 1 << k
-    if diag is not None:
-        # in-place scaling of the slices selected by controls and target bits
-        out = amps.copy()
-        view = out.reshape((2,) * b)
-        base = [slice(None)] * b
-        for c in controls:
-            base[c] = 1
-        for pattern in range(dim_k):
-            d = diag[pattern]
-            if d == 1.0:
-                continue
-            sel = list(base)
-            for pos, t in enumerate(targets):
-                sel[t] = (pattern >> (k - 1 - pos)) & 1
-            view[tuple(sel)] *= d
-        return out
-    if list(targets) == list(range(b - k, b)) and all(c < b - k for c in controls):
-        # trailing targets: the last array axis already enumerates them
-        out = amps.copy()
-        view = out.reshape((2,) * (b - k) + (dim_k,))
-        sel = [slice(None)] * (b - k)
-        for c in controls:
-            sel[c] = 1
-        block = view[tuple(sel)]
-        if perm_src is not None:
-            block[...] = block[..., perm_src]
-        else:
-            block[...] = block @ mat.T
-        return out
-    ctrl = list(controls)
-    targ = list(targets)
-    rest = [i for i in range(b) if i not in ctrl and i not in targ]
-    axes = ctrl + rest + targ
-    psi = amps.reshape((2,) * b).transpose(axes).copy()
-    flat = psi.reshape(-1, dim_k)
-    if ctrl:
-        rows = flat.shape[0]
-        sub = flat[rows - (rows >> len(ctrl)) :]
-    else:
-        sub = flat
-    if perm_src is not None:
-        sub[:] = sub[:, perm_src]
-    else:
-        sub[:] = sub @ mat.T
-    inverse = np.argsort(axes)
-    return psi.reshape((2,) * b).transpose(inverse).reshape(-1)
+    out = np.array(amps, dtype=np.complex128)
+    sel = [slice(None)] * b
+    for c in controls:
+        sel[c] = 1
+    block = out.reshape((2,) * b)[tuple(sel)]
+    free = [q for q in range(b) if q not in controls]
+    order = [i for i, q in enumerate(free) if q not in targets]
+    order += [free.index(t) for t in targets]
+    active = block.transpose(order)
+    rows = active.reshape(-1, 1 << len(targets))
+    active[...] = (rows @ mat.T).reshape(active.shape)
+    return out
 
 
 def _check_targets(b, targets, controls=()):

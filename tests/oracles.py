@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+from qsim.algorithms import inverse_qft
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -46,6 +47,27 @@ def circuit_unitary(circuit, b: int) -> np.ndarray:
     for op in circuit.ops:
         out = dense_embedding(op.matrix, list(op.targets), list(op.controls), b) @ out
     return out
+
+
+def pe_register_distribution(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarray:
+    """Register distribution of phase estimation from its gate-level
+    circuit, multiplied out densely: a Hadamard on each register qubit of
+    |0...0>|psi>, the ladder in which register qubit j controls
+    U^(2^(b-1-j)) on the second register, then the inverse QFT circuit on
+    the register."""
+    k = len(psi).bit_length() - 1
+    total = b + k
+    second = list(range(b, total))
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+    state = np.zeros(1 << total, dtype=complex)
+    state[: 1 << k] = psi
+    for q in range(b):
+        state = dense_embedding(hadamard, [q], [], total) @ state
+    for j in range(b):
+        power = np.linalg.matrix_power(u, 1 << (b - 1 - j))
+        state = dense_embedding(power, second, [j], total) @ state
+    state = np.kron(circuit_unitary(inverse_qft(b), b), np.eye(1 << k)) @ state
+    return (np.abs(state.reshape(1 << b, 1 << k)) ** 2).sum(axis=1)
 
 
 def permute_qubits(amps: np.ndarray, perm) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary
+from oracles import circuit_unitary, pe_register_distribution
 from qsim.algorithms import (
     GroverPlan,
     PhasePlan,
@@ -26,7 +26,7 @@ from qsim.algorithms import (
 )
 from qsim.errors import DomainError, NotFoundError, ValidationError
 from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
-from qsim.qstate import basis_state, fidelity, random_state
+from qsim.qstate import StateVector, basis_state, fidelity, random_state
 from qsim.rng import Stream
 
 
@@ -111,6 +111,34 @@ class TestPhaseEstimation:
                     phase_unitary(k / (1 << b)), basis_state(1, 1), b
                 )
                 assert dist[k] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_register_distribution_matches_dense_circuit(self, b, k):
+        gen = np.random.default_rng(10 * b + k)
+        dim = 1 << k
+        u = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
+        psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        dist = _pe_register_distribution(GateOp("u", u, range(k)), StateVector(k, psi), b)
+        np.testing.assert_allclose(dist, pe_register_distribution(u, psi, b), atol=1e-12)
+
+    def test_register_distribution_order_finding_and_counting(self):
+        modmul = modmul_unitary(7, 15)
+        one = basis_state(4, 1)
+        np.testing.assert_allclose(
+            _pe_register_distribution(modmul, one, 6),
+            pe_register_distribution(modmul.matrix, one.amps, 6),
+            atol=1e-12,
+        )
+        f = BooleanOracle.from_solutions(3, [2])
+        grover = GateOp("g", grover_operator_matrix(f), range(3))
+        uniform = hadamard_layer(3)
+        np.testing.assert_allclose(
+            _pe_register_distribution(grover, uniform, 5),
+            pe_register_distribution(grover.matrix, uniform.amps, 5),
+            atol=1e-12,
+        )
 
     def test_coverage_for_one_third(self):
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.1)

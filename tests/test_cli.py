@@ -63,6 +63,10 @@ class TestRun:
         )
         assert code == 0
         assert parse_rows(out)[0]["value"] == 1.0
+        # the search Hamiltonian at its default 4 bits is certain too
+        code, out, _ = run_cli(capsys, "run", "--experiment", "grover-ham", "--assert")
+        assert code == 0
+        assert parse_rows(out)[0]["bits"] == 4
 
     def test_order_find_row(self, capsys):
         code, out, _ = run_cli(

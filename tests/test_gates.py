@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import circuit_unitary, dense_embedding, permute_qubits
 from qsim.errors import DomainError, ResourceError, ValidationError
@@ -220,6 +222,47 @@ class TestRunCircuit:
             Circuit(1, (cnot(0, 1),))
         with pytest.raises(DomainError):
             run_circuit(Circuit(2, (hadamard(0),)), basis_state(1, 0))
+
+
+@st.composite
+def gate_cases(draw):
+    """(b, matrix, targets, controls, amps): up to 3 targets and 2 disjoint
+    controls on b <= 6 qubits, with a diagonal-phase, permutation or random
+    unitary matrix and a random state."""
+    b = draw(st.integers(1, 6))
+    qubits = draw(st.permutations(range(b)))
+    k = draw(st.integers(1, min(3, b)))
+    nc = draw(st.integers(0, min(2, b - k)))
+    kind = draw(st.sampled_from(["diagonal", "permutation", "unitary"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 1 << k
+    if kind == "diagonal":
+        mat = np.diag(np.exp(2j * math.pi * gen.random(dim)))
+    elif kind == "permutation":
+        mat = np.eye(dim, dtype=complex)[gen.permutation(dim)]
+    else:
+        mat = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
+    amps = gen.normal(size=1 << b) + 1j * gen.normal(size=1 << b)
+    return b, mat, qubits[:k], qubits[k : k + nc], amps / np.linalg.norm(amps)
+
+
+class TestKernel:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(gate_cases())
+    def test_matches_dense_embedding(self, case):
+        b, mat, targets, controls, amps = case
+        out = apply_gate(StateVector(b, amps), GateOp("g", mat, targets, controls))
+        expected = dense_embedding(mat, targets, controls, b) @ amps
+        np.testing.assert_allclose(out.amps, expected, rtol=0, atol=1e-12)
+
+    def test_real_trusted_amplitudes_are_promoted(self):
+        plus = StateVector(1, np.array([SQ2, SQ2]), _trusted=True)
+        np.testing.assert_allclose(
+            apply_gate(plus, phase_gate(math.pi / 2)).amps, [SQ2, 1j * SQ2], atol=1e-12
+        )
+        np.testing.assert_allclose(
+            apply_gate(plus, pauli_y()).amps, [-1j * SQ2, 1j * SQ2], atol=1e-12
+        )
 
 
 class TestSerialization:
