@@ -173,7 +173,7 @@ def _run_grover_ham(args):
 def _run_qec_sweep(args):
     rows = []
     ok = True
-    for entry in qec.qec_sweep(args.p, args.shots, args.seed, threads=args.threads):
+    for entry in qec.qec_sweep(args.p, args.shots, args.seed):
         entry = dict(entry)
         entry["experiment"] = args.experiment
         entry["seed"] = args.seed
@@ -186,8 +186,7 @@ def _run_qec_sweep(args):
 
 @experiment("qrng")
 def _run_qrng(args):
-    stat = statharness.quantum_rng_chi_square(args.bits, args.shots,
-                                              Stream(args.seed, "cli/qrng"), threads=args.threads)
+    stat = statharness.quantum_rng_chi_square(args.bits, args.shots, Stream(args.seed, "cli/qrng"))
     tabulated = args.bits == 4  # the critical value is tabulated for 16 bins only
     rows = [_row(args, "chi_square", stat, bits=args.bits,
                  reference=acceptance.CHI2_99_9_DF15 if tabulated else None)]
@@ -252,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shots", type=int, default=10_000)
     run.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     run.add_argument("--threads", type=int, default=default_threads(),
-                     help="worker pool size (results are thread-count independent)")
+                     help="worker pool size for the bell and chsh shot loops (results are "
+                          "thread-count independent); other experiments ignore it")
     run.add_argument("--assert", dest="assert_", action="store_true",
                      help="exit 3 unless the experiment meets its reference")
     run.add_argument("--emit-shots", action="store_true",

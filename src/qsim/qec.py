@@ -16,13 +16,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gates import HADAMARD_MATRIX, PAULI_X, PAULI_Z, apply_gate, pauli_x, pauli_z
+from .gates import HADAMARD_MATRIX, PAULI_X, apply_gate, pauli_x, pauli_z
 from .linalg import kron_all
-from .pool import shot_map
-from .qstate import Observable, StateVector, apply_unitary, fidelity, measure_observable
+from .qstate import Observable, StateVector, measure_observable
 from .rng import Stream
 
-LOGICAL_FAILURE_TOL = 1e-9
+# Shots drawn at once by the batched sweep; keeps its memory flat at any
+# shot count.
+SWEEP_BLOCK = 1 << 16
 
 BIT_FLIP = "bit-flip"
 PHASE_FLIP = "phase-flip"
@@ -117,7 +118,7 @@ def recover_bitflip(s: StateVector, syn: Syndrome) -> StateVector:
     """Undo the flip named by the syndrome (1..3 -> qubit index 0..2)."""
     if syn.value == 0:
         return s
-    return apply_unitary(s, PAULI_X, [syn.value - 1])
+    return apply_gate(s, _flip_gate(BIT_FLIP, syn.value - 1))
 
 
 _H3 = kron_all([HADAMARD_MATRIX] * 3)
@@ -142,7 +143,7 @@ def recover_phaseflip(s: StateVector, syn: Syndrome) -> StateVector:
     """sigma_z on the flagged qubit (= H sigma_x H in the rotated basis)."""
     if syn.value == 0:
         return s
-    return apply_unitary(s, PAULI_Z, [syn.value - 1])
+    return apply_gate(s, _flip_gate(PHASE_FLIP, syn.value - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +217,12 @@ def shor9_correct(s: StateVector, rng: Stream = None) -> StateVector:
         value, state = measure_observable(state, _block_syndrome_observable(block), rng)
         syn = int(round(value))
         if syn:
-            state = apply_unitary(state, PAULI_X, [_BLOCKS[block][syn - 1]])
+            state = apply_gate(state, _flip_gate(BIT_FLIP, _BLOCKS[block][syn - 1]))
     p12, state = measure_observable(state, _block_parity_observable(0, 1), rng)
     p23, state = measure_observable(state, _block_parity_observable(1, 2), rng)
     flagged = _PARITY_TO_BLOCK[(int(round(p12)), int(round(p23)))]
     if flagged is not None:
-        state = apply_unitary(state, PAULI_Z, [_BLOCKS[flagged][0]])
+        state = apply_gate(state, _flip_gate(PHASE_FLIP, _BLOCKS[flagged][0]))
     return state
 
 
@@ -234,38 +235,34 @@ def predicted_logical_rate(p: float) -> float:
     return 3.0 * p * p - 2.0 * p**3
 
 
-def logical_error_rate(
-    code: str, p: float, shots: int, rng: Stream, threads: int = 1
-) -> float:
+def logical_error_rate(code: str, p: float, shots: int, rng: Stream) -> float:
     """Empirical failure rate of the three-qubit bit-flip code.
 
-    Each shot encodes |0>, passes the codeword through the channel,
-    measures the syndrome, recovers, and compares with the original
-    codeword; failure means fidelity below 1 - 1e-9 (two or more flips).
+    Shot i encodes |0>, flips each qubit when its draw from
+    `rng.substream(i)` falls below p, measures the syndrome and recovers.
+    Flips on |000> leave a basis state, so the syndrome is certain and the
+    recovered codeword is |000> (fidelity 1) after at most one flip and
+    |111> (fidelity 0) after two or more. The sweep therefore tracks only
+    each shot's flips, its Pauli frame, over blocks of SWEEP_BLOCK shots.
     """
     if code != "bit-flip-3":
         raise DomainError(f"unknown code {code!r}")
     if shots < 1:
         raise DomainError("need at least one shot")
     channel = NoiseChannel(BIT_FLIP, p)
-    reference = encode_bitflip(StateVector(1, [1.0, 0.0]))
-
-    def one_shot(shot: int) -> bool:
-        stream = rng.substream(shot)
-        noisy, _ = apply_channel(reference, channel, stream)
-        syn, post = syndrome_measure(noisy, stream)
-        decoded = recover_bitflip(post, syn)
-        return fidelity(decoded, reference) < 1.0 - LOGICAL_FAILURE_TOL
-
-    return sum(shot_map(one_shot, shots, threads)) / shots
+    failures = 0
+    for start in range(0, shots, SWEEP_BLOCK):
+        flips = rng.uniforms(np.arange(start, min(start + SWEEP_BLOCK, shots)), 3) < channel.p
+        failures += int(np.count_nonzero(flips.sum(axis=1) >= 2))
+    return failures / shots
 
 
-def qec_sweep(ps, shots: int, seed: int, threads: int = 1):
+def qec_sweep(ps, shots: int, seed: int):
     """Logical-rate sweep rows: (p, shots, failures, rate, predicted, stderr)."""
     rows = []
     for p in ps:
         rng = Stream(seed, f"qec/sweep/{p}")
-        rate = logical_error_rate("bit-flip-3", p, shots, rng, threads=threads)
+        rate = logical_error_rate("bit-flip-3", p, shots, rng)
         failures = round(rate * shots)
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / shots)
         rows.append(

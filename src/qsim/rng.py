@@ -7,12 +7,17 @@ numbers a shot sees depend only on its key, never on scheduling order.
 
 The generator is the splitmix64 output function applied to a running
 counter, which is statistically solid for Monte Carlo work at desk scale
-and costs a handful of integer operations per draw.
+and costs a handful of integer operations per draw. Because a draw is a
+pure function of (key, counter), `Stream.uniforms` computes the draws of
+a whole array of shots with numpy uint64 arithmetic, bit for bit equal to
+the per-shot streams; `sample_indices` is the matching array sampler.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, InternalError
 
@@ -26,9 +31,10 @@ CDF_RESIDUAL = 1e-12
 PROB_FLOOR = 1e-15
 
 
-def _mix(z: int) -> int:
-    """splitmix64 finalizer: a 64-bit bijective scrambler."""
-    z &= _MASK64
+def _mix(z):
+    """splitmix64 finalizer: a 64-bit bijective scrambler, applied to a
+    Python int or elementwise to a uint64 array (which wraps mod 2^64)."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -44,6 +50,13 @@ def _tag_key(tag) -> int:
     return h
 
 
+def _stream_key(seed: int, tag, shot):
+    """Key of the stream (seed, tag, shot); `shot` is an int or a uint64
+    array of shot indices, giving one key per shot."""
+    k = _mix(_mix(seed ^ _GOLDEN) ^ _tag_key(tag))
+    return _mix(k ^ _mix(shot))
+
+
 class Stream:
     """Counter-based random stream keyed by (seed, tag, shot).
 
@@ -57,15 +70,21 @@ class Stream:
         self.seed = seed & _MASK64
         self.tag = tag
         self.shot = shot
-        k = _mix(self.seed ^ _GOLDEN)
-        k = _mix(k ^ _tag_key(tag))
-        self._key = _mix(k ^ _mix(shot & _MASK64))
+        self._key = _stream_key(self.seed, tag, shot)
         self._counter = 0
         self._gauss_spare = None
 
     def substream(self, shot: int) -> "Stream":
         """Independent stream for shot index `shot` under this (seed, tag)."""
         return Stream(self.seed, self.tag, shot)
+
+    def uniforms(self, shot_indices, draws: int) -> np.ndarray:
+        """(len(shot_indices), draws) float64 array whose row i holds the
+        first `draws` values of `self.substream(shot_indices[i]).uniform()`,
+        bit for bit. Shot indices lie in [0, 2^64)."""
+        keys = _stream_key(self.seed, self.tag, np.asarray(shot_indices, dtype=np.uint64))
+        counters = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        return (_mix(keys[:, None] + counters) >> 11) * _INV53
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -110,6 +129,19 @@ def kahan_cumsum(values) -> list:
     return out
 
 
+def _checked_cdf(probs) -> list:
+    """Compensated cumulative array of `probs`; raises InternalError when
+    its final value misses 1 by more than CDF_RESIDUAL."""
+    cdf = kahan_cumsum(probs)
+    residual = abs(cdf[-1] - 1.0)
+    if residual > CDF_RESIDUAL:
+        raise InternalError(
+            f"probability array sums to {float(cdf[-1])!r}; residual {residual:.3e} "
+            f"exceeds {CDF_RESIDUAL}"
+        )
+    return cdf
+
+
 def sample_index(probs, rng: Stream):
     """Inverse-CDF draw over a probability array.
 
@@ -117,13 +149,7 @@ def sample_index(probs, rng: Stream):
     bucket absorbs a residual of at most CDF_RESIDUAL. Entries below
     PROB_FLOOR are never selected. Returns (index, probs[index]).
     """
-    cdf = kahan_cumsum(probs)
-    residual = abs(cdf[-1] - 1.0)
-    if residual > CDF_RESIDUAL:
-        raise InternalError(
-            f"probability array sums to {cdf[-1]!r}; residual {residual:.3e} "
-            f"exceeds {CDF_RESIDUAL}"
-        )
+    cdf = _checked_cdf(probs)
     u = rng.uniform()
     last_valid = -1
     for i, p in enumerate(probs):
@@ -136,3 +162,22 @@ def sample_index(probs, rng: Stream):
         raise InternalError("no outcome with probability above the floor")
     # u landed in the residual gap past the final cumulative value
     return last_valid, probs[last_valid]
+
+
+def sample_indices(probs, u) -> np.ndarray:
+    """`sample_index` for an array of uniforms `u`: the index it would
+    return for each draw, from one cumulative array.
+
+    `bounds[i]` is the largest cumulative value of an entry at or below i
+    that is not floored, so the search finds the first such entry with
+    u < cdf[i], as the scalar loop does; a u in the residual gap past the
+    last bound maps to the last valid index.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.array(_checked_cdf(probs))
+    valid = probs >= PROB_FLOOR
+    if not valid.any():
+        raise InternalError("no outcome with probability above the floor")
+    bounds = np.maximum.accumulate(np.where(valid, cdf, -np.inf))
+    last_valid = np.flatnonzero(valid)[-1]
+    return np.minimum(np.searchsorted(bounds, u, side="right"), last_valid)

@@ -11,6 +11,16 @@ from math import comb
 
 import numpy as np
 from qsim.algorithms import inverse_qft
+from qsim.gates import hadamard_layer
+from qsim.qec import (
+    BIT_FLIP,
+    NoiseChannel,
+    apply_channel,
+    encode_bitflip,
+    recover_bitflip,
+    syndrome_measure,
+)
+from qsim.qstate import StateVector, fidelity, measure_qubits
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -96,3 +106,27 @@ def expectation_by_loops(amps, mat) -> complex:
         for j in range(dim):
             total += np.conj(amps[i]) * mat[i, j] * amps[j]
     return total
+
+
+def bitflip_failures(p: float, shots: int, rng) -> int:
+    """Failed shots of the three-qubit bit-flip code, one state-vector
+    shot at a time: encode |0>, flip each qubit with probability p,
+    measure the syndrome, recover, and count fidelity below 1 - 1e-9."""
+    channel = NoiseChannel(BIT_FLIP, p)
+    reference = encode_bitflip(StateVector(1, [1.0, 0.0]))
+    failures = 0
+    for shot in range(shots):
+        stream = rng.substream(shot)
+        noisy, _ = apply_channel(reference, channel, stream)
+        syn, post = syndrome_measure(noisy, stream)
+        decoded = recover_bitflip(post, syn)
+        failures += fidelity(decoded, reference) < 1.0 - 1e-9
+    return failures
+
+
+def qrng_values(b: int, shots: int, rng) -> list:
+    """b-bit integers from measuring every qubit of the Hadamard layer,
+    one `measure_qubits` call per shot."""
+    layer = hadamard_layer(b)
+    return [int(measure_qubits(layer, range(b), rng.substream(shot))[0], 2)
+            for shot in range(shots)]

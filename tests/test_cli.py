@@ -38,9 +38,9 @@ class TestRun:
         assert out1 == out2
 
     def test_threads_do_not_change_output(self, capsys):
-        base = run_cli(capsys, "run", "--experiment", "qrng", "--shots", "500",
+        base = run_cli(capsys, "run", "--experiment", "chsh", "--shots", "500",
                        "--seed", "3", "--threads", "1")[1]
-        multi = run_cli(capsys, "run", "--experiment", "qrng", "--shots", "500",
+        multi = run_cli(capsys, "run", "--experiment", "chsh", "--shots", "500",
                         "--seed", "3", "--threads", "4")[1]
         assert base == multi
 
@@ -55,6 +55,18 @@ class TestRun:
             assert column in header
         first = out.splitlines()[1].split(",")
         assert first[header.index("rate")] == "0.0"
+
+    @pytest.mark.parametrize("p", ["1.5", "nan"])
+    def test_qec_sweep_rejects_bad_p(self, capsys, p):
+        code, out, err = run_cli(capsys, "run", "--experiment", "qec-sweep",
+                                 "--shots", "10", "--p", p)
+        assert code == 2 and out == "" and "flip probability" in err
+
+    def test_qec_sweep_certain_and_null_flips(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--experiment", "qec-sweep",
+                               "--shots", "10", "--p", "1.0", "0.0", "--assert")
+        assert code == 0
+        assert [row["rate"] for row in parse_rows(out)] == [1.0, 0.0]
 
     def test_grover_certain_case(self, capsys):
         code, out, _ = run_cli(

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import bitflip_failures
 from qsim.errors import DomainError
 from qsim.gates import PAULI_X, PAULI_Z
 from qsim.qec import (
     BIT_FLIP,
     PHASE_FLIP,
+    SWEEP_BLOCK,
     NoiseChannel,
     Syndrome,
     apply_channel,
@@ -253,6 +255,29 @@ class TestLogicalRate:
     def test_formula_values(self):
         assert predicted_logical_rate(0.1) == pytest.approx(0.028)
         assert predicted_logical_rate(0.5) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.2, 0.5, 1.0])
+    def test_matches_state_vector_shots(self, p):
+        for shots in (1, 37, 600):
+            rng = Stream(55, f"oracle{p}/{shots}")
+            assert logical_error_rate("bit-flip-3", p, shots, rng) == (
+                bitflip_failures(p, shots, rng) / shots)
+
+    def test_shots_past_one_block(self):
+        p, shots = 0.3, SWEEP_BLOCK + 3
+        rng = Stream(57, "blocks")
+        failures = 0
+        for shot in range(shots):
+            stream = rng.substream(shot)
+            failures += sum(stream.uniform() < p for _ in range(3)) >= 2
+        assert logical_error_rate("bit-flip-3", p, shots, rng) == failures / shots
+
+    def test_invalid_arguments_rejected(self):
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                logical_error_rate("bit-flip-3", p, 10, Stream(59, "bad-p"))
+        with pytest.raises(DomainError):
+            logical_error_rate("bit-flip-3", 0.1, 0, Stream(59, "no-shots"))
 
     def test_unknown_code_rejected(self):
         with pytest.raises(DomainError):

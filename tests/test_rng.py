@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsim.errors import InternalError
-from qsim.rng import Stream, kahan_cumsum, sample_index
+from qsim.rng import PROB_FLOOR, Stream, kahan_cumsum, sample_index, sample_indices
 
 
 def test_streams_are_reproducible():
@@ -73,3 +75,78 @@ def test_sample_index_skips_floored_outcomes():
 def test_sample_index_rejects_unnormalized():
     with pytest.raises(InternalError):
         sample_index([0.5, 0.4], Stream(1, "bad"))
+
+
+SEEDS = st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**64 - 1),
+                  st.integers(2**64, 2**80))
+TAGS = st.one_of(st.text(max_size=8), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=SEEDS, tag=TAGS, shots=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       draws=st.integers(1, 5))
+@example(seed=-1, tag="qec/sweep/0.1", shots=[0, 1, 2**63, 2**64 - 1], draws=5)
+def test_uniforms_match_per_shot_streams(seed, tag, shots, draws):
+    stream = Stream(seed, tag)
+    batch = stream.uniforms(shots, draws)
+    assert batch.shape == (len(shots), draws) and batch.dtype == np.float64
+    for row, shot in zip(batch.tolist(), shots):
+        sub = stream.substream(shot)
+        assert row == [sub.uniform() for _ in range(draws)]
+
+
+class FixedDraw:
+    """Stands in for a Stream whose every uniform is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+def scalar_indices(probs, us):
+    return [sample_index(probs, FixedDraw(u))[0] for u in us]
+
+
+@st.composite
+def floored_distributions(draw):
+    """Normalised arrays in which some entries sit below PROB_FLOOR."""
+    n = draw(st.integers(1, 12))
+    floored = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    floored[draw(st.integers(0, n - 1))] = False
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    weights[floored] = 0.0
+    probs = weights / weights.sum()
+    tiny = st.sampled_from([0.0, 1e-18, PROB_FLOOR / 2])
+    return [draw(tiny) if f else float(p) for f, p in zip(floored, probs)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(probs=floored_distributions(),
+       us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_sample_indices_match_sample_index(probs, us):
+    # every cumulative value is a bucket edge; also draw exactly on each edge
+    us = us + [u for u in kahan_cumsum(probs) if u < 1.0] + [0.0, np.nextafter(1.0, 0.0)]
+    assert sample_indices(probs, us).tolist() == scalar_indices(probs, us)
+
+
+@pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 1e-18]])
+def test_sample_indices_one_outcome(probs):
+    us = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+    assert sample_indices(probs, us).tolist() == scalar_indices(probs, us) == [probs.index(1.0)] * 3
+
+
+def test_sample_indices_residual_gap_maps_to_last_valid_outcome():
+    probs = [0.5, 0.5 - 4e-13, 0.0]
+    gap = 1.0 - 1e-13
+    assert kahan_cumsum(probs)[-1] < gap
+    assert sample_indices(probs, [gap]).tolist() == scalar_indices(probs, [gap]) == [1]
+
+
+def test_sample_indices_rejects_unnormalized_like_sample_index():
+    with pytest.raises(InternalError) as scalar:
+        sample_index([0.5, 0.4], Stream(1, "bad"))
+    with pytest.raises(InternalError) as batched:
+        sample_indices([0.5, 0.4], [0.1])
+    assert str(batched.value) == str(scalar.value)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import exact_binomial_tail
+from oracles import exact_binomial_tail, qrng_values
 from qsim.errors import DomainError, NotFoundError
 from qsim.gates import PAULI_Z
 from qsim.hamsim import TrotterPlan, exact_evolve, ising_chain, trotter_evolve
@@ -251,6 +251,12 @@ class TestQuantumRng:
         a = quantum_rng(3, 500, Stream(31, "det"))
         b = quantum_rng(3, 500, Stream(31, "det"))
         assert a == b
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_matches_per_shot_measurement(self, b):
+        values = quantum_rng(b, 300, Stream(33, f"oracle{b}"))
+        assert all(type(v) is int for v in values)
+        assert values == qrng_values(b, 300, Stream(33, f"oracle{b}"))
 
     def test_chi_square_rejects_empty(self):
         with pytest.raises(DomainError):
