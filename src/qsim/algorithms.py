@@ -30,7 +30,7 @@ from .gates import (
     swap_gate,
 )
 from .qstate import StateVector, basis_state, fidelity, qubit_cap, random_state
-from .rng import Stream, sample_index
+from .rng import Stream, sample_index, sample_indices
 
 
 def register_size(zeta: float, epsilon: float) -> int:
@@ -125,9 +125,11 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     phase-estimation circuit, for an arbitrary second-register input.
 
     After the Hadamard layer and the controlled-U^(2^j) ladder the state is
-    sum_j |j> (x) U^j|psi> / sqrt(2^b), so the rows U^j|psi> are built by
-    doubling with the repeated squares of U, and the inverse QFT on the
-    register is a DFT along j.
+    sum_j |j> (x) U^j|psi> / sqrt(2^b). Every U^j|psi> lies on the closed
+    support of psi under U (for order finding, the orbit of |1>), so U is
+    restricted to it exactly; the columns U^j|psi> are built by doubling
+    with the repeated squares of U, and the inverse QFT on the register is
+    a DFT along j.
     """
     if u.controls:
         raise DomainError("phase estimation takes an uncontrolled unitary")
@@ -140,13 +142,16 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     cap = qubit_cap()
     if total > cap:
         raise ResourceError(f"phase estimation needs {total} qubits, cap is {cap}")
-    rows = np.empty((1 << b, 1 << k), dtype=complex)
-    rows[0] = state.amps
-    power = u.matrix
+    live = state.amps != 0
+    while (grown := live | (u.matrix[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
+    power = u.matrix[np.ix_(live, live)]
+    cols = np.empty((power.shape[0], 1 << b), dtype=complex)
+    cols[:, 0] = state.amps[live]
     for j in range(b):
-        rows[1 << j : 2 << j] = rows[: 1 << j] @ power.T
+        cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
         power = power @ power
-    return (np.abs(np.fft.fft(rows, axis=0) / (1 << b)) ** 2).sum(axis=1)
+    return (np.abs(np.fft.fft(cols) / (1 << b)) ** 2).sum(axis=0)
 
 
 EIGENSTATE_TOL = 1e-8
@@ -164,7 +169,8 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rngs) -
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
     dist = _pe_register_distribution(u, eigenstate, plan.b)
-    return [sample_index(dist, rng)[0] / float(1 << plan.b) for rng in rngs]
+    indices = sample_indices(dist, [rng.uniform() for rng in rngs]).tolist()
+    return [i / float(1 << plan.b) for i in indices]
 
 
 def phase_estimate(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rng: Stream) -> float:
@@ -237,22 +243,26 @@ def grover_solution_amplitude(f: BooleanOracle, M: int, r: int) -> float:
     return float(np.sqrt(np.sum(amps[f.values() == 1] ** 2)))
 
 
-def grover_search(f: BooleanOracle, M: int, rng: Stream) -> int:
-    """Run Grover search and measure; the returned index satisfies f with
-    probability at least 1 - M/N."""
-    N = 1 << f.b
-    plan = GroverPlan.for_counts(N, M)
+def _grover_probs(f: BooleanOracle, M: int) -> np.ndarray:
+    """Measurement distribution after the planned Grover iterations, for an
+    oracle checked to mark exactly M solutions."""
+    plan = GroverPlan.for_counts(1 << f.b, M)
     actual = f.solution_count()
     if actual != M:
         raise ValidationError(f"oracle marks {actual} solutions, caller claimed {M}")
-    amps = _grover_amps(_oracle_signs(f), plan.R)
-    idx, _ = sample_index(amps**2, rng)
-    return idx
+    return _grover_amps(_oracle_signs(f), plan.R) ** 2
+
+
+def grover_search(f: BooleanOracle, M: int, rng: Stream) -> int:
+    """Run Grover search and measure; the returned index satisfies f with
+    probability at least 1 - M/N."""
+    return sample_index(_grover_probs(f, M), rng)[0]
 
 
 def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) -> float:
     """Fraction of `shots` searches, shot i on rng.substream(i), that find `marked`."""
-    return sum(1 for i in range(shots) if grover_search(f, 1, rng.substream(i)) == marked) / shots
+    found = sample_indices(_grover_probs(f, 1), rng.uniforms(np.arange(shots), 1)[:, 0])
+    return int(np.count_nonzero(found == marked)) / shots
 
 
 def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
@@ -275,8 +285,8 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
     gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
     dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
     counts = []
-    for rng in rngs:
-        omega = sample_index(dist, rng)[0] / float(1 << plan.b)
+    for i in sample_indices(dist, [rng.uniform() for rng in rngs]).tolist():
+        omega = i / float(1 << plan.b)
         theta = 2.0 * math.pi * min(omega, 1.0 - omega)
         counts.append(min(max(round(N * math.sin(theta / 2.0) ** 2), 0), N))
     return counts

@@ -116,7 +116,10 @@ class Stream:
 
 
 def kahan_cumsum(values) -> list:
-    """Running sums with Kahan compensation, entry i = sum(values[:i+1])."""
+    """Running sums with Kahan compensation, entry i = sum(values[:i+1]).
+    An ndarray is summed over its Python floats: the same bits, in less time."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
     total = 0.0
     comp = 0.0
     out = []
@@ -149,15 +152,16 @@ def sample_index(probs, rng: Stream):
     bucket absorbs a residual of at most CDF_RESIDUAL. Entries below
     PROB_FLOOR are never selected. Returns (index, probs[index]).
     """
-    cdf = _checked_cdf(probs)
+    values = probs.tolist() if isinstance(probs, np.ndarray) else probs
+    cdf = _checked_cdf(values)
     u = rng.uniform()
     last_valid = -1
-    for i, p in enumerate(probs):
+    for i, p in enumerate(values):
         if p < PROB_FLOOR:
             continue
         last_valid = i
         if u < cdf[i]:
-            return i, p
+            return i, probs[i]
     if last_valid < 0:
         raise InternalError("no outcome with probability above the floor")
     # u landed in the residual gap past the final cumulative value

@@ -21,6 +21,7 @@ from qsim.qec import (
     syndrome_measure,
 )
 from qsim.qstate import StateVector, fidelity, measure_qubits
+from qsim.rng import sample_index
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -78,6 +79,24 @@ def pe_register_distribution(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarr
         state = dense_embedding(power, second, [j], total) @ state
     state = np.kron(circuit_unitary(inverse_qft(b), b), np.eye(1 << k)) @ state
     return (np.abs(state.reshape(1 << b, 1 << k)) ** 2).sum(axis=1)
+
+
+def pe_register_full_columns(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarray:
+    """Register distribution of phase estimation over every column of the
+    second register: the 2^b x 2^k rows U^j|psi> by doubling with the
+    repeated squares of the dense U, then a DFT along the register axis."""
+    rows = np.empty((1 << b, len(psi)), dtype=complex)
+    rows[0] = psi
+    power = u
+    for j in range(b):
+        rows[1 << j : 2 << j] = rows[: 1 << j] @ power.T
+        power = power @ power
+    return (np.abs(np.fft.fft(rows, axis=0) / (1 << b)) ** 2).sum(axis=1)
+
+
+def per_stream_indices(probs, rngs) -> list:
+    """One `sample_index` draw per stream, the CDF rebuilt for each."""
+    return [sample_index(probs, rng)[0] for rng in rngs]
 
 
 def permute_qubits(amps: np.ndarray, perm) -> np.ndarray:

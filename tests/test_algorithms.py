@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import circuit_unitary, pe_register_distribution
+from oracles import (
+    circuit_unitary,
+    pe_register_distribution,
+    pe_register_full_columns,
+    per_stream_indices,
+)
 from qsim.algorithms import (
     GroverPlan,
     PhasePlan,
@@ -13,12 +18,14 @@ from qsim.algorithms import (
     grover_operator_matrix,
     grover_search,
     grover_solution_amplitude,
+    grover_success_rate,
     inverse_qft,
     modmul_unitary,
     order_brute_force,
     order_find,
     phase_distance,
     phase_estimate,
+    phase_estimates,
     qft,
     quantum_counts,
     register_size,
@@ -140,6 +147,65 @@ class TestPhaseEstimation:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("n", range(2, 22))
+    def test_orbit_columns_match_full_columns_for_order_finding(self, n):
+        for x in range(1, n):
+            if math.gcd(x, n) != 1:
+                continue
+            gate = modmul_unitary(x, n)
+            k = len(gate.targets)
+            one = basis_state(k, 1)
+            np.testing.assert_allclose(
+                _pe_register_distribution(gate, one, 2 * k + 4),
+                pe_register_full_columns(gate.matrix, one.amps, 2 * k + 4),
+                rtol=0, atol=1e-15,
+            )
+
+    def test_block_diagonal_unitary_with_psi_inside_one_block(self):
+        gen = np.random.default_rng(5)
+        block = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))[0]
+        other = np.linalg.qr(gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6)))[0]
+        u = np.zeros((8, 8), dtype=complex)
+        u[np.ix_([2, 5], [2, 5])] = block
+        u[np.ix_([0, 1, 3, 4, 6, 7], [0, 1, 3, 4, 6, 7])] = other
+        psi = np.zeros(8, dtype=complex)
+        psi[[2, 5]] = [0.6, 0.8j]
+        for b in range(1, 7):
+            np.testing.assert_allclose(
+                _pe_register_distribution(GateOp("u", u, range(3)), StateVector(3, psi), b),
+                pe_register_distribution(u, psi, b), atol=1e-12,
+            )
+
+    def test_psi_with_zero_amplitudes(self):
+        gen = np.random.default_rng(6)
+        u = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
+        psi = np.array([0.0, 0.6, 0.0, -0.8j])
+        for b in range(1, 7):
+            np.testing.assert_allclose(
+                _pe_register_distribution(GateOp("u", u, range(2)), StateVector(2, psi), b),
+                pe_register_distribution(u, psi, b), atol=1e-12,
+            )
+
+    def test_modmul_padding_states_are_fixed_points(self):
+        gate = modmul_unitary(2, 5)  # padding states 5, 6, 7 map to themselves
+        for amps in ([0, 1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0, 0]):
+            psi = np.array(amps, dtype=complex) / math.sqrt(sum(amps))
+            for b in range(1, 7):
+                np.testing.assert_allclose(
+                    _pe_register_distribution(gate, StateVector(3, psi), b),
+                    pe_register_distribution(gate.matrix, psi, b), atol=1e-12,
+                )
+
+    def test_estimates_match_a_per_stream_sample_index_loop(self):
+        plan = PhasePlan(zeta=2.0**-6, epsilon=0.05)
+        u, eigenstate = phase_unitary(1 / 3), basis_state(1, 1)
+        rng = Stream(17, "pe-loop")
+        dist = _pe_register_distribution(u, eigenstate, plan.b)
+        expected = per_stream_indices(dist, map(rng.substream, range(300)))
+        estimates = phase_estimates(u, eigenstate, plan, map(rng.substream, range(300)))
+        assert estimates == [i / float(1 << plan.b) for i in expected]
+        assert all(type(e) is float for e in estimates)
+
     def test_coverage_for_one_third(self):
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.1)
         phi = 1 / 3
@@ -226,6 +292,19 @@ class TestGrover:
         phases = np.angle(np.linalg.eigvals(g))
         assert min(abs(p - plan.theta) for p in phases) < 1e-9
 
+    @pytest.mark.parametrize("bits,marked", [(1, 1), (3, 5), (5, 11)])
+    def test_success_rate_matches_per_shot_searches(self, bits, marked):
+        f = BooleanOracle.from_solutions(bits, [marked])
+        rng = Stream(13, "grover-loop")
+        found = [grover_search(f, 1, rng.substream(i)) for i in range(64)]
+        for shots in range(1, 65):
+            hits = sum(idx == marked for idx in found[:shots])
+            assert grover_success_rate(f, marked, shots, rng) == hits / shots
+
+    def test_success_rate_validates_solution_count(self):
+        with pytest.raises(ValidationError):
+            grover_success_rate(BooleanOracle.from_solutions(5, [1, 2]), 1, 10, Stream(19, "bad"))
+
 
 class TestQuantumCount:
     def test_empty_oracle_counts_zero(self):
@@ -240,6 +319,19 @@ class TestQuantumCount:
         estimates = quantum_counts(f, plan, map(rng.substream, range(30)))
         hits = sum(1 for m in estimates if m == 4)
         assert hits / 30 >= 1 - plan.epsilon - 3 * math.sqrt(0.1 * 0.9 / 30)
+
+    def test_counts_match_a_per_stream_sample_index_loop(self):
+        f = BooleanOracle.from_solutions(3, [1, 6])
+        plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
+        rng = Stream(19, "qc-loop")
+        gate = GateOp("g", grover_operator_matrix(f), range(3))
+        dist = _pe_register_distribution(gate, hadamard_layer(3), plan.b)
+        expected = []
+        for i in per_stream_indices(dist, map(rng.substream, range(200))):
+            omega = i / float(1 << plan.b)
+            theta = 2.0 * math.pi * min(omega, 1.0 - omega)
+            expected.append(min(max(round(8 * math.sin(theta / 2.0) ** 2), 0), 8))
+        assert quantum_counts(f, plan, map(rng.substream, range(200))) == expected
 
     def test_estimates_clamped(self):
         f = BooleanOracle.from_solutions(2, [0, 1])

@@ -247,7 +247,7 @@ def gate_cases(draw):
 
 
 class TestKernel:
-    @settings(max_examples=200, derandomize=True, deadline=None)
+    @settings(max_examples=200)
     @given(gate_cases())
     def test_matches_dense_embedding(self, case):
         b, mat, targets, controls, amps = case

@@ -82,7 +82,7 @@ SEEDS = st.one_of(st.integers(-(2**70), -1), st.integers(0, 2**64 - 1),
 TAGS = st.one_of(st.text(max_size=8), st.integers(-(2**70), 2**70))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(seed=SEEDS, tag=TAGS, shots=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
        draws=st.integers(1, 5))
 @example(seed=-1, tag="qec/sweep/0.1", shots=[0, 1, 2**63, 2**64 - 1], draws=5)
@@ -109,6 +109,7 @@ def scalar_indices(probs, us):
     return [sample_index(probs, FixedDraw(u))[0] for u in us]
 
 
+
 @st.composite
 def floored_distributions(draw):
     """Normalised arrays in which some entries sit below PROB_FLOOR."""
@@ -122,13 +123,30 @@ def floored_distributions(draw):
     return [draw(tiny) if f else float(p) for f, p in zip(floored, probs)]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(probs=floored_distributions(),
        us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
 def test_sample_indices_match_sample_index(probs, us):
     # every cumulative value is a bucket edge; also draw exactly on each edge
     us = us + [u for u in kahan_cumsum(probs) if u < 1.0] + [0.0, np.nextafter(1.0, 0.0)]
     assert sample_indices(probs, us).tolist() == scalar_indices(probs, us)
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300)
+@given(probs=floored_distributions())
+def test_array_route_matches_list_route(probs):
+    arr = np.array(probs)
+    # list(arr) holds numpy scalars: the arithmetic the array route replaced
+    assert bits(kahan_cumsum(arr)) == bits(kahan_cumsum(probs)) == bits(kahan_cumsum(list(arr)))
+    edges = [u for u in kahan_cumsum(probs) if u < 1.0]
+    for u in edges + [np.nextafter(u, 0.0) for u in edges] + [0.0, np.nextafter(1.0, 0.0)]:
+        idx, prob = sample_index(arr, FixedDraw(u))
+        assert (idx, prob) == sample_index(probs, FixedDraw(u)) == sample_index(list(arr), FixedDraw(u))
+        assert type(prob) is np.float64 and prob == arr[idx]
 
 
 @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 1e-18]])
@@ -150,3 +168,7 @@ def test_sample_indices_rejects_unnormalized_like_sample_index():
     with pytest.raises(InternalError) as batched:
         sample_indices([0.5, 0.4], [0.1])
     assert str(batched.value) == str(scalar.value)
+
+
+def test_property_tests_are_derandomized_by_default():
+    assert settings().derandomize and settings().deadline is None
