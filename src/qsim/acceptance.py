@@ -120,12 +120,8 @@ def criterion_3_teleport(tol_scale: float = 1.0) -> tuple[bool, dict]:
     ok = _check(details, "min_fidelity", teleport_ok(worst, tol_scale), worst)
 
     shots = 10_000
-    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
     psi = qstate.random_state(1, Stream(SEED, "acc/teleport/fixed"))
-    bit_rng = Stream(SEED, "acc/teleport/bits")
-    for i in range(shots):
-        _, bits = entangle.teleport(psi, bit_rng.substream(i))
-        counts[bits] += 1
+    counts = entangle.teleport_bit_counts(psi, shots, Stream(SEED, "acc/teleport/bits"))
     sigma = math.sqrt(0.25 * 0.75 / shots)
     deviation = max(abs(c / shots - 0.25) for c in counts.values())
     ok &= _check(details, "bits_max_deviation_over_4sigma",

@@ -20,7 +20,6 @@ import sys
 
 from . import acceptance, algorithms, entangle, gates, hamsim, qec, qstate, statharness
 from .errors import DomainError, QsimError
-from .pool import default_threads
 from .rng import Stream
 
 EXPERIMENTS = {}
@@ -53,7 +52,7 @@ def _row(args, metric, value, stderr=None, reference=None, **params):
 def _run_bell(args):
     axis = entangle.SpinAxis(*args.axis)
     rng = Stream(args.seed, "cli/bell")
-    pairs = entangle.anticorrelation_experiment(axis, args.shots, rng, threads=args.threads)
+    pairs = entangle.anticorrelation_experiment(axis, args.shots, rng)
     violations = sum(1 for a, b in pairs if a * b != -1)
     alice_mean = sum(a for a, _ in pairs) / len(pairs)
     rows = [
@@ -69,8 +68,7 @@ def _run_bell(args):
 @experiment("chsh")
 def _run_chsh(args):
     result = entangle.chsh_experiment(
-        args.shots, Stream(args.seed, "cli/chsh"), collect_rows=args.emit_shots,
-        threads=args.threads,
+        args.shots, Stream(args.seed, "cli/chsh"), collect_rows=args.emit_shots
     )
     rows = [_row(args, "chsh_value", result.value, stderr=result.stderr,
                  reference=entangle.TSIRELSON_BOUND)]
@@ -250,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="root seed; printed in every row (default: %(default)s)")
     run.add_argument("--shots", type=int, default=10_000)
     run.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    run.add_argument("--threads", type=int, default=default_threads(),
-                     help="worker pool size for the bell and chsh shot loops (results are "
-                          "thread-count independent); other experiments ignore it")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: every experiment runs in the calling "
+                          "thread; must be at least 1 (default: %(default)s)")
     run.add_argument("--assert", dest="assert_", action="store_true",
                      help="exit 3 unless the experiment meets its reference")
     run.add_argument("--emit-shots", action="store_true",
@@ -286,8 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            if args.shots < 1:
-                raise DomainError(f"--shots must be at least 1, got {args.shots}")
+            for flag, value in (("--shots", args.shots), ("--threads", args.threads)):
+                if value < 1:
+                    raise DomainError(f"{flag} must be at least 1, got {value}")
             rows, ok = EXPERIMENTS[args.experiment](args)
             buffer = io.StringIO()
             _emit(rows, args.format, buffer)

@@ -14,6 +14,7 @@ from .errors import DomainError, ValidationError
 from .gates import (
     PAULI_X,
     PAULI_Z,
+    GateOp,
     bell_circuit,
     cnot,
     hadamard,
@@ -24,12 +25,12 @@ from .qstate import (
     Observable,
     StateVector,
     basis_state,
-    measure_observable,
+    measure_observable,  # noqa: F401  (the benchmark tracer rebinds this name)
     measure_qubits,
+    measure_sequence,
     tensor,
 )
-from .pool import shot_map
-from .rng import Stream
+from .rng import Stream, sample_indices
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _ID2 = np.eye(2, dtype=complex)
@@ -104,37 +105,56 @@ def singlet() -> StateVector:
     return bell_state(1, 1)
 
 
-def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream, threads: int = 1):
+def _singlet_outcomes(alice: Observable, bob: Observable, u) -> np.ndarray:
+    """(shots, 2) integer outcomes of Alice's single-qubit observable on the
+    singlet, then Bob's on the collapsed state; a row of `u` per shot."""
+    pair = [Observable(np.kron(alice.mat, _ID2)), Observable(np.kron(_ID2, bob.mat))]
+    return np.rint(measure_sequence(singlet(), pair, u)).astype(np.int64)
+
+
+def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream):
     """Measure the same spin axis on both qubits of the singlet.
 
-    Alice measures first; Bob measures the collapsed state. Returns the
-    list of (alice, bob) outcomes; they are opposite in every shot.
+    Alice measures first; Bob measures the collapsed state. Shot i draws
+    from `rng.substream(i)`, all shots at once. Returns the list of
+    (alice, bob) outcomes; they are opposite in every shot.
     """
     if shots < 1:
         raise DomainError("need at least one shot")
     obs = spin_observable(axis)
-    alice_obs = Observable(np.kron(obs.mat, _ID2))
-    bob_obs = Observable(np.kron(_ID2, obs.mat))
-    base = singlet()
-
-    def one_shot(shot: int):
-        stream = rng.substream(shot)
-        a, collapsed = measure_observable(base, alice_obs, stream)
-        b, _ = measure_observable(collapsed, bob_obs, stream)
-        return (int(round(a)), int(round(b)))
-
-    return shot_map(one_shot, shots, threads)
+    outcomes = _singlet_outcomes(obs, obs, rng.uniforms(np.arange(shots), 2))
+    return [tuple(row) for row in outcomes.tolist()]
 
 
 # ---------------------------------------------------------------------------
 # teleportation
 
+_PHI_PLUS = bell_state(0, 0)
+_ALICE_GATES = (cnot(0, 1), hadamard(0))
+_BITS = ("00", "01", "10", "11")
 _CORRECTIONS = {
     "00": None,
-    "01": PAULI_X,
-    "10": PAULI_Z,
-    "11": PAULI_Z @ PAULI_X,  # sigma_x first, then sigma_z
+    "01": GateOp("x", PAULI_X, [0]),
+    "10": GateOp("z", PAULI_Z, [0]),
+    "11": GateOp("zx", PAULI_Z @ PAULI_X, [0]),  # sigma_x first, then sigma_z
 }
+
+
+def _alice_ready(psi: StateVector) -> StateVector:
+    """psi (x) |Phi+> after Alice's CNOT and Hadamard: the three-qubit
+    state whose first two qubits she measures."""
+    if psi.qubits != 1:
+        raise DomainError("teleport takes a single-qubit state")
+    state = tensor(psi, _PHI_PLUS)
+    for gate in _ALICE_GATES:
+        state = apply_gate(state, gate)
+    return state
+
+
+def _correct(bob: StateVector, bits: str) -> StateVector:
+    """Bob's classical correction for Alice's bits."""
+    correction = _CORRECTIONS[bits]
+    return bob if correction is None else apply_gate(bob, correction)
 
 
 def teleport(psi: StateVector, rng: Stream):
@@ -144,17 +164,9 @@ def teleport(psi: StateVector, rng: Stream):
     first, measurement of Alice's two qubits, then the classical correction
     on Bob's qubit. Returns (bob_state, classical_bits).
     """
-    if psi.qubits != 1:
-        raise DomainError("teleport takes a single-qubit state")
-    state = tensor(psi, bell_state(0, 0))
-    state = apply_gate(state, cnot(0, 1))
-    state = apply_gate(state, hadamard(0))
-    bits, post, _ = measure_qubits(state, [0, 1], rng)
-    bob = _extract_bob(post, bits)
-    correction = _CORRECTIONS[bits]
-    if correction is not None:
-        bob = qstate.apply_unitary(bob, correction, [0])
-    return bob, bits
+    bits, post, _ = measure_qubits(_alice_ready(psi), [0, 1], rng)
+    bob = StateVector(1, post.amps.reshape(4, 2)[int(bits, 2)].copy(), _trusted=True)
+    return _correct(bob, bits), bits
 
 
 def teleport_trials(shots: int, rng: Stream):
@@ -170,9 +182,15 @@ def teleport_trials(shots: int, rng: Stream):
     return worst, counts
 
 
-def _extract_bob(post: StateVector, bits: str) -> StateVector:
-    block = post.amps.reshape(2, 2, 2)[int(bits[0]), int(bits[1]), :]
-    return StateVector(1, block.copy(), _trusted=True)
+def teleport_bit_counts(psi: StateVector, shots: int, rng: Stream) -> dict:
+    """Count of each of Alice's bit pairs over `shots` teleports of the fixed
+    input psi; shot i measures with the first draw of `rng.substream(i)`,
+    as `teleport` would, all shots sampled at once."""
+    if shots < 1:
+        raise DomainError("need at least one shot")
+    probs = qstate.marginal(_alice_ready(psi), [0, 1])
+    picks = sample_indices(probs, rng.uniforms(np.arange(shots), 1)[:, 0])
+    return dict(zip(_BITS, np.bincount(picks, minlength=4).tolist()))
 
 
 def teleport_branches(psi: StateVector):
@@ -181,26 +199,12 @@ def teleport_branches(psi: StateVector):
     Returns a list of (bits, probability, pre_correction, corrected)
     entries; each branch has probability 1/4 and corrected state psi.
     """
-    if psi.qubits != 1:
-        raise DomainError("teleport takes a single-qubit state")
-    state = tensor(psi, bell_state(0, 0))
-    state = apply_gate(state, cnot(0, 1))
-    state = apply_gate(state, hadamard(0))
-    grid = state.amps.reshape(2, 2, 2)
+    grid = _alice_ready(psi).amps.reshape(4, 2)
     branches = []
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            bits = f"{b0}{b1}"
-            block = grid[b0, b1, :]
-            prob = float(np.sum(np.abs(block) ** 2))
-            pre = StateVector(1, block / math.sqrt(prob), _trusted=True)
-            correction = _CORRECTIONS[bits]
-            fixed = (
-                pre
-                if correction is None
-                else qstate.apply_unitary(pre, correction, [0])
-            )
-            branches.append((bits, prob, pre, fixed))
+    for bits, block in zip(_BITS, grid):
+        prob = float(np.sum(np.abs(block) ** 2))
+        pre = StateVector(1, block / math.sqrt(prob), _trusted=True)
+        branches.append((bits, prob, pre, _correct(pre, bits)))
     return branches
 
 
@@ -243,53 +247,44 @@ class ChshResult:
     rows: tuple
 
 
-def chsh_experiment(
-    shots: int, rng: Stream, collect_rows: bool = False, threads: int = 1
-) -> ChshResult:
+def chsh_experiment(shots: int, rng: Stream, collect_rows: bool = False) -> ChshResult:
     """Monte Carlo CHSH on the singlet with the default setting.
 
     Each shot draws one of the four observable pairs uniformly, measures
     Alice's observable and then Bob's on the collapsed state, and
-    accumulates the per-pair correlators.
+    accumulates the per-pair correlators. Shot i takes its three draws
+    (pair, Alice, Bob) from `rng.substream(i)`, all shots at once.
     """
     if shots < 1:
         raise DomainError("chsh_experiment needs at least one shot")
     pairs = default_chsh_setting().pairs()
     labels = tuple(pairs)
-    alice = {label: Observable(np.kron(a.mat, _ID2)) for label, (a, _) in pairs.items()}
-    bob = {label: Observable(np.kron(_ID2, b.mat)) for label, (_, b) in pairs.items()}
-    base = singlet()
-
-    def one_shot(shot: int):
-        stream = rng.substream(shot)
-        label = labels[stream.integer(4)]
-        a, collapsed = measure_observable(base, alice[label], stream)
-        b, _ = measure_observable(collapsed, bob[label], stream)
-        return label, int(round(a)), int(round(b))
-
-    outcomes = shot_map(one_shot, shots, threads)
-    sums = {label: 0.0 for label in labels}
-    counts = {label: 0 for label in labels}
-    rows = [] if collect_rows else None
-    for shot, (label, a, b) in enumerate(outcomes):
-        sums[label] += a * b
-        counts[label] += 1
-        if rows is not None:
-            rows.append((shot, label, a, b))
-    for label in labels:
-        if counts[label] == 0:
+    u = rng.uniforms(np.arange(shots), 3)
+    picks = (u[:, 0] * 4).astype(np.int64)  # Stream.integer(4) on the first draw
+    outcomes = np.empty((shots, 2), dtype=np.int64)
+    sums, counts = {}, {}
+    for k, label in enumerate(labels):
+        rows = np.flatnonzero(picks == k)
+        if rows.size == 0:
             raise DomainError(f"no shots landed on pair {label}; increase shots")
+        outcomes[rows] = _singlet_outcomes(*pairs[label], u[rows, 1:])
+        sums[label] = int(np.sum(outcomes[rows, 0] * outcomes[rows, 1]))
+        counts[label] = rows.size
     corr = {label: sums[label] / counts[label] for label in labels}
     value = corr["13"] + corr["23"] + corr["24"] - corr["14"]
     # products are +-1, so Var = 1 - mean^2 per pair; pairs are independent
     variance = sum(
         (1.0 - corr[label] ** 2) / counts[label] for label in labels
     )
+    rows = ()
+    if collect_rows:
+        rows = tuple((shot, labels[k], a, b) for shot, (k, (a, b))
+                     in enumerate(zip(picks.tolist(), outcomes.tolist())))
     return ChshResult(
         value=value,
         stderr=math.sqrt(variance),
         correlators=corr,
         counts=counts,
         shots=shots,
-        rows=tuple(rows) if rows is not None else (),
+        rows=rows,
     )

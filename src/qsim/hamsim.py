@@ -73,27 +73,13 @@ class HamiltonianTerms:
 
 
 def _embed(mat: np.ndarray, targets, b: int) -> np.ndarray:
-    """Dense embedding of a small operator at the given qubit positions."""
-    k = len(targets)
-    dim = 1 << b
-    out = np.zeros((dim, dim), dtype=complex)
-    rest = [q for q in range(b) if q not in targets]
-    for sub_col in range(1 << k):
-        for sub_row in range(1 << k):
-            value = mat[sub_row, sub_col]
-            if value == 0:
-                continue
-            for rest_bits in range(1 << len(rest)):
-                col = row = 0
-                for pos, q in enumerate(rest):
-                    bit = (rest_bits >> pos) & 1
-                    col |= bit << (b - 1 - q)
-                    row |= bit << (b - 1 - q)
-                for pos, q in enumerate(targets):
-                    col |= ((sub_col >> (k - 1 - pos)) & 1) << (b - 1 - q)
-                    row |= ((sub_row >> (k - 1 - pos)) & 1) << (b - 1 - q)
-                out[row, col] += value
-    return out
+    """Dense embedding of a small operator at the given qubit positions:
+    mat (x) I with the qubits in the order (targets, rest), its row and
+    column axes then permuted back to qubit order."""
+    order = list(targets) + [q for q in range(b) if q not in targets]
+    full = np.kron(mat, np.eye(1 << (b - len(targets)))).reshape((2,) * (2 * b))
+    axes = np.argsort(order).tolist()
+    return full.transpose(axes + [b + a for a in axes]).reshape(1 << b, 1 << b)
 
 
 @dataclass(frozen=True)

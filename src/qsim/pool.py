@@ -1,21 +1,13 @@
-"""Shot-level worker pool.
-
-Experiments are maps over shot indices where each shot derives its own
-stream from (seed, tag, shot); results land in a list indexed by shot and
-reductions run in index order afterwards, so the output is bit-identical
-for any thread count.
+"""Shot-level worker pool, bit-identical for any thread count because each
+shot derives its own stream from (seed, tag, shot). No experiment uses it;
+the benchmark's tracer and micro-benchmarks still import it.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import DomainError
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def shot_map(fn, shots: int, threads: int = 1) -> list:

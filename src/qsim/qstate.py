@@ -27,7 +27,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .rng import Stream, sample_index
+from .rng import Stream, sample_index, sample_indices
 
 NORM_TOL = 1e-10
 DERIVED_TOL = 1e-9
@@ -271,6 +271,21 @@ def apply_unitary(s: StateVector, u, targets) -> StateVector:
     return StateVector(s.qubits, out, _trusted=True)
 
 
+def marginal(s: StateVector, subset) -> np.ndarray:
+    """Born distribution of a qubit subset: entry x is the probability of
+    reading the bits of x on the subset's qubits, in the listed order."""
+    subset = list(subset)
+    if not subset:
+        raise DomainError("measurement subset must be non-empty")
+    _check_targets(s.qubits, subset)
+    probs = np.abs(s.amps.reshape((2,) * s.qubits)) ** 2
+    other = tuple(i for i in range(s.qubits) if i not in subset)
+    if other:
+        probs = probs.sum(axis=other)
+    ordered = sorted(subset)
+    return probs.transpose([ordered.index(q) for q in subset]).reshape(-1)
+
+
 def measure_qubits(s: StateVector, subset, rng: Stream):
     """Projective measurement of a qubit subset in the computational basis.
 
@@ -279,19 +294,10 @@ def measure_qubits(s: StateVector, subset, rng: Stream):
     (bits, post_state, MeasurementRecord).
     """
     subset = list(subset)
-    if not subset:
-        raise DomainError("measurement subset must be non-empty")
-    _check_targets(s.qubits, subset)
+    idx, prob = sample_index(marginal(s, subset), rng)
+    bits = format(idx, f"0{len(subset)}b")
     b = s.qubits
     psi = s.amps.reshape((2,) * b)
-    other = tuple(i for i in range(b) if i not in subset)
-    marginal = np.abs(psi) ** 2
-    if other:
-        marginal = marginal.sum(axis=other)
-    ordered = sorted(subset)
-    marginal = marginal.transpose([ordered.index(q) for q in subset]).reshape(-1)
-    idx, prob = sample_index(marginal, rng)
-    bits = format(idx, f"0{len(subset)}b")
     sel = [slice(None)] * b
     for q, bit in zip(subset, bits):
         sel[q] = int(bit)
@@ -302,20 +308,43 @@ def measure_qubits(s: StateVector, subset, rng: Stream):
     return bits, StateVector(b, post, _trusted=True), record
 
 
+def _branches(s: StateVector, obs: Observable):
+    """(probs, projected): the Born probability <psi|Q_a|psi> of each level
+    a of `obs` as a Python float, and the unnormalised Q_a|psi>."""
+    if obs.dim != s.dim:
+        raise DomainError(f"observable dim {obs.dim} does not match state dim {s.dim}")
+    projected = [q @ s.amps for _, q in obs.spectrum]
+    probs = [float(np.real(np.vdot(s.amps, qpsi))) for qpsi in projected]
+    return probs, projected
+
+
 def measure_observable(s: StateVector, obs: Observable, rng: Stream):
     """Measure an observable: samples eigenvalue x_a with <psi|Q_a|psi>,
     collapses to Q_a|psi>/sqrt(P(a)). Returns (eigenvalue, post_state)."""
-    if obs.dim != s.dim:
-        raise DomainError(f"observable dim {obs.dim} does not match state dim {s.dim}")
-    probs = []
-    projected = []
-    for _, q in obs.spectrum:
-        qpsi = q @ s.amps
-        projected.append(qpsi)
-        probs.append(float(np.real(np.vdot(s.amps, qpsi))))
+    probs, projected = _branches(s, obs)
     idx, prob = sample_index(probs, rng)
     post = projected[idx] / math.sqrt(prob)
     return obs.spectrum[idx][0], StateVector(s.qubits, post, _trusted=True)
+
+
+def measure_sequence(s: StateVector, observables, u) -> np.ndarray:
+    """Eigenvalues of `observables` measured in turn, each on the previous
+    post-state: row i holds what chained `measure_observable` calls return
+    on a stream whose draws are u[i], for a (shots, levels) array `u`. Each
+    branch is computed once and sampled for all its shots at once."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 2 or u.shape[1] != len(observables):
+        raise DomainError(f"need a (shots, {len(observables)}) array of draws, got {u.shape}")
+    out = np.empty(u.shape)
+    if observables:
+        probs, projected = _branches(s, observables[0])
+        picks = sample_indices(probs, u[:, 0])
+        for idx in np.flatnonzero(np.bincount(picks, minlength=len(probs))).tolist():
+            rows = picks == idx
+            post = StateVector(s.qubits, projected[idx] / math.sqrt(probs[idx]), _trusted=True)
+            out[rows, 0] = observables[0].spectrum[idx][0]
+            out[rows, 1:] = measure_sequence(post, observables[1:], u[rows, 1:])
+    return out
 
 
 def _expect_matrix(state, mat) -> float:

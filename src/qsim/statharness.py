@@ -14,7 +14,8 @@ import numpy as np
 from .errors import DomainError, NotFoundError
 from .gates import hadamard_layer
 from .pool import shot_map  # noqa: F401  (the benchmark tracer's tests read this binding)
-from .qstate import Observable, expectation, measure_observable
+from .qstate import Observable, expectation, measure_sequence
+from .qstate import measure_observable  # noqa: F401  (the benchmark tracer rebinds this name)
 from .rng import Stream, sample_indices
 
 
@@ -185,7 +186,8 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     `prepared` is the state a deterministic preparation (exact or Trotterized)
     yields on every shot; `target` is the exact-oracle state defining the
     true theta. The bias Tr(X rho_tilde) - Tr(X rho) comes from dense
-    expectations, the sampling part from the measured eigenvalues.
+    expectations, the sampling part from the measured eigenvalues. Shot i
+    measures with the first draw of `rng.substream(i)`, all shots at once.
     """
     if shots < 1:
         raise DomainError("qmc_estimate needs at least one shot")
@@ -193,8 +195,8 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     theta_true = expectation(target, obs)
     total = 0.0
     total_sq = 0.0
-    for shot in range(shots):
-        x, _ = measure_observable(prepared, obs, rng.substream(shot))
+    u = rng.uniforms(np.arange(shots), 1)
+    for x in measure_sequence(prepared, [obs], u)[:, 0].tolist():
         total += x
         total_sq += x * x
     theta_hat = total / shots

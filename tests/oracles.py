@@ -20,7 +20,8 @@ from qsim.qec import (
     recover_bitflip,
     syndrome_measure,
 )
-from qsim.qstate import StateVector, fidelity, measure_qubits
+from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
+from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
 from qsim.rng import sample_index
 
 
@@ -149,3 +150,68 @@ def qrng_values(b: int, shots: int, rng) -> list:
     layer = hadamard_layer(b)
     return [int(measure_qubits(layer, range(b), rng.substream(shot))[0], 2)
             for shot in range(shots)]
+
+
+def measure_chain(state, observables, rng) -> list:
+    """Eigenvalues of `observables` measured in turn on one stream, each
+    `measure_observable` call on the previous call's post-state."""
+    values = []
+    for obs in observables:
+        value, state = measure_observable(state, obs, rng)
+        values.append(value)
+    return values
+
+
+def _singlet_pair(alice, bob, rng) -> tuple:
+    """Rounded outcomes of Alice's observable on the singlet, then Bob's."""
+    pair = [Observable(np.kron(alice.mat, np.eye(2))), Observable(np.kron(np.eye(2), bob.mat))]
+    a, b = measure_chain(singlet(), pair, rng)
+    return int(round(a)), int(round(b))
+
+
+def anticorrelation_by_shots(axis, shots: int, rng) -> list:
+    """(alice, bob) spin outcomes along `axis` on the singlet, one shot at a time."""
+    obs = spin_observable(axis)
+    return [_singlet_pair(obs, obs, rng.substream(shot)) for shot in range(shots)]
+
+
+def chsh_by_shots(shots: int, rng):
+    """(rows, correlators) of the CHSH experiment one shot at a time: each
+    shot draws its observable pair with `integer(4)` and measures Alice's
+    observable, then Bob's, on the same stream. A pair that no shot drew
+    has no correlator."""
+    pairs = default_chsh_setting().pairs()
+    labels = tuple(pairs)
+    sums = {label: 0.0 for label in labels}
+    counts = {label: 0 for label in labels}
+    rows = []
+    for shot in range(shots):
+        stream = rng.substream(shot)
+        label = labels[stream.integer(4)]
+        a, b = _singlet_pair(*pairs[label], stream)
+        sums[label] += a * b
+        counts[label] += 1
+        rows.append((shot, label, a, b))
+    return rows, {label: sums[label] / counts[label] for label in labels if counts[label]}
+
+
+def qmc_by_shots(obs, prepared, shots: int, rng):
+    """(theta_hat, variance) of the measured eigenvalues of `obs` on the
+    fixed state `prepared`, one `measure_observable` call per shot."""
+    total = 0.0
+    total_sq = 0.0
+    for shot in range(shots):
+        x, _ = measure_observable(prepared, obs, rng.substream(shot))
+        total += x
+        total_sq += x * x
+    theta_hat = total / shots
+    return theta_hat, max(total_sq / shots - theta_hat**2, 0.0)
+
+
+def teleport_bits_by_shots(psi, shots: int, rng) -> dict:
+    """Count of each bit pair over `shots` full teleports of psi, shot i on
+    `rng.substream(i)`."""
+    counts = {"00": 0, "01": 0, "10": 0, "11": 0}
+    for shot in range(shots):
+        counts[teleport(psi, rng.substream(shot))[1]] += 1
+    return counts

@@ -112,6 +112,10 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--experiment", experiment, "--shots", shots)
         assert code == 2 and out == ""
         assert "--shots must be at least 1" in err
+        # --threads is ignored, but a value below 1 is rejected the same way
+        code, out, err = run_cli(capsys, "run", "--experiment", experiment, "--threads", shots)
+        assert code == 2 and out == ""
+        assert "--threads must be at least 1" in err
 
     def test_unknown_experiment_exit_2(self):
         proc = subprocess.run(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import anticorrelation_by_shots, chsh_by_shots, teleport_bits_by_shots
 from qsim.entangle import (
     ChshSetting,
     SpinAxis,
@@ -15,6 +18,7 @@ from qsim.entangle import (
     singlet,
     spin_observable,
     teleport,
+    teleport_bit_counts,
     teleport_branches,
 )
 from qsim.errors import DomainError, ValidationError
@@ -31,6 +35,15 @@ from qsim.rng import Stream
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TSIRELSON = 2.0 * math.sqrt(2.0)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def spin_axes(draw):
+    v = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    if np.linalg.norm(v) < 0.1:
+        v = np.array([0.0, 0.0, 1.0])
+    return SpinAxis(*(v / np.linalg.norm(v)))
 
 
 class TestBellStates:
@@ -69,6 +82,13 @@ class TestAnticorrelation:
             axis = SpinAxis(*v)
             pairs = anticorrelation_experiment(axis, 100, rng.substream(1000 + i))
             assert all(a * b == -1 for a, b in pairs)
+
+    @settings(max_examples=40)
+    @given(axis=spin_axes(), shots=st.integers(1, 150), seed=SEEDS)
+    def test_matches_per_shot_measurement(self, axis, shots, seed):
+        pairs = anticorrelation_experiment(axis, shots, Stream(seed, "anti"))
+        assert all(type(a) is int and type(b) is int for a, b in pairs)
+        assert pairs == anticorrelation_by_shots(axis, shots, Stream(seed, "anti"))
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValidationError):
@@ -121,6 +141,16 @@ class TestTeleport:
     def test_multi_qubit_input_rejected(self):
         with pytest.raises(DomainError):
             teleport(basis_state(2, 0), Stream(1, "bad"))
+        with pytest.raises(DomainError):
+            teleport_bit_counts(basis_state(2, 0), 10, Stream(1, "bad"))
+
+    @settings(max_examples=40)
+    @given(state_seed=SEEDS, shots=st.integers(1, 300), seed=SEEDS)
+    def test_bit_counts_match_per_shot_teleports(self, state_seed, shots, seed):
+        psi = random_state(1, Stream(state_seed, "tele-psi"))
+        counts = teleport_bit_counts(psi, shots, Stream(seed, "tele-bits"))
+        assert list(counts) == ["00", "01", "10", "11"]
+        assert counts == teleport_bits_by_shots(psi, shots, Stream(seed, "tele-bits"))
 
 
 class TestChshValue:
@@ -166,6 +196,19 @@ class TestChshExperiment:
         a = chsh_experiment(2_000, Stream(17, "det"))
         b = chsh_experiment(2_000, Stream(17, "det"))
         assert a.value == b.value and a.correlators == b.correlators
+
+    @settings(max_examples=40)
+    @given(shots=st.integers(1, 200), seed=SEEDS)
+    def test_matches_per_shot_loop(self, shots, seed):
+        rows, corr = chsh_by_shots(shots, Stream(seed, "chsh"))
+        if len(corr) < 4:  # some pair drew no shot
+            with pytest.raises(DomainError):
+                chsh_experiment(shots, Stream(seed, "chsh"))
+            return
+        result = chsh_experiment(shots, Stream(seed, "chsh"), collect_rows=True)
+        assert result.rows == tuple(rows)
+        assert result.correlators == corr
+        assert result.counts == {label: sum(r[1] == label for r in rows) for label in corr}
 
     def test_rows_follow_schema(self):
         result = chsh_experiment(500, Stream(19, "rows"), collect_rows=True)

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import dense_embedding
 from qsim.errors import DomainError, ResourceError, ValidationError
 from qsim.gates import PAULI_X, PAULI_Z, hadamard_layer
 from qsim.hamsim import (
     HamiltonianTerms,
     TrotterPlan,
+    _embed,
     commuting_chain,
     exact_evolve,
     grover_hamiltonian,
@@ -169,6 +173,16 @@ class TestValidation:
         h = ising_chain(2, coupling=1.0, field=0.0)
         expected = 2.0 * np.kron(PAULI_Z, PAULI_Z)
         np.testing.assert_allclose(h.assemble(), expected, atol=1e-12)
+
+    @given(data=st.data(), b=st.integers(1, 5), seed=st.integers(0, 2**64 - 1))
+    def test_embedding_matches_oracle_exactly(self, data, b, seed):
+        k = data.draw(st.integers(1, min(3, b)))
+        targets = data.draw(st.permutations(range(b)))[:k]
+        rng = Stream(seed, "embed")
+        mat = np.array([[complex(rng.normal(), rng.normal()) for _ in range(1 << k)]
+                        for _ in range(1 << k)])
+        mat[0, -1] = 0.0  # a zero entry, which the oracle skips
+        assert np.array_equal(_embed(mat, targets, b), dense_embedding(mat, targets, [], b))
 
     def test_plan_validation(self):
         with pytest.raises(DomainError):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import expectation_by_loops
+from oracles import expectation_by_loops, measure_chain
 from qsim.errors import (
     ConditioningError,
     DomainError,
@@ -22,6 +24,7 @@ from qsim.qstate import (
     expectation,
     measure_observable,
     measure_qubits,
+    measure_sequence,
     posterior_density,
     random_density,
     random_state,
@@ -242,6 +245,59 @@ class TestMeasureObservable:
         assert len(obs.spectrum) == 2
         for _, q in obs.spectrum:
             assert np.trace(q).real == pytest.approx(2.0, abs=1e-12)
+
+
+def random_observable(b: int, eigenvalues, rng: Stream) -> Observable:
+    """V diag(eigenvalues) V^dagger for a random unitary V on b qubits; a
+    repeated eigenvalue gives a degenerate level."""
+    dim = 1 << b
+    gauss = np.array([[complex(rng.normal(), rng.normal()) for _ in range(dim)]
+                      for _ in range(dim)])
+    v = np.linalg.qr(gauss)[0]
+    return Observable(v @ np.diag(np.asarray(eigenvalues, dtype=complex)) @ v.conj().T)
+
+
+SPECTRA = {
+    1: [(-1.0, 1.0), (0.3, 2.5)],
+    2: [(-1.0, 1.0, 1.0, -1.0),  # two degenerate levels
+        (2.0, 0.0, 0.0, -1.0),  # three levels
+        (-1.5, 0.2, 0.9, 3.0)],
+}
+
+
+class TestMeasureSequence:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), b=st.sampled_from([1, 2]),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           shots=st.integers(1, 60))
+    def test_matches_chained_measure_observable(self, seed, b, picks, shots):
+        rng = Stream(seed, "seq")
+        spectra = SPECTRA[b]
+        observables = [random_observable(b, spectra[k % len(spectra)], rng.substream(1000 + i))
+                       for i, k in enumerate(picks)]
+        state = random_state(b, rng.substream(2000))
+        batch = measure_sequence(state, observables, rng.uniforms(np.arange(shots), len(picks)))
+        assert batch.tolist() == [measure_chain(state, observables, rng.substream(i))
+                                  for i in range(shots)]
+
+    def test_levels_of_zero_probability_are_never_drawn(self):
+        # |00> is an eigenstate of Z (x) I, and Z on the first qubit then
+        # leaves no weight on the -1 level of I (x) Z
+        obs = [Observable(np.kron(PAULI_Z, np.eye(2))), Observable(np.kron(np.eye(2), PAULI_Z)),
+               Observable(np.kron(PAULI_X, np.eye(2)))]
+        rng = Stream(5, "zero")
+        u = rng.uniforms(np.arange(200), 3)
+        batch = measure_sequence(basis_state(2, 0), obs, u)
+        assert batch.tolist() == [measure_chain(basis_state(2, 0), obs, rng.substream(i))
+                                  for i in range(200)]
+        assert set(batch[:, 0]) == set(batch[:, 1]) == {1.0}
+        assert set(batch[:, 2]) == {-1.0, 1.0}
+
+    def test_draw_shape_must_match_levels(self):
+        with pytest.raises(DomainError):
+            measure_sequence(basis_state(1, 0), [Observable(PAULI_Z)], np.zeros((4, 2)))
+        with pytest.raises(DomainError):
+            measure_sequence(basis_state(1, 0), [Observable(np.eye(4))], np.zeros((4, 1)))
 
 
 class TestExpectationVariance:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exact_binomial_tail, qrng_values
+from oracles import exact_binomial_tail, qmc_by_shots, qrng_values
 from qsim.errors import DomainError, NotFoundError
-from qsim.gates import PAULI_Z
-from qsim.hamsim import TrotterPlan, exact_evolve, ising_chain, trotter_evolve
-from qsim.qstate import Observable, basis_state, expectation
+from qsim.gates import PAULI_X, PAULI_Z
+from qsim.hamsim import TrotterPlan, exact_evolve, ising_chain, qmc_problem, trotter_evolve
+from qsim.qstate import Observable, basis_state, expectation, random_state
 from qsim.rng import Stream
 from qsim.statharness import (
     GrossErrorModel,
@@ -224,6 +226,19 @@ class TestQmc:
         assert result.bias == pytest.approx(theta_tilde - theta, abs=1e-9)
         assert abs(result.theta_hat - theta_tilde) <= 4.0 * result.stderr
         assert result.bias != 0.0
+
+    @settings(max_examples=40)
+    @given(state_seed=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**64 - 1),
+           shots=st.integers(1, 300), steps=st.integers(1, 4), mixed=st.booleans())
+    def test_matches_per_shot_measurement(self, state_seed, seed, shots, steps, mixed):
+        model, obs = qmc_problem()
+        if mixed:  # eigenvalues +-0.6, +-0.8: their float sums depend on the order
+            obs = Observable(0.1 * obs.mat + 0.7 * np.kron(np.eye(2), PAULI_X))
+        psi0 = random_state(2, Stream(state_seed, "qmc-psi"))
+        prepared = trotter_evolve(model, TrotterPlan(1.0, steps), psi0)[-1]
+        result = qmc_estimate(obs, prepared, shots, Stream(seed, "qmc"), psi0)
+        expected = qmc_by_shots(obs, prepared, shots, Stream(seed, "qmc"))
+        assert (result.theta_hat, result.variance) == expected
 
     def test_single_shot_returns_one_eigenvalue(self):
         _, _, obs, target = self._setup()
