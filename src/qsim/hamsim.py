@@ -114,7 +114,7 @@ def _evolve_dense(total: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
     """e^{-i H t} amps for a dense Hermitian H, through its eigendecomposition."""
     if total.shape[0] > 1 << EXACT_ORACLE_MAX_QUBITS:
         raise ResourceError(f"dense evolution supports at most {EXACT_ORACLE_MAX_QUBITS} qubits")
-    vals, vecs = linalg.jacobi_eigh(total)
+    vals, vecs = linalg.eigh(total)
     phases = np.exp(-1j * vals * t)
     return vecs @ (phases * (vecs.conj().T @ amps))
 

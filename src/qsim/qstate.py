@@ -117,7 +117,7 @@ class DensityMatrix:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > NORM_TOL:
             raise ValidationError(f"trace = {trace!r} is not 1 within {NORM_TOL}")
-        eigvals, _ = linalg.jacobi_eigh(m)
+        eigvals, _ = linalg.eigh(m)
         if eigvals[0] < -NORM_TOL:
             raise ValidationError(f"matrix has negative eigenvalue {eigvals[0]:.3e}")
         self.qubits = b
@@ -149,7 +149,7 @@ class Observable:
 
     @staticmethod
     def _decompose(mat):
-        eigvals, eigvecs = linalg.jacobi_eigh(mat)
+        eigvals, eigvecs = linalg.eigh(mat)
         groups = []
         start = 0
         for i in range(1, len(eigvals) + 1):
@@ -412,7 +412,7 @@ def posterior_density(rho: DensityMatrix, q):
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda_i log2 lambda_i, in bits."""
-    eigvals, _ = linalg.jacobi_eigh(rho.mat)
+    eigvals, _ = linalg.eigh(rho.mat)
     s = 0.0
     for lam in eigvals:
         if lam > ENTROPY_CLAMP:

@@ -1,11 +1,13 @@
 """Brute-force oracles for the test suite.
 
 These deliberately avoid the package's gate kernel and log-space math:
-dense embeddings are built by explicit index arithmetic and binomial
-tails by exact Fraction arithmetic, so each test compares two
+dense embeddings are built by explicit index arithmetic, binomial
+tails by exact Fraction arithmetic and Hermitian eigendecompositions by a
+cyclic Jacobi iteration instead of LAPACK, so each test compares two
 independent computation routes.
 """
 
+import math
 from fractions import Fraction
 from math import comb
 
@@ -21,6 +23,8 @@ from qsim.qec import (
     syndrome_measure,
 )
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
+from qsim.errors import InternalError
+from qsim.linalg import require_hermitian
 from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
 from qsim.rng import sample_index
 
@@ -215,3 +219,76 @@ def teleport_bits_by_shots(psi, shots: int, rng) -> dict:
     for shot in range(shots):
         counts[teleport(psi, rng.substream(shot))[1]] += 1
     return counts
+
+
+# The cyclic Jacobi eigensolver the package used before `linalg.eigh` went
+# to LAPACK: each sweep annihilates every off-diagonal element with a
+# phase-adjusted Givens rotation, until the off-diagonal Frobenius norm
+# falls below threshold.
+JACOBI_THRESHOLD = 1e-12
+_MAX_SWEEPS = 60
+
+
+def _offdiag_frobenius(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.sqrt(np.sum(np.abs(off) ** 2)))
+
+
+def jacobi_eigh(mat, threshold: float = JACOBI_THRESHOLD):
+    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
+
+    Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
+    eigenvectors as the corresponding columns. Convergence criterion is an
+    off-diagonal Frobenius norm below `threshold` (scaled by the matrix
+    norm for matrices far from unit scale).
+    """
+    a = require_hermitian(mat)
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0].real]), np.eye(1, dtype=complex)
+
+    a = a.copy()
+    v = np.eye(n, dtype=complex)
+    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
+    tol = threshold * scale
+
+    for _ in range(_MAX_SWEEPS):
+        if _offdiag_frobenius(a) < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tol / (n * n):
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                # Phase that makes the pivot real, then a real rotation angle:
+                # R has columns (c, -s; conj(s)/|s| pattern) chosen so that
+                # R† A R zeroes the (p, q) element.
+                phase = apq / abs(apq)
+                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
+                c = math.cos(theta)
+                s = math.sin(theta) * phase
+                # Rows transform by R†, columns (and eigenvectors) by R.
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp + s * rq
+                a[q, :] = -np.conj(s) * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp + np.conj(s) * cq
+                a[:, q] = -s * cp + c * cq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp + np.conj(s) * vq
+                v[:, q] = -s * vp + c * vq
+    else:
+        raise InternalError(
+            f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps "
+            f"(off-diagonal norm {_offdiag_frobenius(a):.3e})"
+        )
+
+    eigvals = np.diag(a).real.copy()
+    order = np.argsort(eigvals, kind="stable")
+    return eigvals[order], v[:, order]
+

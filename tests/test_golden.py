@@ -2,9 +2,16 @@
 byte (see make_goldens.py; the criterion details are compared in
 test_acceptance.py)."""
 
+import json
+import math
+
+import numpy as np
 import pytest
 
-from make_goldens import CLI_CASES, cli_path, run_case
+import oracles
+from make_goldens import CLI_CASES, acceptance_path, cli_path, details_line, run_case
+from qsim import linalg
+from qsim.acceptance import run_acceptance
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
@@ -12,3 +19,52 @@ def test_cli_output_matches_golden(case):
     code, out = run_case(CLI_CASES[case])
     assert code == 0
     assert out.encode() == cli_path(case).read_bytes()
+
+
+def _assert_same_up_to_rounding(got, want, where):
+    """Equal in structure and in every non-float field; floats within
+    rel 1e-10 (abs 1e-14 near zero)."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same_up_to_rounding(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_up_to_rounding(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), (where, got)
+        assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-14), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+# The goldens re-pinned when `linalg.eigh` moved from a cyclic Jacobi
+# iteration to LAPACK; every other golden is byte-identical under both.
+@pytest.mark.parametrize("case", ["trotter", "qmc", "grover-ham", 8, 11])
+def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch):
+    calls = []
+
+    def jacobi(mat):
+        calls.append(len(mat))
+        return oracles.jacobi_eigh(mat)
+
+    def bypass(*args, **kwargs):
+        raise AssertionError("an eigendecomposition bypassed linalg.eigh")
+
+    monkeypatch.setattr(linalg, "eigh", jacobi)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, bypass)
+    if isinstance(case, int):
+        result = run_acceptance(ids=[case])[0]
+        got = [details_line(case, result.details)]
+        want = acceptance_path(case).read_text().splitlines()
+    else:
+        code, out = run_case(CLI_CASES[case])
+        assert code == 0
+        got = out.splitlines()
+        want = cli_path(case).read_text().splitlines()
+    assert calls
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        _assert_same_up_to_rounding(json.loads(g), json.loads(w), f"{case} line {i + 1}")

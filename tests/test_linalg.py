@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
+import oracles
+from qsim import linalg
 from qsim.errors import ValidationError
 from qsim.linalg import (
     expm_hermitian,
     is_hermitian,
     is_unitary,
-    jacobi_eigh,
     kron_all,
     require_hermitian,
     require_unitary,
+)
+
+# The package's LAPACK route and the Jacobi oracle answer the same checks.
+EIGENSOLVERS = pytest.mark.parametrize(
+    "eigh", [linalg.eigh, oracles.jacobi_eigh], ids=["lapack", "jacobi"]
 )
 
 
@@ -18,34 +24,38 @@ def _random_hermitian(n, rng):
     return a + a.conj().T
 
 
-def test_jacobi_matches_numpy_eigenvalues():
+@EIGENSOLVERS
+def test_eigh_matches_numpy_eigenvalues(eigh):
     rng = np.random.default_rng(42)
     for n in (2, 3, 5, 8, 13):
         h = _random_hermitian(n, rng)
-        vals, vecs = jacobi_eigh(h)
+        vals, vecs = eigh(h)
         np.testing.assert_allclose(vals, np.linalg.eigvalsh(h), atol=1e-10)
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), atol=1e-12)
         np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-10)
 
 
-def test_jacobi_known_spectra():
+@EIGENSOLVERS
+def test_eigh_known_spectra(eigh):
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    vals, _ = jacobi_eigh(sx)
+    vals, _ = eigh(sx)
     np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
     sy = np.array([[0, -1j], [1j, 0]])
-    vals, _ = jacobi_eigh(sy)
+    vals, _ = eigh(sy)
     np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
 
 
-def test_jacobi_handles_diagonal_and_degenerate():
-    vals, vecs = jacobi_eigh(np.diag([2.0, 2.0, 5.0]).astype(complex))
+@EIGENSOLVERS
+def test_eigh_handles_diagonal_and_degenerate(eigh):
+    vals, vecs = eigh(np.diag([2.0, 2.0, 5.0]).astype(complex))
     np.testing.assert_allclose(vals, [2.0, 2.0, 5.0])
     np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-14)
 
 
-def test_jacobi_rejects_non_hermitian():
+@EIGENSOLVERS
+def test_eigh_rejects_non_hermitian(eigh):
     with pytest.raises(ValidationError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_expm_hermitian_is_unitary_for_imaginary_factor():
