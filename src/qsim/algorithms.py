@@ -151,7 +151,7 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     for j in range(b):
         cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
         power = power @ power
-    return (np.abs(np.fft.fft(cols) / (1 << b)) ** 2).sum(axis=0)
+    return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
 
 
 EIGENSTATE_TOL = 1e-8

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -237,7 +238,10 @@ def _emit(rows, fmt, out):
             writer.writerow(row)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; `parse_args` leaves it
+    unchanged, and every default is immutable."""
     parser = argparse.ArgumentParser(prog="qsim",
                                      description="state-vector quantum experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -264,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon", type=float, default=0.1)
     run.add_argument("--alpha", type=float, default=0.2)
     run.add_argument("--phase", type=float, default=1.0 / 3.0)
-    run.add_argument("--p", type=float, nargs="+", default=[0.01, 0.05, 0.1, 0.2])
+    run.add_argument("--p", type=float, nargs="+", default=(0.01, 0.05, 0.1, 0.2))
     run.add_argument("--t-final", type=float, default=1.0)
     run.add_argument("--steps", type=int, default=2)
     run.add_argument("--x-base", type=int, default=2)

@@ -68,6 +68,7 @@ class StateVector:
 
     def __init__(self, qubits: int, amps, *, _trusted: bool = False):
         if _trusted:
+            assert amps.dtype == np.complex128, f"trusted amplitudes are {amps.dtype}"
             self.qubits = qubits
             self.amps = amps
             return
@@ -106,6 +107,7 @@ class DensityMatrix:
 
     def __init__(self, qubits: int, mat, *, _trusted: bool = False):
         if _trusted:
+            assert mat.dtype == np.complex128, f"trusted matrix is {mat.dtype}"
             self.qubits = qubits
             self.mat = mat
             return

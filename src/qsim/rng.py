@@ -10,7 +10,9 @@ counter, which is statistically solid for Monte Carlo work at desk scale
 and costs a handful of integer operations per draw. Because a draw is a
 pure function of (key, counter), `Stream.uniforms` computes the draws of
 a whole array of shots with numpy uint64 arithmetic, bit for bit equal to
-the per-shot streams; `sample_indices` is the matching array sampler.
+the per-shot streams. `sample_indices` is the Born sampler for an array of
+draws (a certified vectorised CDF in front of an exact Kahan route), and
+`sample_index` is its one-draw form.
 """
 
 from __future__ import annotations
@@ -134,10 +136,10 @@ def kahan_cumsum(values) -> list:
 
 def _checked_cdf(probs) -> list:
     """Compensated cumulative array of `probs`; raises InternalError when
-    its final value misses 1 by more than CDF_RESIDUAL."""
+    its final value misses 1 by more than CDF_RESIDUAL (or is not a number)."""
     cdf = kahan_cumsum(probs)
     residual = abs(cdf[-1] - 1.0)
-    if residual > CDF_RESIDUAL:
+    if not residual <= CDF_RESIDUAL:
         raise InternalError(
             f"probability array sums to {float(cdf[-1])!r}; residual {residual:.3e} "
             f"exceeds {CDF_RESIDUAL}"
@@ -145,43 +147,120 @@ def _checked_cdf(probs) -> list:
     return cdf
 
 
-def sample_index(probs, rng: Stream):
-    """Inverse-CDF draw over a probability array.
+_NO_OUTCOME = "no outcome with probability above the floor"
+_UNIT_ROUNDOFF = 2.0**-53
+# Arrays with fewer outcomes go straight to the exact route: below this
+# size the Python Kahan loop costs less than the filter's fixed numpy work
+# (the two cost about 35-40 us each at 128 outcomes on a 2-vCPU x86 VM).
+_FILTER_MIN_OUTCOMES = 128
 
-    Builds the cumulative array with compensated summation; the final
-    bucket absorbs a residual of at most CDF_RESIDUAL. Entries below
-    PROB_FLOOR are never selected. Returns (index, probs[index]).
+
+def _filtered_cdf(probs: np.ndarray):
+    """(approximate CDF a, bound E) such that every |a_i - c_i| < E / 2,
+    where c is `kahan_cumsum(probs)` and the residual check of `c` is sure
+    to pass; None when the filter cannot promise that.
+
+    This is the floating-point filter of adaptive-precision predicates
+    (Shewchuk 1997): a fast answer with a rigorous error bound, and the
+    exact route only where the bound cannot decide. For non-negative finite
+    p_0..p_{n-1} with exact prefix sums S_i and total T = S_{n-1}, and unit
+    roundoff u, gamma_k = k u / (1 - k u) (Higham, ASNA ch. 3-4):
+
+    - the array is cut into nb blocks of width m = ceil(sqrt(n)) (zero
+      padding adds exactly); `np.cumsum` along each row gives running
+      sums within a block, each with relative error at most gamma_{m-1};
+    - the start of each block is the running sum of the computed block
+      totals, which adds a factor (1 + theta), |theta| <= gamma_{nb-1};
+    - a_i = start + within-block sum is one more rounding.
+
+    So a_i = sum_{k <= i} p_k (1 + theta_k) with |theta_k| <= gamma_{m+nb-1}
+    and |a_i - S_i| <= gamma_{m+nb-1} S_i <= gamma_{m+nb-1} T. Kahan's sum
+    obeys |c_i - S_i| <= (2u + O(n u^2)) S_i (ASNA section 4.3), at most
+    3u T while n u is far below 1. Hence |a_i - c_i| <= (gamma_{m+nb-1} +
+    3u) T <= 1.03 (m + nb + 2) u T for (m + nb) u < 0.01. The residual test
+    |a_{n-1} - 1| <= CDF_RESIDUAL - E gives T < 1.01, and with it
+    |c_{n-1} - 1| < CDF_RESIDUAL. E = 4 (m + nb + 2) u is therefore more
+    than twice the distance bound; the rest covers the rounding of the
+    comparisons made against it. Any summation order obeys these gamma
+    bounds, but `np.cumsum` is sequential, and with it each block ends
+    exactly where the next starts (the start of block b + 1 is the rounded
+    sum that ends block b); rounding is monotone, so a is non-decreasing.
     """
-    values = probs.tolist() if isinstance(probs, np.ndarray) else probs
-    cdf = _checked_cdf(values)
-    u = rng.uniform()
-    last_valid = -1
-    for i, p in enumerate(values):
-        if p < PROB_FLOOR:
-            continue
-        last_valid = i
-        if u < cdf[i]:
-            return i, probs[i]
-    if last_valid < 0:
-        raise InternalError("no outcome with probability above the floor")
-    # u landed in the residual gap past the final cumulative value
-    return last_valid, probs[last_valid]
+    n = probs.shape[0]
+    if n < _FILTER_MIN_OUTCOMES or not probs.min() >= 0.0:
+        return None
+    width = math.isqrt(n - 1) + 1
+    blocks = -(-n // width)
+    padded = np.zeros(blocks * width)
+    padded[:n] = probs
+    rows = padded.reshape(blocks, width).cumsum(axis=1)
+    ends = rows[:, -1].cumsum()
+    rows[1:] += ends[:-1, None]
+    cdf = rows.reshape(-1)[:n]
+    bound = 4.0 * (width + blocks + 2) * _UNIT_ROUNDOFF
+    # NaN and inf fail this test, so they fall to the exact route
+    if not abs(cdf[-1] - 1.0) <= CDF_RESIDUAL - bound:
+        return None
+    return cdf, bound
+
+
+def _exact_indices(probs: np.ndarray, valid: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The exact route: search the running maximum of the Kahan CDF over
+    the non-floored entries. That maximum at i is the largest cumulative
+    value of an entry at or below i that is not floored, so the search
+    finds the first such entry with u < cdf[i]; the last such entry's edge
+    is raised to +inf, so a u in the residual gap past it takes that entry."""
+    cdf = np.array(_checked_cdf(probs))
+    at = valid.nonzero()[0]
+    if at.size == 0:
+        raise InternalError(_NO_OUTCOME)
+    cdf[~valid] = -np.inf
+    cdf[at[-1]] = np.inf
+    return np.maximum.accumulate(cdf).searchsorted(u, side="right")
 
 
 def sample_indices(probs, u) -> np.ndarray:
-    """`sample_index` for an array of uniforms `u`: the index it would
-    return for each draw, from one cumulative array.
+    """Inverse-CDF draws over a probability array, one index per uniform
+    in `u`: for each draw, the first entry not below PROB_FLOOR whose
+    compensated (Kahan) cumulative value exceeds it; a draw in the residual
+    gap past the final cumulative value takes the last such entry. Raises
+    InternalError when the array misses 1 by more than CDF_RESIDUAL or no
+    entry reaches the floor.
 
-    `bounds[i]` is the largest cumulative value of an entry at or below i
-    that is not floored, so the search finds the first such entry with
-    u < cdf[i], as the scalar loop does; a u in the residual gap past the
-    last bound maps to the last valid index.
+    Large non-negative arrays are decided by `_filtered_cdf`: a draw more
+    than its bound E from the approximate edges on both sides has the same
+    bucket in the Kahan CDF. Undecided draws, and every other array, take
+    the exact route, so the result is always the exact route's.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.array(_checked_cdf(probs))
+    u = np.asarray(u, dtype=np.float64)
     valid = probs >= PROB_FLOOR
-    if not valid.any():
-        raise InternalError("no outcome with probability above the floor")
-    bounds = np.maximum.accumulate(np.where(valid, cdf, -np.inf))
-    last_valid = np.flatnonzero(valid)[-1]
-    return np.minimum(np.searchsorted(bounds, u, side="right"), last_valid)
+    filtered = _filtered_cdf(probs)
+    if filtered is None:
+        return _exact_indices(probs, valid, u)
+    cdf, bound = filtered
+    at = valid.nonzero()[0]
+    if at.size == 0:
+        raise InternalError(_NO_OUTCOME)
+    # a is non-decreasing, so its running maximum over the valid entries is
+    # a at those entries, within E / 2 of the exact route's bounds there;
+    # the sentinels give every draw an edge on each side
+    edges = np.empty(at.size + 2)
+    edges[0], edges[-1] = -np.inf, np.inf
+    np.take(cdf, at, out=edges[1:-1], mode="clip")  # in range; "clip" is unbuffered
+    k = edges.searchsorted(u, side="right")
+    lower = edges.take(k - 1, mode="clip")
+    upper = edges.take(k, mode="clip")
+    decided = (u - lower > bound) & (upper - u > bound)
+    picks = at.take(k - 1, mode="clip")
+    if not decided.all():
+        undecided = ~decided
+        picks[undecided] = _exact_indices(probs, valid, u[undecided])
+    return picks
+
+
+def sample_index(probs, rng: Stream):
+    """One `sample_indices` draw from `rng.uniform()`; returns
+    (index, probs[index])."""
+    i = int(sample_indices(probs, [rng.uniform()])[0])
+    return i, probs[i]

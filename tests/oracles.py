@@ -26,7 +26,7 @@ from qsim.entangle import default_chsh_setting, singlet, spin_observable, telepo
 from qsim.errors import InternalError
 from qsim.linalg import require_hermitian
 from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
-from qsim.rng import sample_index
+from qsim.rng import PROB_FLOOR, _checked_cdf, sample_index
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -97,6 +97,37 @@ def pe_register_full_columns(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarr
         rows[1 << j : 2 << j] = rows[: 1 << j] @ power.T
         power = power @ power
     return (np.abs(np.fft.fft(rows, axis=0) / (1 << b)) ** 2).sum(axis=1)
+
+
+def kahan_sample_index(probs, rng):
+    """The scalar Born sampler before the filter: a Python scan of the
+    Kahan CDF. Returns (index, probs[index])."""
+    values = probs.tolist() if isinstance(probs, np.ndarray) else probs
+    cdf = _checked_cdf(values)
+    u = rng.uniform()
+    last_valid = -1
+    for i, p in enumerate(values):
+        if p < PROB_FLOOR:
+            continue
+        last_valid = i
+        if u < cdf[i]:
+            return i, probs[i]
+    if last_valid < 0:
+        raise InternalError("no outcome with probability above the floor")
+    return last_valid, probs[last_valid]
+
+
+def kahan_sample_indices(probs, u) -> np.ndarray:
+    """The batched Born sampler before the filter: `np.searchsorted` over
+    the running maximum of the non-floored Kahan CDF values, always."""
+    probs = np.asarray(probs, dtype=np.float64)
+    cdf = np.array(_checked_cdf(probs))
+    valid = probs >= PROB_FLOOR
+    if not valid.any():
+        raise InternalError("no outcome with probability above the floor")
+    bounds = np.maximum.accumulate(np.where(valid, cdf, -np.inf))
+    last_valid = np.flatnonzero(valid)[-1]
+    return np.minimum(np.searchsorted(bounds, u, side="right"), last_valid)
 
 
 def per_stream_indices(probs, rngs) -> list:

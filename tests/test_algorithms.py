@@ -31,6 +31,8 @@ from qsim.algorithms import (
     register_size,
     _pe_register_distribution,
 )
+from qsim import rng
+from qsim.acceptance import criterion_7_order_finding
 from qsim.errors import DomainError, NotFoundError, ValidationError
 from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
 from qsim.qstate import StateVector, basis_state, fidelity, random_state
@@ -160,6 +162,25 @@ class TestPhaseEstimation:
                 pe_register_full_columns(gate.matrix, one.amps, 2 * k + 4),
                 rtol=0, atol=1e-15,
             )
+
+    def test_forward_norm_fft_is_bit_equal_to_dividing_after(self, monkeypatch):
+        # 1 / 2^b is exact, so norm="forward" and fft(...) / 2^b agree in every bit
+        fft = np.fft.fft
+        seen = []
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, **kw: seen.append(a) or fft(a, **kw))
+        cases = [(phase_unitary(1.0 / 3.0), basis_state(1, 1), b) for b in range(1, 9)]
+        for n in range(2, 22):
+            for x in range(1, n):
+                if math.gcd(x, n) == 1:
+                    gate = modmul_unitary(x, n)
+                    k = len(gate.targets)
+                    cases.append((gate, basis_state(k, 1), 2 * k + 4))
+        for gate, state, b in cases:
+            dist = _pe_register_distribution(gate, state, b)
+            divided = (np.abs(fft(seen.pop()) / (1 << b)) ** 2).sum(axis=0)
+            assert dist.tobytes() == divided.tobytes()
+        assert len(cases) == 8 + 139 and not seen
 
     def test_block_diagonal_unitary_with_psi_inside_one_block(self):
         gen = np.random.default_rng(5)
@@ -397,6 +418,23 @@ class TestOrderFind:
     def test_non_coprime_rejected(self):
         with pytest.raises(DomainError):
             order_find(6, 9, Stream(53, "bad"))
+
+    def test_criterion_7_draws_skip_the_kahan_loop(self, monkeypatch):
+        # structural, no clock: every register of 2^(2k+4) outcomes at or above
+        # the filter's crossover (all N >= 3) is sampled without the Python loop
+        exact = rng.kahan_cumsum
+        sizes = []
+
+        def guarded(values):
+            if len(values) >= rng._FILTER_MIN_OUTCOMES:
+                raise AssertionError(f"Kahan loop over {len(values)} outcomes")
+            sizes.append(len(values))
+            return exact(values)
+
+        monkeypatch.setattr(rng, "kahan_cumsum", guarded)
+        ok, details = criterion_7_order_finding()
+        assert ok and details["pairs"] == 139 and details["pair_failures"] == []
+        assert set(sizes) <= {64}  # N = 2: one qubit, a 6-qubit register
 
     def test_budget_exhaustion_carries_report(self):
         # an impossible verifier exercises the not-found path

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qsim.cli import EXPERIMENTS, main
+from qsim.cli import EXPERIMENTS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +116,18 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--experiment", experiment, "--threads", shots)
         assert code == 2 and out == ""
         assert "--threads must be at least 1" in err
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        parser = build_parser()
+        hits = build_parser.cache_info().hits
+        argv = ("run", "--experiment", "qec-sweep", "--shots", "300", "--seed", "5")
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        assert first == second and first[0] == 0 and first[1]
+        assert build_parser() is parser and build_parser.cache_info().hits == hits + 3
+        # no default is a shared mutable object
+        assert parser.parse_args(argv).p == (0.01, 0.05, 0.1, 0.2)
+        assert [row["p"] for row in parse_rows(first[1])] == [0.01, 0.05, 0.1, 0.2]
 
     def test_unknown_experiment_exit_2(self):
         proc = subprocess.run(

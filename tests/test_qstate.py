@@ -87,6 +87,13 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             StateVector(1, [np.nan, 0.0])
 
+    def test_trusted_constructors_reject_real_arrays(self):
+        with pytest.raises(AssertionError, match="float64"):
+            StateVector(1, np.array([1.0, 0.0]), _trusted=True)
+        with pytest.raises(AssertionError, match="float64"):
+            DensityMatrix(1, np.diag([1.0, 0.0]), _trusted=True)
+        assert StateVector(1, np.array([1.0, 0.0], dtype=complex), _trusted=True).qubits == 1
+
     def test_json_roundtrip(self):
         s = random_state(3, Stream(5, "json"))
         restored = state_from_json(state_to_json(s))

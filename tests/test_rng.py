@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import kahan_sample_index, kahan_sample_indices
+from qsim import rng
 from qsim.errors import InternalError
-from qsim.rng import PROB_FLOOR, Stream, kahan_cumsum, sample_index, sample_indices
+from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, Stream, kahan_cumsum, sample_index, sample_indices
 
 
 def test_streams_are_reproducible():
@@ -130,6 +133,7 @@ def test_sample_indices_match_sample_index(probs, us):
     # every cumulative value is a bucket edge; also draw exactly on each edge
     us = us + [u for u in kahan_cumsum(probs) if u < 1.0] + [0.0, np.nextafter(1.0, 0.0)]
     assert sample_indices(probs, us).tolist() == scalar_indices(probs, us)
+    assert scalar_indices(probs, us) == [kahan_sample_index(probs, FixedDraw(u))[0] for u in us]
 
 
 def bits(values):
@@ -168,6 +172,138 @@ def test_sample_indices_rejects_unnormalized_like_sample_index():
     with pytest.raises(InternalError) as batched:
         sample_indices([0.5, 0.4], [0.1])
     assert str(batched.value) == str(scalar.value)
+
+
+LONG = rng._FILTER_MIN_OUTCOMES
+
+
+def spread(n, bad):
+    """n entries of 1 / n, with `bad` in place of the middle one."""
+    probs = [1.0 / n] * n
+    probs[n // 2] = bad
+    return probs
+
+
+@pytest.mark.parametrize("probs", [
+    [math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 0.0],
+    spread(LONG, math.nan), spread(4 * LONG, math.inf), spread(4 * LONG, -math.inf),
+], ids=["nan-first", "nan-middle", "inf-first", "nan-long", "inf-long", "neg-inf-long"])
+def test_non_finite_arrays_are_rejected_by_both_samplers(probs):
+    with pytest.raises(InternalError, match="residual nan") as scalar:
+        sample_index(probs, Stream(1, "bad"))
+    with pytest.raises(InternalError) as batched:
+        sample_indices(probs, [0.1, 0.9])
+    assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("head, u, index", [
+    ([-1.0, 3.0], 0.0, 1),  # a negative entry is floored
+    ([128.0, -102.4, 25.6], 0.3, 0),  # the cumulative array falls below 0.5, then climbs
+], ids=["floored", "cdf-falls"])
+def test_negative_entries_take_the_exact_route(head, u, index):
+    n = 2 * LONG
+    rest = n - len(head)
+    probs = [h / n for h in head] + [(n - sum(head)) / n / rest] * rest
+    us = [u] + np.linspace(0.0, 1.0, 41)[:-1].tolist()
+    assert sample_indices(probs, us).tolist() == kahan_sample_indices(probs, us).tolist()
+    assert sample_indices(probs, us)[0] == sample_index(probs, FixedDraw(u))[0] == index
+
+
+def test_undecided_residual_check_goes_to_the_exact_route():
+    # in the first block every 0.6-ulp entry rounds the plain running sum
+    # up by a whole ulp, so the filter's total passes the residual check
+    # that the Kahan total fails
+    ulp = 2.0**-53
+    probs = np.zeros(1 << 14)
+    probs[2:128] = 0.6 * ulp
+    probs[:2] = [0.5, 0.5 - (CDF_RESIDUAL + 96 * ulp)]
+    filtered_total = probs.reshape(128, 128).cumsum(axis=1)[:, -1].cumsum()[-1]
+    assert abs(filtered_total - 1.0) <= CDF_RESIDUAL < abs(kahan_cumsum(probs)[-1] - 1.0)
+    message = outcome(kahan_sample_indices, probs, [0.25])
+    assert "exceeds" in message
+    assert outcome(sample_indices, probs, [0.25]) == message
+    assert outcome(sample_index, probs, FixedDraw(0.25)) == message
+
+
+@st.composite
+def long_distributions(draw):
+    """Arrays above the filter's crossover, up to 2^14 entries: entries near
+    1e-3 mixed with 1e-17 values, entries just above and below the floor,
+    exact zeros, and a total short of 1 by a residual gap (the last gaps
+    sit near and past CDF_RESIDUAL, so the residual check is left
+    undecided or fails)."""
+    n = draw(st.integers(LONG, 1 << 14))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from([0.0, 1e-17, PROB_FLOOR / 2, 2 * PROB_FLOOR, 1e-13]),
+                          min_size=1, max_size=3))
+    small = gen.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9, 0.999]))
+    small[gen.integers(n)] = False
+    probs = gen.random(n) * 1e-3
+    probs[small] = gen.choice(kinds, size=int(small.sum()))
+    gap = draw(st.sampled_from([0.0, 4e-13, -4e-13, 8.9e-13, 9.5e-13, 2e-12]))
+    probs[~small] *= (1.0 - gap - probs[small].sum()) / probs[~small].sum()
+    return probs
+
+
+def outcome(sampler, *args):
+    """The sampler's result, or the text of the InternalError it raised."""
+    try:
+        result = sampler(*args)
+    except InternalError as exc:
+        return str(exc)
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+@settings(max_examples=60)
+@given(probs=long_distributions(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                               max_size=10))
+def test_filtered_samplers_match_the_kahan_route(probs, us):
+    edges = [c for c in kahan_cumsum(probs) if c < 1.0]
+    draws = us + edges + [np.nextafter(c, 0.0) for c in edges]
+    draws += [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12]
+    assert outcome(sample_indices, probs, draws) == outcome(kahan_sample_indices, probs, draws)
+    # the scalar route on a sample of the edges: each rebuilds the CDF
+    picked = us + [c for c in edges[:: max(1, len(edges) // 6)]] + draws[-3:]
+    for u in picked + [np.nextafter(u, 0.0) for u in picked]:
+        for arr in (probs, probs.tolist()):
+            got = outcome(sample_index, arr, FixedDraw(u))
+            assert got == outcome(kahan_sample_index, arr, FixedDraw(u))
+            if isinstance(got, tuple):
+                assert type(got[0]) is int and type(got[1]) is type(arr[got[0]])
+
+
+def test_filter_decides_off_edge_draws_and_defers_edge_draws(monkeypatch):
+    probs = np.random.default_rng(3).random(1 << 12)
+    probs /= probs.sum()
+    edges = kahan_cumsum(probs)
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return kahan_cumsum(values)
+
+    us = Stream(3, "filter").uniforms(np.arange(500), 1)[:, 0]
+    expected = kahan_sample_indices(probs, us).tolist()
+    monkeypatch.setattr(rng, "kahan_cumsum", counted)
+    assert sample_indices(probs, us).tolist() == expected
+    assert calls == []
+    for i in (0, 100, 4000):
+        assert sample_index(probs, FixedDraw(edges[i]))[0] == i + 1
+    assert calls == [1 << 12] * 3
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (12, 11), (91, 91), (3, 4)])
+def test_numpy_row_cumsum_is_sequential(shape):
+    # a sum that any reassociation changes: 1 + 2^-53 rounds back to 1
+    # each time, while two 2^-53 terms added first would survive
+    gen = np.random.default_rng(shape[1])
+    rows = np.where(gen.random(shape) < 0.5, 2.0**-53, gen.random(shape) * 1e-3)
+    rows[:, 0] = 1.0
+    for cum, row in zip(rows.cumsum(axis=1).tolist(), rows.tolist()):
+        assert cum == list(itertools.accumulate(row))
+    assert rows[:, -1].cumsum().tolist() == list(itertools.accumulate(rows[:, -1].tolist()))
+    tail = [1.0] + [2.0**-53] * 4
+    assert list(itertools.accumulate(tail))[-1] == 1.0 < math.fsum(tail)
 
 
 def test_property_tests_are_derandomized_by_default():
