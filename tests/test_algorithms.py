@@ -31,7 +31,7 @@ from qsim.algorithms import (
     register_size,
     _pe_register_distribution,
 )
-from qsim import rng
+from qsim import rng as qrng
 from qsim.acceptance import criterion_7_order_finding
 from qsim.errors import DomainError, NotFoundError, ValidationError
 from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
@@ -422,16 +422,16 @@ class TestOrderFind:
     def test_criterion_7_draws_skip_the_kahan_loop(self, monkeypatch):
         # structural, no clock: every register of 2^(2k+4) outcomes at or above
         # the filter's crossover (all N >= 3) is sampled without the Python loop
-        exact = rng.kahan_cumsum
+        exact = qrng.kahan_cumsum
         sizes = []
 
         def guarded(values):
-            if len(values) >= rng._FILTER_MIN_OUTCOMES:
+            if len(values) >= qrng._FILTER_MIN_OUTCOMES:
                 raise AssertionError(f"Kahan loop over {len(values)} outcomes")
             sizes.append(len(values))
             return exact(values)
 
-        monkeypatch.setattr(rng, "kahan_cumsum", guarded)
+        monkeypatch.setattr(qrng, "kahan_cumsum", guarded)
         ok, details = criterion_7_order_finding()
         assert ok and details["pairs"] == 139 and details["pair_failures"] == []
         assert set(sizes) <= {64}  # N = 2: one qubit, a 6-qubit register
