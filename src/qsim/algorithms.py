@@ -130,6 +130,13 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     restricted to it exactly; the columns U^j|psi> are built by doubling
     with the repeated squares of U, and the inverse QFT on the register is
     a DFT along j.
+
+    When U restricted to the support is a 0/1 permutation (modular
+    multiplication), U c is the row gather c[source] and each square is
+    source[source]: the same values as the product, without a BLAS call.
+    BLAS splits the larger products across threads, which buys no wall
+    time at these sizes and makes the run depend on whether another CPU
+    is free.
     """
     if u.controls:
         raise DomainError("phase estimation takes an uncontrolled unitary")
@@ -148,9 +155,18 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     power = u.matrix[np.ix_(live, live)]
     cols = np.empty((power.shape[0], 1 << b), dtype=complex)
     cols[:, 0] = state.amps[live]
+    ones = power == 1
+    source = None
+    # U is unitary, so n nonzero entries, all of them 1, make a permutation
+    if np.count_nonzero(ones) == len(power) == np.count_nonzero(power):
+        source = ones.argmax(axis=1)  # row i of U c is c[source[i]]
     for j in range(b):
-        cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
-        power = power @ power
+        if source is None:
+            cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
+            power = power @ power
+        else:
+            cols[:, 1 << j : 2 << j] = cols[source, : 1 << j]
+            source = source[source]
     return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
 
 

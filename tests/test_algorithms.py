@@ -182,6 +182,34 @@ class TestPhaseEstimation:
             assert dist.tobytes() == divided.tobytes()
         assert len(cases) == 8 + 139 and not seen
 
+    def test_permutation_gather_is_bit_equal_to_the_product(self):
+        # modular multiplication takes the row-gather route; the doubling by
+        # matrix products must give the same distribution in every bit
+        def by_products(u, state, b):
+            live = state.amps != 0
+            while (grown := live | (u.matrix[:, live] != 0).any(axis=1)).sum() > live.sum():
+                live = grown
+            power = u.matrix[np.ix_(live, live)]
+            cols = np.empty((power.shape[0], 1 << b), dtype=complex)
+            cols[:, 0] = state.amps[live]
+            for j in range(b):
+                cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
+                power = power @ power
+            return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
+
+        cases = 0
+        for n in range(2, 34):
+            for x in range(1, n):
+                if math.gcd(x, n) == 1:
+                    gate = modmul_unitary(x, n)
+                    k = len(gate.targets)
+                    for state in (basis_state(k, 1), random_state(k, Stream(n, f"perm{x}"))):
+                        b = min(2 * k + 4, 12)
+                        got = _pe_register_distribution(gate, state, b)
+                        assert got.tobytes() == by_products(gate, state, b).tobytes()
+                        cases += 1
+        assert cases == 2 * 343
+
     def test_block_diagonal_unitary_with_psi_inside_one_block(self):
         gen = np.random.default_rng(5)
         block = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))[0]
