@@ -208,10 +208,6 @@ def cnot(control: int = 0, target: int = 1) -> GateOp:
     return controlled(pauli_x(target), control)
 
 
-def custom_gate(name: str, matrix, targets, controls=()) -> GateOp:
-    return GateOp(name, matrix, targets, controls)
-
-
 def oracle_uf(f: BooleanOracle) -> GateOp:
     """The reversible embedding |x, y> -> |x, y XOR f(x)> on b+1 qubits.
 

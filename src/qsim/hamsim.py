@@ -53,7 +53,7 @@ class HamiltonianTerms:
                     f"{MAX_TERM_QUBITS}"
                 )
             _check_targets(self.qubits, targets)
-            m = linalg.require_hermitian(linalg.as_complex_matrix(mat))
+            m = linalg.require_hermitian(mat)
             if m.shape[0] != 1 << len(targets):
                 raise ValidationError("term matrix dimension does not match its targets")
             checked.append((m, targets))
@@ -156,10 +156,6 @@ class TrotterStep:
         for mat, targets in self.factors:
             out = _embed(mat, targets, self.qubits) @ out
         return out
-
-
-def trotter_step(h: HamiltonianTerms, delta: float) -> TrotterStep:
-    return TrotterStep(h, delta)
 
 
 def trotter_evolve(h: HamiltonianTerms, plan: TrotterPlan, psi0: StateVector):

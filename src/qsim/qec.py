@@ -16,9 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .gates import HADAMARD_MATRIX, PAULI_X, apply_gate, pauli_x, pauli_z
+from .gates import HADAMARD_MATRIX, apply_gate, pauli_x, pauli_z
 from .linalg import kron_all
-from .qstate import Observable, StateVector, measure_observable
+from .qstate import StateVector, collapse
 from .rng import Stream
 
 # Shots drawn at once by the batched sweep; keeps its memory flat at any
@@ -82,21 +82,16 @@ def apply_channel(s: StateVector, ch: NoiseChannel, rng: Stream):
     return state, mask
 
 
-def _basis_projector(indices, dim: int) -> np.ndarray:
-    proj = np.zeros((dim, dim), dtype=complex)
-    for i in indices:
-        proj[i, i] = 1.0
-    return proj
+# Bit-flip syndrome of each value of a three-qubit block: 0 on |000> and
+# |111>, k on the two words with qubit k flipped. Measuring the syndrome
+# projects onto the basis states that carry one label.
+_SYNDROME_LABELS = np.array([0, 3, 2, 1, 1, 2, 3, 0])
+_SYNDROMES = (0, 1, 2, 3)
 
 
-@lru_cache(maxsize=None)
-def _bitflip_syndrome_observable() -> Observable:
-    """Eigenvalues 0..3 with projectors onto the no-error and
-    single-position-flip pairs of codewords."""
-    pairs = [(0b000, 0b111), (0b100, 0b011), (0b010, 0b101), (0b001, 0b110)]
-    spectrum = [(float(k), _basis_projector(pair, 8)) for k, pair in enumerate(pairs)]
-    mat = sum(x * q for x, q in spectrum)
-    return Observable(mat, spectrum)
+def _measure_labels(s: StateVector, labels, rng: Stream):
+    """Measure the projectors onto {x : labels[x] == a}, a = 0..3."""
+    return collapse(s, _SYNDROMES, [s.amps * (labels == a) for a in _SYNDROMES], rng)
 
 
 def syndrome_measure(s: StateVector, rng: Stream = None):
@@ -110,8 +105,8 @@ def syndrome_measure(s: StateVector, rng: Stream = None):
         raise DomainError("syndrome measurement takes a three-qubit state")
     if rng is None:
         rng = Stream(0, "qec/syndrome")
-    value, post = measure_observable(s, _bitflip_syndrome_observable(), rng)
-    return Syndrome(int(round(value))), post
+    value, post = _measure_labels(s, _SYNDROME_LABELS, rng)
+    return Syndrome(value), post
 
 
 def recover_bitflip(s: StateVector, syn: Syndrome) -> StateVector:
@@ -171,33 +166,14 @@ def encode_shor9(q: StateVector) -> StateVector:
     return StateVector(9, q.amps[0] * zero_l + q.amps[1] * one_l, _trusted=True)
 
 
-@lru_cache(maxsize=None)
-def _block_syndrome_observable(block: int) -> Observable:
-    """The three-qubit syndrome projectors embedded on one block of nine."""
-    base = _bitflip_syndrome_observable()
-    eyes = [np.eye(8, dtype=complex)] * 3
-    spectrum = []
-    for value, proj in base.spectrum:
-        mats = list(eyes)
-        mats[block] = proj
-        spectrum.append((value, kron_all(mats)))
-    mat = sum(x * q for x, q in spectrum)
-    return Observable(mat, spectrum)
-
-
-@lru_cache(maxsize=None)
-def _block_parity_observable(first: int, second: int) -> Observable:
-    """X^(x)3 on two blocks, identity on the third; eigenvalues +-1."""
-    xxx = kron_all([PAULI_X] * 3)
-    mats = [np.eye(8, dtype=complex)] * 3
-    mats[first] = xxx
-    mats[second] = xxx
-    a = kron_all(mats)
-    eye = np.eye(512, dtype=complex)
-    spectrum = [(1.0, 0.5 * (eye + a)), (-1.0, 0.5 * (eye - a))]
-    return Observable(a, spectrum)
-
-
+# The syndrome label of every nine-qubit index, read from each block's
+# three bits (block 0 = the most significant octal digit).
+_BLOCK_LABELS = tuple(_SYNDROME_LABELS[(np.arange(512) >> shift) & 7] for shift in (6, 3, 0))
+# X^(x)3 on blocks 0 and 1, then on blocks 1 and 2, flips these index bits;
+# index x is paired with x ^ mask, so (I +- X..X)/2 psi is
+# (psi +- psi[x ^ mask])/2.
+_PARITY_PARTNERS = tuple(np.arange(512) ^ mask for mask in (0o770, 0o077))
+_PARITIES = (1, -1)
 _PARITY_TO_BLOCK = {(1, 1): None, (-1, 1): 0, (-1, -1): 1, (1, -1): 2}
 
 
@@ -214,13 +190,16 @@ def shor9_correct(s: StateVector, rng: Stream = None) -> StateVector:
         rng = Stream(0, "qec/shor9")
     state = s
     for block in range(3):
-        value, state = measure_observable(state, _block_syndrome_observable(block), rng)
-        syn = int(round(value))
+        syn, state = _measure_labels(state, _BLOCK_LABELS[block], rng)
         if syn:
             state = apply_gate(state, _flip_gate(BIT_FLIP, _BLOCKS[block][syn - 1]))
-    p12, state = measure_observable(state, _block_parity_observable(0, 1), rng)
-    p23, state = measure_observable(state, _block_parity_observable(1, 2), rng)
-    flagged = _PARITY_TO_BLOCK[(int(round(p12)), int(round(p23)))]
+    parities = []
+    for partner in _PARITY_PARTNERS:
+        psi, flipped = state.amps, state.amps[partner]
+        branches = [0.5 * (psi + flipped), 0.5 * (psi - flipped)]
+        parity, state = collapse(state, _PARITIES, branches, rng)
+        parities.append(parity)
+    flagged = _PARITY_TO_BLOCK[tuple(parities)]
     if flagged is not None:
         state = apply_gate(state, _flip_gate(PHASE_FLIP, _BLOCKS[flagged][0]))
     return state

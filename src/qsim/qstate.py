@@ -142,11 +142,9 @@ class Observable:
 
     __slots__ = ("mat", "spectrum")
 
-    def __init__(self, mat, spectrum=None):
-        self.mat = linalg.require_hermitian(linalg.as_complex_matrix(mat))
-        if spectrum is None:
-            spectrum = self._decompose(self.mat)
-        self.spectrum = [(float(x), np.asarray(q, dtype=complex)) for x, q in spectrum]
+    def __init__(self, mat):
+        self.mat = linalg.require_hermitian(mat)
+        self.spectrum = self._decompose(self.mat)
         self._validate()
 
     @staticmethod
@@ -310,23 +308,31 @@ def measure_qubits(s: StateVector, subset, rng: Stream):
     return bits, StateVector(b, post, _trusted=True), record
 
 
-def _branches(s: StateVector, obs: Observable):
-    """(probs, projected): the Born probability <psi|Q_a|psi> of each level
-    a of `obs` as a Python float, and the unnormalised Q_a|psi>."""
+def _projections(s: StateVector, obs: Observable) -> list:
+    """Q_a|psi> for each level a of `obs`, unnormalised."""
     if obs.dim != s.dim:
         raise DomainError(f"observable dim {obs.dim} does not match state dim {s.dim}")
-    projected = [q @ s.amps for _, q in obs.spectrum]
-    probs = [float(np.real(np.vdot(s.amps, qpsi))) for qpsi in projected]
-    return probs, projected
+    return [q @ s.amps for _, q in obs.spectrum]
+
+
+def _born_weights(s: StateVector, projected) -> list:
+    """<psi|Q_a|psi> for each branch Q_a|psi>, as Python floats."""
+    return [float(np.real(np.vdot(s.amps, qpsi))) for qpsi in projected]
+
+
+def collapse(s: StateVector, values, projected, rng: Stream):
+    """Projective measurement given its branches: `projected[a]` is
+    Q_a|psi> for a complete set of orthogonal projectors Q_a, and
+    `values[a]` names outcome a. Samples a with <psi|Q_a|psi> and returns
+    (values[a], Q_a|psi>/sqrt(P(a)))."""
+    idx, prob = sample_index(_born_weights(s, projected), rng)
+    return values[idx], StateVector(s.qubits, projected[idx] / math.sqrt(prob), _trusted=True)
 
 
 def measure_observable(s: StateVector, obs: Observable, rng: Stream):
     """Measure an observable: samples eigenvalue x_a with <psi|Q_a|psi>,
     collapses to Q_a|psi>/sqrt(P(a)). Returns (eigenvalue, post_state)."""
-    probs, projected = _branches(s, obs)
-    idx, prob = sample_index(probs, rng)
-    post = projected[idx] / math.sqrt(prob)
-    return obs.spectrum[idx][0], StateVector(s.qubits, post, _trusted=True)
+    return collapse(s, obs.eigenvalues(), _projections(s, obs), rng)
 
 
 def measure_sequence(s: StateVector, observables, u) -> np.ndarray:
@@ -339,7 +345,8 @@ def measure_sequence(s: StateVector, observables, u) -> np.ndarray:
         raise DomainError(f"need a (shots, {len(observables)}) array of draws, got {u.shape}")
     out = np.empty(u.shape)
     if observables:
-        probs, projected = _branches(s, observables[0])
+        projected = _projections(s, observables[0])
+        probs = _born_weights(s, projected)
         picks = sample_indices(probs, u[:, 0])
         for idx in np.flatnonzero(np.bincount(picks, minlength=len(probs))).tolist():
             rows = picks == idx
@@ -363,17 +370,20 @@ def _expect_matrix(state, mat) -> float:
     return value.real
 
 
+def _check_dim(state, obs: Observable):
+    if obs.dim != getattr(state, "dim", 0):
+        raise DomainError("observable dimension does not match state")
+
+
 def expectation(state, obs: Observable) -> float:
     """<X> = Tr(X rho) (or <psi|X|psi> for pure states)."""
-    if obs.dim != (state.dim if hasattr(state, "dim") else 0):
-        raise DomainError("observable dimension does not match state")
+    _check_dim(state, obs)
     return _expect_matrix(state, obs.mat)
 
 
 def variance(state, obs: Observable) -> float:
     """Var[X] = tr(X^2 rho) - (tr(X rho))^2."""
-    if obs.dim != state.dim:
-        raise DomainError("observable dimension does not match state")
+    _check_dim(state, obs)
     second = _expect_matrix(state, obs.mat @ obs.mat)
     first = _expect_matrix(state, obs.mat)
     return second - first * first
@@ -399,7 +409,7 @@ def density_from_ensemble(states, probs) -> DensityMatrix:
 
 def posterior_density(rho: DensityMatrix, q):
     """Post-measurement ensemble (Q rho Q / Tr(Q rho), Tr(Q rho))."""
-    proj = linalg.require_hermitian(linalg.as_complex_matrix(q), DERIVED_TOL)
+    proj = linalg.require_hermitian(q, DERIVED_TOL)
     if proj.shape[0] != rho.dim:
         raise DomainError("projector dimension does not match state")
     if np.max(np.abs(proj @ proj - proj)) > DERIVED_TOL:

@@ -9,14 +9,16 @@ independent computation routes.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 from qsim.algorithms import inverse_qft
-from qsim.gates import hadamard_layer
+from qsim.gates import HADAMARD_MATRIX, PAULI_X, apply_gate, hadamard_layer, pauli_x, pauli_z
 from qsim.qec import (
     BIT_FLIP,
     NoiseChannel,
+    Syndrome,
     apply_channel,
     encode_bitflip,
     recover_bitflip,
@@ -177,6 +179,92 @@ def bitflip_failures(p: float, shots: int, rng) -> int:
         decoded = recover_bitflip(post, syn)
         failures += fidelity(decoded, reference) < 1.0 - 1e-9
     return failures
+
+
+def _basis_projector(indices, dim: int) -> np.ndarray:
+    proj = np.zeros((dim, dim), dtype=complex)
+    for i in indices:
+        proj[i, i] = 1.0
+    return proj
+
+
+def _dense_measure(s: StateVector, spectrum, rng):
+    """A projective measurement by dense products: samples a with
+    <psi|Q_a|psi> and returns (value_a, Q_a|psi>/sqrt(P(a)))."""
+    projected = [q @ s.amps for _, q in spectrum]
+    probs = [float(np.real(np.vdot(s.amps, qpsi))) for qpsi in projected]
+    idx, prob = sample_index(probs, rng)
+    return spectrum[idx][0], StateVector(s.qubits, projected[idx] / math.sqrt(prob), _trusted=True)
+
+
+def _bitflip_syndrome_spectrum() -> list:
+    """(syndrome, 8x8 projector) pairs: the no-error and the
+    single-position-flip pairs of codewords."""
+    pairs = [(0b000, 0b111), (0b100, 0b011), (0b010, 0b101), (0b001, 0b110)]
+    return [(k, _basis_projector(pair, 8)) for k, pair in enumerate(pairs)]
+
+
+_H3_DENSE = np.kron(np.kron(HADAMARD_MATRIX, HADAMARD_MATRIX), HADAMARD_MATRIX)
+
+
+def syndrome_measure_dense(s: StateVector, rng):
+    """`qec.syndrome_measure` with the syndrome projectors as dense matrices."""
+    value, post = _dense_measure(s, _bitflip_syndrome_spectrum(), rng)
+    return Syndrome(value), post
+
+
+def syndrome_measure_phase_dense(s: StateVector, rng):
+    """`qec.syndrome_measure_phase` with dense projectors and H x H x H."""
+    syn, post = syndrome_measure_dense(StateVector(3, _H3_DENSE @ s.amps, _trusted=True), rng)
+    return syn, StateVector(3, _H3_DENSE @ post.amps, _trusted=True)
+
+
+def _kron3(mats) -> np.ndarray:
+    return np.kron(np.kron(mats[0], mats[1]), mats[2])
+
+
+@lru_cache(maxsize=None)
+def _shor9_spectra() -> tuple:
+    """Dense 512x512 (value, projector) lists: the three-qubit syndrome
+    embedded on each block by Kronecker products, then (I +- X^(x)6)/2
+    for the X-parities of blocks 0, 1 and of blocks 1, 2."""
+    eyes = [np.eye(8, dtype=complex)] * 3
+    blocks = []
+    for block in range(3):
+        spectrum = []
+        for value, proj in _bitflip_syndrome_spectrum():
+            mats = list(eyes)
+            mats[block] = proj
+            spectrum.append((value, _kron3(mats)))
+        blocks.append(spectrum)
+    xxx = _kron3([PAULI_X] * 3)
+    eye = np.eye(512, dtype=complex)
+    parities = []
+    for first, second in ((0, 1), (1, 2)):
+        mats = list(eyes)
+        mats[first] = mats[second] = xxx
+        a = _kron3(mats)
+        parities.append([(1, 0.5 * (eye + a)), (-1, 0.5 * (eye - a))])
+    return blocks, parities
+
+
+def shor9_correct_dense(s: StateVector, rng) -> StateVector:
+    """`qec.shor9_correct` with every stabiliser measured through the dense
+    projectors of `_shor9_spectra`."""
+    blocks, parity_spectra = _shor9_spectra()
+    state = s
+    for block, spectrum in enumerate(blocks):
+        syn, state = _dense_measure(state, spectrum, rng)
+        if syn:
+            state = apply_gate(state, pauli_x(3 * block + syn - 1))
+    parities = []
+    for spectrum in parity_spectra:
+        parity, state = _dense_measure(state, spectrum, rng)
+        parities.append(parity)
+    flagged = {(1, 1): None, (-1, 1): 0, (-1, -1): 1, (1, -1): 2}[tuple(parities)]
+    if flagged is not None:
+        state = apply_gate(state, pauli_z(3 * flagged))
+    return state
 
 
 def qrng_values(b: int, shots: int, rng) -> list:

@@ -19,7 +19,6 @@ from qsim.gates import (
     circuit_to_json,
     cnot,
     controlled,
-    custom_gate,
     hadamard,
     hadamard_layer,
     inverse_circuit,
@@ -82,11 +81,11 @@ class TestCnotAndControlled:
         for i in range(10):
             psi = random_state(1, rng.substream(i))
             state = tensor(basis_state(1, 0), psi)
-            u = controlled(custom_gate("r", phase_gate(1.1).matrix @ PAULI_X, [1]), 0)
+            u = controlled(GateOp("r", phase_gate(1.1).matrix @ PAULI_X, [1]), 0)
             assert states_equal(apply_gate(state, u), state)
 
     def test_controlled_preserves_unitarity(self):
-        op = controlled(custom_gate("g", phase_gate(0.3).matrix, [1]), 0)
+        op = controlled(GateOp("g", phase_gate(0.3).matrix, [1]), 0)
         full = op.full_matrix()
         np.testing.assert_allclose(full.conj().T @ full, np.eye(4), atol=1e-12)
 
@@ -210,9 +209,9 @@ class TestRunCircuit:
         targets = [1, 3]
         perm = [2, 0, 3, 1]  # qubit q -> perm[q]
         s = random_state(b, Stream(11, "perm"))
-        direct = apply_gate(s, custom_gate("u", u, targets))
+        direct = apply_gate(s, GateOp("u", u, targets))
         permuted_input = StateVector(b, permute_qubits(s.amps, perm))
-        moved = apply_gate(permuted_input, custom_gate("u", u, [perm[q] for q in targets]))
+        moved = apply_gate(permuted_input, GateOp("u", u, [perm[q] for q in targets]))
         np.testing.assert_allclose(
             permute_qubits(direct.amps, perm), moved.amps, atol=1e-10
         )

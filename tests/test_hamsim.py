@@ -11,6 +11,7 @@ from qsim.errors import DomainError, ResourceError, ValidationError
 from qsim.gates import PAULI_X, PAULI_Z, hadamard_layer
 from qsim.hamsim import (
     HamiltonianTerms,
+    TrotterStep,
     TrotterPlan,
     _embed,
     commuting_chain,
@@ -21,7 +22,6 @@ from qsim.hamsim import (
     ising_chain,
     trotter_error,
     trotter_evolve,
-    trotter_step,
 )
 from qsim.qstate import Observable, basis_state, expectation, fidelity, random_state
 from qsim.rng import Stream
@@ -64,20 +64,20 @@ class TestTrotterStep:
     def test_single_term_is_exact(self):
         h = single_term(0.4 * PAULI_X)
         psi = random_state(1, Stream(7, "L1"))
-        step = trotter_step(h, 0.9)
+        step = TrotterStep(h, 0.9)
         exact = exact_evolve(h, 0.9, psi)
         assert np.linalg.norm(step.apply(psi).amps - exact.amps) < 1e-9
 
     def test_commuting_terms_are_exact(self):
         h = commuting_chain(3)
         psi = random_state(3, Stream(9, "comm"))
-        step = trotter_step(h, 0.31)
+        step = TrotterStep(h, 0.31)
         exact = exact_evolve(h, 0.31, psi)
         assert np.linalg.norm(step.apply(psi).amps - exact.amps) < 1e-9
 
     def test_step_is_unitary(self):
         for delta in (0.3, 0.05):
-            dense = trotter_step(ising_chain(2), delta).dense()
+            dense = TrotterStep(ising_chain(2), delta).dense()
             np.testing.assert_allclose(
                 dense.conj().T @ dense, np.eye(4), atol=1e-9
             )
@@ -102,7 +102,7 @@ class TestTrotterEvolve:
         psi = random_state(2, Stream(13, "one"))
         trajectory = trotter_evolve(h, TrotterPlan(0.5, 1), psi)
         assert len(trajectory) == 2
-        direct = trotter_step(h, 0.5).apply(psi)
+        direct = TrotterStep(h, 0.5).apply(psi)
         assert np.linalg.norm(trajectory[-1].amps - direct.amps) < 1e-12
 
     def test_commuting_matches_exact_at_every_grid_point(self):
@@ -205,6 +205,6 @@ class TestSerialization:
 
 
 def test_step_unitarity_dense_four_qubits():
-    dense = trotter_step(ising_chain(4, coupling=0.45, field=0.6), 0.21).dense()
+    dense = TrotterStep(ising_chain(4, coupling=0.45, field=0.6), 0.21).dense()
     deviation = np.max(np.abs(dense.conj().T @ dense - np.eye(16)))
     assert deviation < 1e-9

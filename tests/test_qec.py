@@ -1,9 +1,18 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import bitflip_failures
+from oracles import (
+    bitflip_failures,
+    shor9_correct_dense,
+    syndrome_measure_dense,
+    syndrome_measure_phase_dense,
+)
 from qsim.errors import DomainError
 from qsim.gates import PAULI_X, PAULI_Z
 from qsim.qec import (
@@ -232,6 +241,67 @@ class TestShor9:
         encoded = encode_shor9(psi)
         corrected = shor9_correct(encoded, Stream(43, "clean"))
         assert fidelity(corrected, encoded) >= 1 - 1e-10
+
+
+def _noisy_state(b, encode, seed, kind, q):
+    """A random b-qubit state, or a random codeword of `encode` with a
+    sigma_x, sigma_z or sigma_z sigma_x error on qubit q (or none)."""
+    rng = Stream(seed, "qec/dense")
+    if kind == "random":
+        return random_state(b, rng)
+    state = encode(random_state(1, rng))
+    if "x" in kind:
+        state = apply_unitary(state, PAULI_X, [q])
+    if "z" in kind:
+        state = apply_unitary(state, PAULI_Z, [q])
+    return state
+
+
+KINDS = st.sampled_from(["random", "none", "x", "z", "zx"])
+
+
+class TestIndexRouteMatchesDenseProjectors:
+    """The syndromes and parities measured from index structure pick the
+    same branch and give the same amplitudes as the dense projectors."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS, q=st.integers(0, 2))
+    def test_bitflip_syndrome(self, seed, kind, q):
+        s = _noisy_state(3, encode_bitflip, seed, kind, q)
+        syn, post = syndrome_measure(s, Stream(seed, "qec/draw"))
+        ref_syn, ref_post = syndrome_measure_dense(s, Stream(seed, "qec/draw"))
+        assert syn == ref_syn
+        assert np.array_equal(post.amps, ref_post.amps)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS, q=st.integers(0, 2))
+    def test_phaseflip_syndrome(self, seed, kind, q):
+        s = _noisy_state(3, encode_phaseflip, seed, kind, q)
+        syn, post = syndrome_measure_phase(s, Stream(seed, "qec/draw"))
+        ref_syn, ref_post = syndrome_measure_phase_dense(s, Stream(seed, "qec/draw"))
+        assert syn == ref_syn
+        assert np.array_equal(post.amps, ref_post.amps)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=KINDS, q=st.integers(0, 8))
+    def test_shor9_correct(self, seed, kind, q):
+        s = _noisy_state(9, encode_shor9, seed, kind, q)
+        corrected = shor9_correct(s, Stream(seed, "qec/draw"))
+        reference = shor9_correct_dense(s, Stream(seed, "qec/draw"))
+        assert np.array_equal(corrected.amps, reference.amps)
+
+    def test_first_shor9_call_stays_under_a_megabyte(self):
+        """No call builds a dense 2^9 x 2^9 operator (4 MiB each)."""
+        code = (
+            "import tracemalloc\n"
+            "from qsim.qec import encode_shor9, shor9_correct\n"
+            "from qsim.qstate import basis_state\n"
+            "from qsim.rng import Stream\n"
+            "noisy = encode_shor9(basis_state(1, 1))\n"
+            "tracemalloc.start()\n"
+            "shor9_correct(noisy, Stream(1, 'qec/peak'))\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert int(proc.stdout) < 1 << 20
 
 
 class TestLogicalRate:

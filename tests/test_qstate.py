@@ -335,6 +335,12 @@ class TestExpectationVariance:
         scaled = variance(s, Observable(3.0 * (PAULI_X + 0.2 * PAULI_Z)))
         assert scaled == pytest.approx(9.0 * base, rel=1e-9)
 
+    @pytest.mark.parametrize("state", [[1, 0], basis_state(2, 0)])
+    def test_dimension_mismatch_rejected_by_both(self, state):
+        for moment in (expectation, variance):
+            with pytest.raises(DomainError, match="dimension does not match"):
+                moment(state, Observable(PAULI_Z))
+
     def test_imaginary_residue_guard(self):
         s = basis_state(1, 0)
 
