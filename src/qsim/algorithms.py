@@ -11,7 +11,7 @@ inverse QFT as a DFT (np.fft); the acceptance suite checks the QFT circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .gates import (
     run_circuit,
     swap_gate,
 )
-from .qstate import StateVector, basis_state, fidelity, qubit_cap, random_state
+from .qstate import StateVector, _check_qubit_count, basis_state, fidelity, random_state
 from .rng import Stream, sample_index, sample_indices
 
 
@@ -49,16 +49,10 @@ class PhasePlan:
 
     zeta: float
     epsilon: float
-    b: int = 0
+    b: int = field(init=False)
 
     def __post_init__(self):
-        derived = register_size(self.zeta, self.epsilon)
-        if self.b == 0:
-            object.__setattr__(self, "b", derived)
-        elif self.b != derived:
-            raise ValidationError(
-                f"register size {self.b} does not match the plan formula ({derived})"
-            )
+        object.__setattr__(self, "b", register_size(self.zeta, self.epsilon))
 
 
 def phase_distance(a: float, b: float) -> float:
@@ -145,10 +139,7 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
         raise DomainError(
             f"eigenstate register has {state.qubits} qubits, unitary acts on {k}"
         )
-    total = b + k
-    cap = qubit_cap()
-    if total > cap:
-        raise ResourceError(f"phase estimation needs {total} qubits, cap is {cap}")
+    _check_qubit_count(b + k)
     live = state.amps != 0
     while (grown := live | (u.matrix[:, live] != 0).any(axis=1)).sum() > live.sum():
         live = grown
@@ -173,9 +164,11 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
 EIGENSTATE_TOL = 1e-8
 
 
-def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rngs) -> list:
-    """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) once per
-    stream in `rngs`; the register distribution is computed once.
+def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: int,
+                    rng: Stream) -> list:
+    """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) `shots`
+    times, shot i drawn from rng.substream(i); the register distribution is
+    computed once.
 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
@@ -185,20 +178,15 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rngs) -
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
     dist = _pe_register_distribution(u, eigenstate, plan.b)
-    indices = sample_indices(dist, [rng.uniform() for rng in rngs]).tolist()
+    indices = sample_indices(dist, rng.uniforms(np.arange(shots), 1)[:, 0]).tolist()
     return [i / float(1 << plan.b) for i in indices]
-
-
-def phase_estimate(u: GateOp, eigenstate: StateVector, plan: PhasePlan, rng: Stream) -> float:
-    """One phase_estimates estimate drawn from rng."""
-    return phase_estimates(u, eigenstate, plan, [rng])[0]
 
 
 def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> float:
     """Fraction of `shots` estimates of the phase of diag(1, e^{2 pi i phi})
     on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta."""
     u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    estimates = phase_estimates(u, basis_state(1, 1), plan, map(rng.substream, range(shots)))
+    estimates = phase_estimates(u, basis_state(1, 1), plan, shots, rng)
     return sum(1 for e in estimates if phase_distance(e, phi) <= plan.zeta) / shots
 
 
@@ -269,16 +257,16 @@ def _grover_probs(f: BooleanOracle, M: int) -> np.ndarray:
     return _grover_amps(_oracle_signs(f), plan.R) ** 2
 
 
-def grover_search(f: BooleanOracle, M: int, rng: Stream) -> int:
-    """Run Grover search and measure; the returned index satisfies f with
-    probability at least 1 - M/N."""
-    return sample_index(_grover_probs(f, M), rng)[0]
+def grover_search(f: BooleanOracle, M: int, shots: int, rng: Stream) -> np.ndarray:
+    """Run Grover search and measure `shots` times, shot i drawn from
+    rng.substream(i); each returned index satisfies f with probability at
+    least 1 - M/N."""
+    return sample_indices(_grover_probs(f, M), rng.uniforms(np.arange(shots), 1)[:, 0])
 
 
 def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) -> float:
     """Fraction of `shots` searches, shot i on rng.substream(i), that find `marked`."""
-    found = sample_indices(_grover_probs(f, 1), rng.uniforms(np.arange(shots), 1)[:, 0])
-    return int(np.count_nonzero(found == marked)) / shots
+    return int(np.count_nonzero(grover_search(f, 1, shots, rng) == marked)) / shots
 
 
 def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
@@ -290,9 +278,10 @@ def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
     return (reflect * signs[np.newaxis, :]).astype(complex)
 
 
-def quantum_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
-    """Estimate the solution count by phase-estimating the Grover operator,
-    once per stream in `rngs`; the register distribution is computed once.
+def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -> list:
+    """Estimate the solution count by phase-estimating the Grover operator
+    `shots` times, shot i drawn from rng.substream(i); the register
+    distribution is computed once.
 
     The uniform state splits over the e^{+-i theta} eigenvectors; estimates
     above one half are folded down before inverting sin^2(theta/2) = M/N.
@@ -301,7 +290,7 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
     gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
     dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
     counts = []
-    for i in sample_indices(dist, [rng.uniform() for rng in rngs]).tolist():
+    for i in sample_indices(dist, rng.uniforms(np.arange(shots), 1)[:, 0]).tolist():
         omega = i / float(1 << plan.b)
         theta = 2.0 * math.pi * min(omega, 1.0 - omega)
         counts.append(min(max(round(N * math.sin(theta / 2.0) ** 2), 0), N))

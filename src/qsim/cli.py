@@ -129,8 +129,7 @@ def _run_grover(args):
 def _run_count(args):
     f = gates.BooleanOracle.from_solutions(args.bits, list(range(args.m_count)))
     plan = algorithms.PhasePlan(zeta=args.zeta, epsilon=args.epsilon)
-    rng = Stream(args.seed, "cli/count")
-    estimates = algorithms.quantum_counts(f, plan, map(rng.substream, range(args.shots)))
+    estimates = algorithms.quantum_counts(f, plan, args.shots, Stream(args.seed, "cli/count"))
     correct = sum(1 for m in estimates if m == args.m_count)
     rows = [
         _row(args, "count_mode", max(set(estimates), key=estimates.count),

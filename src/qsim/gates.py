@@ -22,11 +22,11 @@ from .errors import DomainError, ResourceError, ValidationError
 from .qstate import (
     StateVector,
     _apply_matrix,
+    _check_qubit_count,
     _check_targets,
     _from_pairs,
     _to_pairs,
     basis_state,
-    qubit_cap,
 )
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -114,11 +114,11 @@ class Circuit:
 class BooleanOracle:
     """A total function {0,..,2^b - 1} -> {0, 1}.
 
-    Values are materialized as a lookup table up to 20 input bits; beyond
-    that the callable is evaluated on demand.
+    Values are materialized as a lookup table; a callable is tabulated at
+    construction, up to 20 input bits.
     """
 
-    __slots__ = ("b", "table", "fn")
+    __slots__ = ("b", "table")
 
     def __init__(self, b: int, fn=None, table=None):
         if b < 1:
@@ -129,16 +129,12 @@ class BooleanOracle:
             if arr.shape != (1 << b,) or not np.all((arr == 0) | (arr == 1)):
                 raise ValidationError("oracle table must hold 2^b zero/one entries")
             self.table = arr
-            self.fn = None
         elif fn is not None:
-            if b <= _ORACLE_TABLE_MAX_BITS:
-                self.table = np.array(
-                    [1 if fn(x) else 0 for x in range(1 << b)], dtype=np.uint8
+            if b > _ORACLE_TABLE_MAX_BITS:
+                raise ResourceError(
+                    f"a callable oracle is tabulated; {b} bits exceeds {_ORACLE_TABLE_MAX_BITS}"
                 )
-                self.fn = None
-            else:
-                self.table = None
-                self.fn = fn
+            self.table = np.array([1 if fn(x) else 0 for x in range(1 << b)], dtype=np.uint8)
         else:
             raise DomainError("provide either a callable or a table")
 
@@ -154,13 +150,9 @@ class BooleanOracle:
     def __call__(self, x: int) -> int:
         if not 0 <= x < (1 << self.b):
             raise DomainError(f"oracle input {x} out of range")
-        if self.table is not None:
-            return int(self.table[x])
-        return 1 if self.fn(x) else 0
+        return int(self.table[x])
 
     def values(self) -> np.ndarray:
-        if self.table is None:
-            raise ResourceError("oracle too large for a materialized table")
         return self.table
 
     def solution_count(self) -> int:
@@ -231,11 +223,7 @@ def oracle_uf(f: BooleanOracle) -> GateOp:
 def hadamard_layer(b: int) -> StateVector:
     """Equal superposition over all 2^b basis states, the output of one
     Hadamard per qubit on |0...0>."""
-    if b < 1:
-        raise DomainError("need at least one qubit")
-    cap = qubit_cap()
-    if b > cap:
-        raise ResourceError(f"{b} qubits exceeds the configured cap of {cap}")
+    b = _check_qubit_count(b)
     amps = np.full(1 << b, 2.0 ** (-b / 2.0), dtype=complex)
     return StateVector(b, amps, _trusted=True)
 

@@ -143,7 +143,7 @@ class Observable:
     __slots__ = ("mat", "spectrum")
 
     def __init__(self, mat):
-        self.mat = linalg.require_hermitian(mat)
+        self.mat = linalg.as_complex_matrix(mat)
         self.spectrum = self._decompose(self.mat)
         self._validate()
 
@@ -251,10 +251,7 @@ def basis_state(b: int, x: int) -> StateVector:
 
 def tensor(a: StateVector, c: StateVector) -> StateVector:
     """Composite state a (x) c; a's qubits become the most significant."""
-    b = a.qubits + c.qubits
-    cap = qubit_cap()
-    if b > cap:
-        raise ResourceError(f"tensor product needs {b} qubits, cap is {cap}")
+    b = _check_qubit_count(a.qubits + c.qubits)
     return StateVector(b, np.kron(a.amps, c.amps), _trusted=True)
 
 

@@ -13,6 +13,12 @@ a whole array of shots with numpy uint64 arithmetic, bit for bit equal to
 the per-shot streams. `sample_indices` is the Born sampler for an array of
 draws (a certified vectorised CDF in front of an exact Kahan route), and
 `sample_index` is its one-draw form.
+
+A sampler whose shots all measure one fixed distribution takes
+`(..., shots, rng)` and gives shot i row i of `rng.uniforms(arange(shots), k)`.
+A loop keeps one `substream` per shot where a shot's distribution depends
+on its own draws: `entangle.teleport_trials` (random inputs) and the
+repeat-until-verified attempts of `algorithms.order_find`.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     circuit_unitary,
@@ -24,16 +26,16 @@ from qsim.algorithms import (
     order_brute_force,
     order_find,
     phase_distance,
-    phase_estimate,
     phase_estimates,
     qft,
     quantum_counts,
     register_size,
+    _grover_probs,
     _pe_register_distribution,
 )
 from qsim import rng as qrng
 from qsim.acceptance import criterion_7_order_finding
-from qsim.errors import DomainError, NotFoundError, ValidationError
+from qsim.errors import DomainError, NotFoundError, ResourceError, ValidationError
 from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
 from qsim.qstate import StateVector, basis_state, fidelity, random_state
 from qsim.rng import Stream
@@ -41,6 +43,19 @@ from qsim.rng import Stream
 
 def phase_unitary(phi: float) -> GateOp:
     return GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
+
+
+def per_stream_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
+    """quantum_counts by one sample_index call per stream."""
+    n = 1 << f.b
+    gate = GateOp("g", grover_operator_matrix(f), range(f.b))
+    dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
+    counts = []
+    for i in per_stream_indices(dist, rngs):
+        omega = i / float(1 << plan.b)
+        theta = 2.0 * math.pi * min(omega, 1.0 - omega)
+        counts.append(min(max(round(n * math.sin(theta / 2.0) ** 2), 0), n))
+    return counts
 
 
 class TestQft:
@@ -96,21 +111,18 @@ class TestRegisterSize:
     def test_plan_derives_b(self):
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.1)
         assert plan.b == 7
-        with pytest.raises(ValidationError):
-            PhasePlan(zeta=2.0**-4, epsilon=0.1, b=5)
 
 
 class TestPhaseEstimation:
     def test_exact_three_bit_phase(self):
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.25)
         rng = Stream(3, "pe")
-        for i in range(20):
-            est = phase_estimate(phase_unitary(5 / 8), basis_state(1, 1), plan, rng.substream(i))
+        for est in phase_estimates(phase_unitary(5 / 8), basis_state(1, 1), plan, 20, rng):
             assert est == 5 / 8
 
     def test_zero_phase(self):
         plan = PhasePlan(zeta=2.0**-3, epsilon=0.25)
-        est = phase_estimate(phase_unitary(0.0), basis_state(1, 1), plan, Stream(5, "pe0"))
+        [est] = phase_estimates(phase_unitary(0.0), basis_state(1, 1), plan, 1, Stream(5, "pe0"))
         assert est == 0.0
 
     def test_exact_case_all_phases_small_registers(self):
@@ -251,7 +263,7 @@ class TestPhaseEstimation:
         rng = Stream(17, "pe-loop")
         dist = _pe_register_distribution(u, eigenstate, plan.b)
         expected = per_stream_indices(dist, map(rng.substream, range(300)))
-        estimates = phase_estimates(u, eigenstate, plan, map(rng.substream, range(300)))
+        estimates = phase_estimates(u, eigenstate, plan, 300, rng)
         assert estimates == [i / float(1 << plan.b) for i in expected]
         assert all(type(e) is float for e in estimates)
 
@@ -264,9 +276,8 @@ class TestPhaseEstimation:
         rng = Stream(7, "pe-cov")
         hits = sum(
             1
-            for i in range(runs)
-            if phase_distance(phase_estimate(u, eigenstate, plan, rng.substream(i)), phi)
-            <= plan.zeta
+            for est in phase_estimates(u, eigenstate, plan, runs, rng)
+            if phase_distance(est, phi) <= plan.zeta
         )
         sigma = math.sqrt(0.9 * 0.1 / runs)
         assert hits / runs >= 0.9 - 3 * sigma
@@ -275,11 +286,17 @@ class TestPhaseEstimation:
         assert phase_distance(0.98, 0.01) == pytest.approx(0.03)
         assert phase_distance(0.25, 0.75) == pytest.approx(0.5)
 
+    def test_register_cap(self, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "6")
+        assert _pe_register_distribution(phase_unitary(0.5), basis_state(1, 1), 5).shape == (32,)
+        with pytest.raises(ResourceError):
+            _pe_register_distribution(phase_unitary(0.5), basis_state(1, 1), 6)
+
     def test_non_eigenstate_rejected(self):
         plan = PhasePlan(zeta=0.25, epsilon=0.25)
         plus = hadamard_layer(1)
         with pytest.raises(ValidationError):
-            phase_estimate(phase_unitary(1 / 3), plus, plan, Stream(9, "bad"))
+            phase_estimates(phase_unitary(1 / 3), plus, plan, 1, Stream(9, "bad"))
 
 
 class TestGrover:
@@ -303,12 +320,12 @@ class TestGrover:
         amp = grover_solution_amplitude(f, 1, plan.R)
         assert amp == pytest.approx(1.0, abs=1e-12)
         rng = Stream(11, "g4")
-        assert all(grover_search(f, 1, rng.substream(i)) == 1 for i in range(50))
+        assert all(grover_search(f, 1, 50, rng) == 1)
 
     def test_n2_half_space_solution(self):
         f = BooleanOracle.from_solutions(1, [0])
         rng = Stream(13, "g2")
-        hits = sum(1 for i in range(2000) if grover_search(f, 1, rng.substream(i)) == 0)
+        hits = int(np.count_nonzero(grover_search(f, 1, 2000, rng) == 0))
         assert hits / 2000 >= 0.5 - 3 * math.sqrt(0.25 / 2000)
 
     def test_n64_success_rate(self):
@@ -316,7 +333,7 @@ class TestGrover:
         plan = GroverPlan.for_counts(64, 1)
         runs = 400
         rng = Stream(17, "g64")
-        hits = sum(1 for i in range(runs) if grover_search(f, 1, rng.substream(i)) == 23)
+        hits = int(np.count_nonzero(grover_search(f, 1, runs, rng) == 23))
         p = math.sin((2 * plan.R + 1) * plan.theta / 2) ** 2
         assert hits / runs >= 63 / 64 - 3 * math.sqrt(p * (1 - p) / runs)
 
@@ -330,7 +347,7 @@ class TestGrover:
     def test_solution_count_validated(self):
         f = BooleanOracle.from_solutions(3, [1, 2])
         with pytest.raises(ValidationError):
-            grover_search(f, 1, Stream(19, "bad"))
+            grover_search(f, 1, 1, Stream(19, "bad"))
 
     def test_operator_matrix_is_unitary_rotation(self):
         f = BooleanOracle.from_solutions(3, [5])
@@ -345,7 +362,7 @@ class TestGrover:
     def test_success_rate_matches_per_shot_searches(self, bits, marked):
         f = BooleanOracle.from_solutions(bits, [marked])
         rng = Stream(13, "grover-loop")
-        found = [grover_search(f, 1, rng.substream(i)) for i in range(64)]
+        found = grover_search(f, 1, 64, rng).tolist()
         for shots in range(1, 65):
             hits = sum(idx == marked for idx in found[:shots])
             assert grover_success_rate(f, marked, shots, rng) == hits / shots
@@ -359,13 +376,13 @@ class TestQuantumCount:
     def test_empty_oracle_counts_zero(self):
         f = BooleanOracle(3, fn=lambda x: 0)
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.25)
-        assert quantum_counts(f, plan, [Stream(23, "qc0")]) == [0]
+        assert quantum_counts(f, plan, 1, Stream(23, "qc0")) == [0]
 
     def test_sixteen_four(self):
         f = BooleanOracle.from_solutions(4, [0, 3, 9, 14])
         plan = PhasePlan(zeta=2.0**-7, epsilon=0.1)
         rng = Stream(29, "qc")
-        estimates = quantum_counts(f, plan, map(rng.substream, range(30)))
+        estimates = quantum_counts(f, plan, 30, rng)
         hits = sum(1 for m in estimates if m == 4)
         assert hits / 30 >= 1 - plan.epsilon - 3 * math.sqrt(0.1 * 0.9 / 30)
 
@@ -373,21 +390,49 @@ class TestQuantumCount:
         f = BooleanOracle.from_solutions(3, [1, 6])
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
         rng = Stream(19, "qc-loop")
-        gate = GateOp("g", grover_operator_matrix(f), range(3))
-        dist = _pe_register_distribution(gate, hadamard_layer(3), plan.b)
-        expected = []
-        for i in per_stream_indices(dist, map(rng.substream, range(200))):
-            omega = i / float(1 << plan.b)
-            theta = 2.0 * math.pi * min(omega, 1.0 - omega)
-            expected.append(min(max(round(8 * math.sin(theta / 2.0) ** 2), 0), 8))
-        assert quantum_counts(f, plan, map(rng.substream, range(200))) == expected
+        expected = per_stream_counts(f, plan, map(rng.substream, range(200)))
+        assert quantum_counts(f, plan, 200, rng) == expected
 
     def test_estimates_clamped(self):
         f = BooleanOracle.from_solutions(2, [0, 1])
         plan = PhasePlan(zeta=2.0**-4, epsilon=0.25)
         rng = Stream(31, "clamp")
-        for m in quantum_counts(f, plan, map(rng.substream, range(20))):
+        for m in quantum_counts(f, plan, 20, rng):
             assert 0 <= m <= 4
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+TAGS = st.one_of(st.text(max_size=8), st.integers(-(2**70), 2**70))
+
+
+class TestShotsMatchPerShotStreams:
+    """Shot i of each batched sampler is the sample_index draw of
+    rng.substream(i), for any (seed, tag, shots)."""
+
+    @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64))
+    def test_phase_estimates(self, seed, tag, shots):
+        plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
+        u, eigenstate = phase_unitary(1 / 3), basis_state(1, 1)
+        rng = Stream(seed, tag)
+        dist = _pe_register_distribution(u, eigenstate, plan.b)
+        expected = per_stream_indices(dist, map(rng.substream, range(shots)))
+        estimates = phase_estimates(u, eigenstate, plan, shots, rng)
+        assert estimates == [i / float(1 << plan.b) for i in expected]
+
+    @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64))
+    def test_quantum_counts(self, seed, tag, shots):
+        f = BooleanOracle.from_solutions(3, [1, 6])
+        plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
+        rng = Stream(seed, tag)
+        expected = per_stream_counts(f, plan, map(rng.substream, range(shots)))
+        assert quantum_counts(f, plan, shots, rng) == expected
+
+    @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64))
+    def test_grover_search(self, seed, tag, shots):
+        f = BooleanOracle.from_solutions(7, [5, 77])
+        rng = Stream(seed, tag)
+        expected = per_stream_indices(_grover_probs(f, 2), map(rng.substream, range(shots)))
+        assert grover_search(f, 2, shots, rng).tolist() == expected
 
 
 class TestModMul:
@@ -494,11 +539,8 @@ class TestPhaseEstimationBoundGrid:
             rng = Stream(61, f"grid/{zeta}/{eps}/{idx}")
             hits = sum(
                 1
-                for i in range(runs)
-                if phase_distance(
-                    phase_estimate(u, eigenstate, plan, rng.substream(i)), phi
-                )
-                <= zeta
+                for est in phase_estimates(u, eigenstate, plan, runs, rng)
+                if phase_distance(est, phi) <= zeta
             )
             sigma = math.sqrt((1 - eps) * eps / runs)
             assert hits / runs >= 1 - eps - 3 * sigma, (phi, zeta, eps, hits / runs)
@@ -513,9 +555,7 @@ class TestGroverEmpiricalPairs:
         plan = GroverPlan.for_counts(n, m)
         runs = 400
         rng = Stream(67, f"gp/{bits}/{m}")
-        hits = sum(
-            1 for i in range(runs) if grover_search(f, m, rng.substream(i)) in solutions
-        )
+        hits = sum(1 for idx in grover_search(f, m, runs, rng).tolist() if idx in solutions)
         p = math.sin((2 * plan.R + 1) * plan.theta / 2) ** 2
         sigma = math.sqrt(p * (1 - p) / runs) if p < 1 else 0.0
         assert hits / runs >= (1 - m / n) - 3 * sigma

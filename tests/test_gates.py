@@ -134,6 +134,13 @@ class TestOracle:
         with pytest.raises(ResourceError):
             oracle_uf(BooleanOracle(12, fn=lambda x: 0))
 
+    def test_callable_oracle_above_table_cap_rejected(self):
+        def never(x):
+            raise AssertionError("the callable must not be evaluated")
+
+        with pytest.raises(ResourceError):
+            BooleanOracle(21, fn=never)
+
 
 class TestHadamardLayer:
     def test_single_qubit(self):

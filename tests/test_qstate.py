@@ -209,6 +209,16 @@ class TestMeasureObservable:
             values = sorted(Observable(mat).eigenvalues())
             np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-10)
 
+    @pytest.mark.parametrize("mat,message", [
+        ([[0, 1], [0, 0]], "matrix is not Hermitian: max |A - A†| = 1.000e+00"),
+        ([[1, 0, 0], [0, 1, 0]], "expected a square matrix, got shape (2, 3)"),
+        ([[1, 0], [0, np.nan]], "matrix contains non-finite entries"),
+    ])
+    def test_observable_rejects_invalid_matrices(self, mat, message):
+        with pytest.raises(ValidationError) as err:
+            Observable(mat)
+        assert str(err.value) == message
+
     def test_projection_idempotence(self):
         obs = Observable(PAULI_X + 0.3 * PAULI_Z)
         rng = Stream(13, "idem")
