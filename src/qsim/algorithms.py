@@ -158,10 +158,22 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
         else:
             cols[:, 1 << j : 2 << j] = cols[source, : 1 << j]
             source = source[source]
-    return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
+    # In place: a call holds two (support x 2^b) buffers, not four, and glibc
+    # hands freed ones of this size back to the kernel to be faulted in again.
+    np.fft.fft(cols, norm="forward", out=cols)
+    mag = np.abs(cols)
+    np.square(mag, out=mag)
+    return mag.sum(axis=0)
 
 
 EIGENSTATE_TOL = 1e-8
+
+
+def _first_draws(shots: int, rng: Stream) -> np.ndarray:
+    """The first uniform of rng.substream(i) for each shot i."""
+    if shots < 1:
+        raise DomainError("need at least one shot")
+    return rng.uniforms(np.arange(shots), 1)[:, 0]
 
 
 def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: int,
@@ -173,12 +185,13 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
     """
+    draws = _first_draws(shots, rng)
     applied = u.matrix @ eigenstate.amps
     lam = complex(np.vdot(eigenstate.amps, applied))
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
     dist = _pe_register_distribution(u, eigenstate, plan.b)
-    indices = sample_indices(dist, rng.uniforms(np.arange(shots), 1)[:, 0]).tolist()
+    indices = sample_indices(dist, draws).tolist()
     return [i / float(1 << plan.b) for i in indices]
 
 
@@ -261,7 +274,7 @@ def grover_search(f: BooleanOracle, M: int, shots: int, rng: Stream) -> np.ndarr
     """Run Grover search and measure `shots` times, shot i drawn from
     rng.substream(i); each returned index satisfies f with probability at
     least 1 - M/N."""
-    return sample_indices(_grover_probs(f, M), rng.uniforms(np.arange(shots), 1)[:, 0])
+    return sample_indices(_grover_probs(f, M), _first_draws(shots, rng))
 
 
 def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) -> float:
@@ -286,11 +299,12 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -
     The uniform state splits over the e^{+-i theta} eigenvectors; estimates
     above one half are folded down before inverting sin^2(theta/2) = M/N.
     """
+    draws = _first_draws(shots, rng)
     N = 1 << f.b
     gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
     dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
     counts = []
-    for i in sample_indices(dist, rng.uniforms(np.arange(shots), 1)[:, 0]).tolist():
+    for i in sample_indices(dist, draws).tolist():
         omega = i / float(1 << plan.b)
         theta = 2.0 * math.pi * min(omega, 1.0 - omega)
         counts.append(min(max(round(N * math.sin(theta / 2.0) ** 2), 0), N))

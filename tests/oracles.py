@@ -101,6 +101,23 @@ def pe_register_full_columns(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarr
     return (np.abs(np.fft.fft(rows, axis=0) / (1 << b)) ** 2).sum(axis=1)
 
 
+def pe_register_out_of_place(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarray:
+    """Register distribution of phase estimation on the closed support of
+    psi under U, every step out of place: the columns U^j|psi> by doubling
+    with matrix products, the DFT into a new array, and the squared
+    magnitudes as new arrays. The library's route must equal it in every bit."""
+    live = psi != 0
+    while (grown := live | (u[:, live] != 0).any(axis=1)).sum() > live.sum():
+        live = grown
+    power = u[np.ix_(live, live)]
+    cols = np.empty((power.shape[0], 1 << b), dtype=complex)
+    cols[:, 0] = psi[live]
+    for j in range(b):
+        cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
+        power = power @ power
+    return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
+
+
 def kahan_sample_index(probs, rng):
     """The scalar Born sampler before the filter: a Python scan of the
     Kahan CDF. Returns (index, probs[index])."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     circuit_unitary,
     pe_register_distribution,
     pe_register_full_columns,
+    pe_register_out_of_place,
     per_stream_indices,
 )
 from qsim.algorithms import (
@@ -25,6 +27,7 @@ from qsim.algorithms import (
     modmul_unitary,
     order_brute_force,
     order_find,
+    phase_coverage,
     phase_distance,
     phase_estimates,
     qft,
@@ -180,7 +183,7 @@ class TestPhaseEstimation:
         fft = np.fft.fft
         seen = []
         monkeypatch.setattr(np.fft, "fft",
-                            lambda a, **kw: seen.append(a) or fft(a, **kw))
+                            lambda a, **kw: seen.append(a.copy()) or fft(a, **kw))
         cases = [(phase_unitary(1.0 / 3.0), basis_state(1, 1), b) for b in range(1, 9)]
         for n in range(2, 22):
             for x in range(1, n):
@@ -195,32 +198,35 @@ class TestPhaseEstimation:
         assert len(cases) == 8 + 139 and not seen
 
     def test_permutation_gather_is_bit_equal_to_the_product(self):
-        # modular multiplication takes the row-gather route; the doubling by
-        # matrix products must give the same distribution in every bit
-        def by_products(u, state, b):
-            live = state.amps != 0
-            while (grown := live | (u.matrix[:, live] != 0).any(axis=1)).sum() > live.sum():
-                live = grown
-            power = u.matrix[np.ix_(live, live)]
-            cols = np.empty((power.shape[0], 1 << b), dtype=complex)
-            cols[:, 0] = state.amps[live]
-            for j in range(b):
-                cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
-                power = power @ power
-            return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
-
+        # modular multiplication takes the row-gather route and an in-place
+        # DFT; the out-of-place route by matrix products must give the same
+        # distribution in every bit, for |1> at order finding's b = 2k + 4
         cases = 0
         for n in range(2, 34):
             for x in range(1, n):
                 if math.gcd(x, n) == 1:
                     gate = modmul_unitary(x, n)
                     k = len(gate.targets)
-                    for state in (basis_state(k, 1), random_state(k, Stream(n, f"perm{x}"))):
-                        b = min(2 * k + 4, 12)
+                    for state, b in ((basis_state(k, 1), 2 * k + 4),
+                                     (random_state(k, Stream(n, f"perm{x}")), min(2 * k + 4, 12))):
                         got = _pe_register_distribution(gate, state, b)
-                        assert got.tobytes() == by_products(gate, state, b).tobytes()
+                        want = pe_register_out_of_place(gate.matrix, state.amps, b)
+                        assert got.tobytes() == want.tobytes()
                         cases += 1
         assert cases == 2 * 343
+
+    @given(k=st.integers(1, 3), b=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_in_place_route_is_bit_equal_to_the_out_of_place_route(self, k, b, seed):
+        # the DFT overwrites the columns and the squares overwrite the
+        # magnitudes; neither may change a bit of the distribution
+        gen = np.random.default_rng(seed)
+        dim = 1 << k
+        u = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
+        psi = (gen.normal(size=dim) + 1j * gen.normal(size=dim)) * (gen.random(dim) < 0.7)
+        psi[gen.integers(dim)] += 1.0
+        psi /= np.linalg.norm(psi)
+        got = _pe_register_distribution(GateOp("u", u, range(k)), StateVector(k, psi), b)
+        assert got.tobytes() == pe_register_out_of_place(u, psi, b).tobytes()
 
     def test_block_diagonal_unitary_with_psi_inside_one_block(self):
         gen = np.random.default_rng(5)
@@ -285,6 +291,22 @@ class TestPhaseEstimation:
     def test_wraparound_distance(self):
         assert phase_distance(0.98, 0.01) == pytest.approx(0.03)
         assert phase_distance(0.25, 0.75) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("x, n", [(2, 21), (2, 15), (1, 21)])
+    def test_warm_call_peaks_at_most_34_bytes_per_column_entry(self, x, n):
+        # the columns (16 bytes an entry), one magnitude array (8) and the
+        # result; a DFT or squares into new arrays would add 16 or 8 more
+        gate = modmul_unitary(x, n)
+        k = len(gate.targets)
+        one = basis_state(k, 1)
+        _pe_register_distribution(gate, one, 2 * k + 4)
+        tracemalloc.start()
+        try:
+            _pe_register_distribution(gate, one, 2 * k + 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * (order_brute_force(x, n) << (2 * k + 4))
 
     def test_register_cap(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "6")
@@ -433,6 +455,27 @@ class TestShotsMatchPerShotStreams:
         rng = Stream(seed, tag)
         expected = per_stream_indices(_grover_probs(f, 2), map(rng.substream, range(shots)))
         assert grover_search(f, 2, shots, rng).tolist() == expected
+
+
+PLAN = PhasePlan(zeta=2.0**-5, epsilon=0.1)
+SAMPLERS = {
+    "phase_estimates": lambda shots, rng: phase_estimates(
+        phase_unitary(1 / 3), basis_state(1, 1), PLAN, shots, rng),
+    "phase_coverage": lambda shots, rng: phase_coverage(1 / 3, PLAN, shots, rng),
+    "quantum_counts": lambda shots, rng: quantum_counts(
+        BooleanOracle.from_solutions(3, [1, 6]), PLAN, shots, rng),
+    "grover_search": lambda shots, rng: grover_search(
+        BooleanOracle.from_solutions(3, [5]), 1, shots, rng),
+    "grover_success_rate": lambda shots, rng: grover_success_rate(
+        BooleanOracle.from_solutions(3, [5]), 5, shots, rng),
+}
+
+
+@pytest.mark.parametrize("shots", [0, -1])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_shots_below_one_are_rejected(sampler, shots):
+    with pytest.raises(DomainError, match="need at least one shot"):
+        SAMPLERS[sampler](shots, Stream(29, "no-shots"))
 
 
 class TestModMul:
