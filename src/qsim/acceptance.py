@@ -272,6 +272,20 @@ def criterion_9_qec(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
+def _repeat_successes(rng: Stream, trials: int, eps: float, budget: int) -> int:
+    """Trials in which repeat_verified accepts an attempt within `budget`,
+    attempt i of trial t accepting when the i-th uniform of rng.substream(t)
+    is at least eps; trial t's uniforms are row t of `rng.uniforms`."""
+    successes = 0
+    for row in rng.uniforms(np.arange(trials), budget).tolist():
+        try:
+            statharness.repeat_verified(lambda attempt: row[attempt - 1] >= eps, bool, budget)
+            successes += 1
+        except NotFoundError:
+            pass
+    return successes
+
+
 def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
     """Verified-repetition law, trimmed-mean bound vs Monte Carlo, and the
     exact values for the (eps = 0.3, alpha = 0.2) worked example."""
@@ -279,17 +293,7 @@ def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
     eps = 0.3
     budget = 6
     trials = 10_000
-    rng = Stream(SEED, "acc/stats/repeat")
-    successes = 0
-    for t in range(trials):
-        stream = rng.substream(t)
-        try:
-            statharness.repeat_verified(
-                lambda attempt: stream.uniform() >= eps, lambda good: good, budget
-            )
-            successes += 1
-        except NotFoundError:
-            pass
+    successes = _repeat_successes(Stream(SEED, "acc/stats/repeat"), trials, eps, budget)
     expect = 1.0 - eps**budget
     sigma = math.sqrt(expect * (1.0 - expect) / trials)
     ok = _check(details, "repeat_rate",
@@ -303,18 +307,11 @@ def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
     bad_offset = 2.6 * zeta
     phi = 0.25
     bound = statharness.trimmed_success_bound(n, eps, alpha)
-    model = statharness.GrossErrorModel(
-        epsilon=eps,
-        good=statharness.point_mass(phi),
-        bad=statharness.point_mass(phi + bad_offset),
-    )
     mc_trials = 10_000
-    mc_rng = Stream(SEED, "acc/stats/trimmed")
-    hits = 0
-    for t in range(mc_trials):
-        sample = model.sample(n, mc_rng.substream(t))
-        if abs(statharness.trimmed_mean(sample, alpha) - phi) <= zeta:
-            hits += 1
+    samples = statharness.point_mass_mixture(eps, phi, phi + bad_offset, n, mc_trials,
+                                             Stream(SEED, "acc/stats/trimmed"))
+    hits = sum(1 for sample in samples.tolist()
+               if abs(statharness.trimmed_mean(sample, alpha) - phi) <= zeta)
     sigma = math.sqrt(max(bound.exact * (1.0 - bound.exact), 1e-12) / mc_trials)
     ok &= _check(details, "trimmed_mc_rate",
                  abs(hits / mc_trials - bound.exact) <= 3.0 * sigma, hits / mc_trials)

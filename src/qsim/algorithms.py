@@ -6,6 +6,7 @@ b-qubit register, the controlled-U^(2^j) ladder (register qubit j controls
 U^(2^(b-1-j))), an inverse QFT, and a register measurement whose value
 over 2^b estimates the eigenphase. The register distribution takes the
 inverse QFT as a DFT (np.fft); the acceptance suite checks the QFT circuit.
+Order finding's register distribution has Shor's closed form instead.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .gates import (
     run_circuit,
     swap_gate,
 )
-from .qstate import StateVector, _check_qubit_count, basis_state, fidelity, random_state
+from .qstate import StateVector, _check_dense_qubits, _check_qubit_count, basis_state
+from .qstate import fidelity, random_state
 from .rng import Stream, sample_index, sample_indices
 
 
@@ -92,6 +94,7 @@ def apply_qft(s: StateVector) -> StateVector:
 def dft_matrix(n: int) -> np.ndarray:
     """Dense 2^n DFT matrix |j> -> sum_k e^{2 pi i jk / 2^n} |k> / sqrt(2^n);
     the brute-force oracle for the QFT circuit."""
+    _check_dense_qubits(n, "the dense DFT")
     dim = 1 << n
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     return np.exp(2j * math.pi * j * k / dim).T / math.sqrt(dim)
@@ -100,8 +103,8 @@ def dft_matrix(n: int) -> np.ndarray:
 def qft_check(n: int, rng: Stream) -> tuple[float, float]:
     """(largest amplitude error of the QFT circuit against the dense DFT,
     fidelity of a random state from rng after the QFT and its inverse)."""
-    dense = dft_matrix(n)
     circuit = qft(n)
+    dense = dft_matrix(n)
     worst = 0.0
     for j in range(1 << n):
         out = run_circuit(circuit, basis_state(n, j))
@@ -120,17 +123,9 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
 
     After the Hadamard layer and the controlled-U^(2^j) ladder the state is
     sum_j |j> (x) U^j|psi> / sqrt(2^b). Every U^j|psi> lies on the closed
-    support of psi under U (for order finding, the orbit of |1>), so U is
-    restricted to it exactly; the columns U^j|psi> are built by doubling
-    with the repeated squares of U, and the inverse QFT on the register is
-    a DFT along j.
-
-    When U restricted to the support is a 0/1 permutation (modular
-    multiplication), U c is the row gather c[source] and each square is
-    source[source]: the same values as the product, without a BLAS call.
-    BLAS splits the larger products across threads, which buys no wall
-    time at these sizes and makes the run depend on whether another CPU
-    is free.
+    support of psi under U, so U is restricted to it exactly; the columns
+    U^j|psi> are built by doubling with the repeated squares of U, and the
+    inverse QFT on the register is a DFT along j.
     """
     if u.controls:
         raise DomainError("phase estimation takes an uncontrolled unitary")
@@ -146,18 +141,9 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
     power = u.matrix[np.ix_(live, live)]
     cols = np.empty((power.shape[0], 1 << b), dtype=complex)
     cols[:, 0] = state.amps[live]
-    ones = power == 1
-    source = None
-    # U is unitary, so n nonzero entries, all of them 1, make a permutation
-    if np.count_nonzero(ones) == len(power) == np.count_nonzero(power):
-        source = ones.argmax(axis=1)  # row i of U c is c[source[i]]
     for j in range(b):
-        if source is None:
-            cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
-            power = power @ power
-        else:
-            cols[:, 1 << j : 2 << j] = cols[source, : 1 << j]
-            source = source[source]
+        cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
+        power = power @ power
     # In place: a call holds two (support x 2^b) buffers, not four, and glibc
     # hands freed ones of this size back to the kernel to be faulted in again.
     np.fft.fft(cols, norm="forward", out=cols)
@@ -285,6 +271,7 @@ def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) 
 def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
     """Dense N x N Grover operator: oracle phase flip followed by the
     reflection about the uniform state."""
+    _check_dense_qubits(f.b, "the dense Grover operator")
     N = 1 << f.b
     signs = _oracle_signs(f)
     reflect = 2.0 / N * np.ones((N, N)) - np.eye(N)
@@ -317,16 +304,21 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -
 ORDER_MAX_MODULUS = 64
 
 
-def modmul_unitary(x: int, N: int) -> GateOp:
-    """Permutation gate |y> -> |x y mod N> on ceil(log2 N) qubits,
-    identity on padding states y >= N."""
+def _modmul_qubits(x: int, N: int) -> int:
+    """Check that y -> x y mod N is a permutation; its qubit count ceil(log2 N)."""
     if N < 2:
         raise DomainError("modulus must be at least 2")
     if not 1 <= x < N:
         raise DomainError(f"base x = {x} must satisfy 1 <= x < N")
     if math.gcd(x, N) != 1:
         raise DomainError(f"gcd({x}, {N}) != 1; modular multiplication is not invertible")
-    k = max(1, math.ceil(math.log2(N)))
+    return max(1, math.ceil(math.log2(N)))
+
+
+def modmul_unitary(x: int, N: int) -> GateOp:
+    """Permutation gate |y> -> |x y mod N> on ceil(log2 N) qubits,
+    identity on padding states y >= N."""
+    k = _modmul_qubits(x, N)
     dim = 1 << k
     mat = np.zeros((dim, dim), dtype=complex)
     for y in range(dim):
@@ -364,22 +356,66 @@ def _order_candidate(phi: float, x: int, N: int, window: float):
     return None
 
 
+def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
+    """Register distribution of order finding, in closed form (Shor 1997,
+    section 5; Nielsen & Chuang 5.3.1): the phase-estimation distribution
+    of multiplication by x mod N from |1>, whose orbit has length r.
+
+    U^j|1> = |x^j mod N> depends on j mod r only, so orbit offset t < r
+    collects the n_t register values j = t, t + r, ... below M = 2^b:
+    L = ceil(M/r) of them for the a = M - (L-1) r offsets t < a, L - 1 for
+    the rest. Their DFT at m is a geometric sum in e^{-2 pi i k / M},
+    k = m r mod M, so with S(j) = sin^2(pi j / M)
+
+        P(m) = [a S(k L) + (r - a) S(k (L-1))] / (M^2 S(k)),
+
+    and P(m) = (a L^2 + (r - a) (L-1)^2) / M^2 where k = 0, that is where
+    M / gcd(r, M) divides m. Every argument is reduced mod M on integers.
+    S(M - j) = S(j) and P(M - m) = P(m), so both are computed up to M/2 and
+    mirrored.
+    """
+    M = 1 << b
+    L = -(-M // r)
+    a = M - (L - 1) * r
+    m = np.arange(M // 2 + 1)
+    sin2 = np.sin(np.pi / M * m) ** 2
+    sin2 = np.concatenate((sin2, sin2[-2:0:-1]))
+
+    def s_of(c):  # S(m c mod M) for every m <= M/2
+        return sin2[(m * c) & (M - 1)]
+
+    dist = a / M**2 * s_of(r * L) + (r - a) / M**2 * s_of(r * (L - 1))
+    den = s_of(r)
+    peaks = slice(None, None, M // math.gcd(r, M))
+    den[peaks] = 1.0
+    dist /= den
+    dist[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
+    return np.concatenate((dist, dist[-2:0:-1]))
+
+
 def order_find(x: int, N: int, rng: Stream, max_runs: int = 25) -> int:
     """Find the order of x modulo N by phase estimation on the modular
     multiplication gate, started from register state |1> (the uniform
     mixture of the eigenvectors u_s with phases s/r).
 
-    Each run measures a phase estimate, recovers a candidate denominator,
-    and verifies x^r = 1 (mod N); repetition is driven by the verified
-    repetition strategy. Raises NotFoundError when the budget is exhausted.
+    The register distribution is the closed form of
+    `_orbit_register_distribution`, from the length r of the orbit of 1
+    under y -> x y mod N; `modmul_unitary` and `_pe_register_distribution`
+    are the dense route it stands for. Each run measures a phase estimate,
+    recovers a candidate denominator, and verifies x^r = 1 (mod N);
+    repetition is driven by the verified repetition strategy. Raises
+    NotFoundError when the budget is exhausted.
     """
     if N > ORDER_MAX_MODULUS:
         raise ResourceError(f"order finding is dense desk scale: N <= {ORDER_MAX_MODULUS}")
-    gate = modmul_unitary(x, N)
-    k = len(gate.targets)
+    k = _modmul_qubits(x, N)
     b = 2 * k + 4
+    _check_qubit_count(b + k)
     window = 0.5 ** (2 * k + 1)
-    dist = _pe_register_distribution(gate, basis_state(k, 1), b)
+    r, y = 1, x
+    while y != 1:
+        r, y = r + 1, y * x % N
+    dist = _orbit_register_distribution(r, b)
     scale = float(1 << b)
 
     def run(attempt: int):

@@ -114,8 +114,6 @@ def _run_phase_est(args):
 
 @experiment("grover")
 def _run_grover(args):
-    if args.marked >= (1 << args.bits):
-        raise QsimError("marked index out of range")
     f = gates.BooleanOracle.from_solutions(args.bits, [args.marked])
     plan = algorithms.GroverPlan.for_counts(1 << args.bits, 1)
     rate = algorithms.grover_success_rate(f, args.marked, args.shots,

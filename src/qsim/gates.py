@@ -22,6 +22,7 @@ from .errors import DomainError, ResourceError, ValidationError
 from .qstate import (
     StateVector,
     _apply_matrix,
+    _check_dense_qubits,
     _check_qubit_count,
     _check_targets,
     _from_pairs,
@@ -41,9 +42,16 @@ SWAP_MATRIX = np.array(
 
 _NAMED_MATRICES = {"h": HADAMARD_MATRIX, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-# dense oracle_uf matrices are test-scale only
-_ORACLE_DENSE_MAX_BITS = 8
 _ORACLE_TABLE_MAX_BITS = 20
+
+
+def _check_table_bits(b: int) -> None:
+    """An oracle table has 2^b entries: 1 <= b <= _ORACLE_TABLE_MAX_BITS."""
+    if b < 1:
+        raise DomainError("oracle needs at least one input bit")
+    if b > _ORACLE_TABLE_MAX_BITS:
+        raise ResourceError(f"an oracle table holds at most {_ORACLE_TABLE_MAX_BITS} bits, "
+                            f"got {b}")
 
 
 class GateOp:
@@ -114,8 +122,8 @@ class Circuit:
 class BooleanOracle:
     """A total function {0,..,2^b - 1} -> {0, 1}.
 
-    Values are materialized as a lookup table; a callable is tabulated at
-    construction, up to 20 input bits.
+    Values are materialized as a lookup table; a callable or a solution
+    list is tabulated at construction, up to 20 input bits.
     """
 
     __slots__ = ("b", "table")
@@ -130,16 +138,14 @@ class BooleanOracle:
                 raise ValidationError("oracle table must hold 2^b zero/one entries")
             self.table = arr
         elif fn is not None:
-            if b > _ORACLE_TABLE_MAX_BITS:
-                raise ResourceError(
-                    f"a callable oracle is tabulated; {b} bits exceeds {_ORACLE_TABLE_MAX_BITS}"
-                )
+            _check_table_bits(b)
             self.table = np.array([1 if fn(x) else 0 for x in range(1 << b)], dtype=np.uint8)
         else:
             raise DomainError("provide either a callable or a table")
 
     @classmethod
     def from_solutions(cls, b: int, solutions) -> "BooleanOracle":
+        _check_table_bits(b)
         table = np.zeros(1 << b, dtype=np.uint8)
         for x in solutions:
             if not 0 <= x < (1 << b):
@@ -206,10 +212,7 @@ def oracle_uf(f: BooleanOracle) -> GateOp:
     Built as a dense permutation matrix; the data register occupies the
     top b qubits, the target qubit is last.
     """
-    if f.b > _ORACLE_DENSE_MAX_BITS:
-        raise ResourceError(
-            f"dense oracle embedding supports at most {_ORACLE_DENSE_MAX_BITS} input bits"
-        )
+    _check_dense_qubits(f.b + 1, "dense oracle embedding")
     values = f.values()
     dim = 1 << (f.b + 1)
     mat = np.zeros((dim, dim), dtype=complex)

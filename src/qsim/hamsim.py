@@ -20,12 +20,11 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, ResourceError, ValidationError
 from .gates import PAULI_X, PAULI_Z, hadamard_layer
-from .qstate import Observable, StateVector, _apply_matrix, _check_targets, basis_state
-from .qstate import _from_pairs, _to_pairs
+from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
+from .qstate import _from_pairs, _to_pairs, basis_state
 from .rng import Stream
 from .statharness import QmcResult, qmc_estimate
 
-EXACT_ORACLE_MAX_QUBITS = 10
 MAX_TERM_QUBITS = 3
 
 
@@ -61,10 +60,7 @@ class HamiltonianTerms:
 
     def assemble(self) -> np.ndarray:
         """Dense total Hamiltonian 2 * sum_l embed(H_l); oracle scale only."""
-        if self.qubits > EXACT_ORACLE_MAX_QUBITS:
-            raise ResourceError(
-                f"dense assembly supports at most {EXACT_ORACLE_MAX_QUBITS} qubits"
-            )
+        _check_dense_qubits(self.qubits, "dense assembly")
         dim = 1 << self.qubits
         total = np.zeros((dim, dim), dtype=complex)
         for mat, targets in self.terms:
@@ -112,8 +108,7 @@ def exact_evolve(h: HamiltonianTerms, t: float, psi0: StateVector) -> StateVecto
 
 def _evolve_dense(total: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
     """e^{-i H t} amps for a dense Hermitian H, through its eigendecomposition."""
-    if total.shape[0] > 1 << EXACT_ORACLE_MAX_QUBITS:
-        raise ResourceError(f"dense evolution supports at most {EXACT_ORACLE_MAX_QUBITS} qubits")
+    _check_dense_qubits(total.shape[0].bit_length() - 1, "dense evolution")
     vals, vecs = linalg.eigh(total)
     phases = np.exp(-1j * vals * t)
     return vecs @ (phases * (vecs.conj().T @ amps))
@@ -149,8 +144,7 @@ class TrotterStep:
 
     def dense(self) -> np.ndarray:
         """Dense U_delta for oracle-scale checks."""
-        if self.qubits > EXACT_ORACLE_MAX_QUBITS:
-            raise ResourceError("dense step supports oracle scale only")
+        _check_dense_qubits(self.qubits, "dense step")
         dim = 1 << self.qubits
         out = np.eye(dim, dtype=complex)
         for mat, targets in self.factors:

@@ -36,6 +36,8 @@ ENTROPY_CLAMP = 1e-14
 IMAG_RESIDUE_ERROR = 1e-8
 DEFAULT_QUBIT_CAP = 24
 QUBIT_CAP_ENV = "QSIM_MAX_QUBITS"
+# Dense 2^n x 2^n matrices (oracles, exact evolution): 16 MiB at 10 qubits.
+DENSE_MAX_QUBITS = 10
 
 
 def qubit_cap() -> int:
@@ -59,6 +61,12 @@ def _check_qubit_count(b: int) -> int:
     if b > cap:
         raise ResourceError(f"{b} qubits exceeds the configured cap of {cap}")
     return int(b)
+
+
+def _check_dense_qubits(n: int, what: str) -> None:
+    """Refuse a dense 2^n x 2^n matrix above DENSE_MAX_QUBITS, before allocating it."""
+    if n > DENSE_MAX_QUBITS:
+        raise ResourceError(f"{what} supports at most {DENSE_MAX_QUBITS} qubits")
 
 
 class StateVector:

@@ -78,6 +78,16 @@ def point_mass(value: float):
     return lambda rng: value
 
 
+def point_mass_mixture(epsilon: float, good: float, bad: float, n: int, shots: int,
+                       rng: Stream) -> np.ndarray:
+    """(shots, n) samples; row t is, bit for bit, GrossErrorModel(epsilon,
+    point_mass(good), point_mass(bad)).sample(n, rng.substream(t)). A point
+    mass draws nothing, so sample j is `bad` exactly when uniform j of the
+    substream is below epsilon."""
+    GrossErrorModel(epsilon, point_mass(good), point_mass(bad))  # checks epsilon
+    return np.where(rng.uniforms(np.arange(shots), n) < epsilon, bad, good)
+
+
 @dataclass(frozen=True)
 class RepetitionReport:
     """Outcome of a repeat-until-verified loop."""

@@ -25,10 +25,11 @@ from qsim.qec import (
     syndrome_measure,
 )
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
-from qsim.errors import InternalError
+from qsim.errors import InternalError, NotFoundError
 from qsim.linalg import require_hermitian
 from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
 from qsim.rng import PROB_FLOOR, _checked_cdf, sample_index
+from qsim.statharness import repeat_verified
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -170,6 +171,20 @@ def exact_binomial_tail(n: int, k_lo: int, p_num: int, p_den: int) -> float:
     for k in range(max(k_lo, 0), n + 1):
         total += comb(n, k) * p**k * (1 - p) ** (n - k)
     return float(total)
+
+
+def repeat_successes_by_trial(rng, trials: int, eps: float, budget: int) -> int:
+    """Criterion 10's repetition loop before batching: trial t calls
+    rng.substream(t).uniform() once per attempt inside repeat_verified."""
+    successes = 0
+    for t in range(trials):
+        stream = rng.substream(t)
+        try:
+            repeat_verified(lambda attempt: stream.uniform() >= eps, lambda good: good, budget)
+            successes += 1
+        except NotFoundError:
+            pass
+    return successes
 
 
 def expectation_by_loops(amps, mat) -> complex:

@@ -27,21 +27,25 @@ from qsim.algorithms import (
     modmul_unitary,
     order_brute_force,
     order_find,
+    order_trial,
     phase_coverage,
     phase_distance,
     phase_estimates,
     qft,
+    qft_check,
     quantum_counts,
     register_size,
     _grover_probs,
+    _orbit_register_distribution,
     _pe_register_distribution,
 )
+from qsim import algorithms
 from qsim import rng as qrng
-from qsim.acceptance import criterion_7_order_finding
+from qsim.acceptance import SEED, criterion_7_order_finding
 from qsim.errors import DomainError, NotFoundError, ResourceError, ValidationError
 from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
-from qsim.qstate import StateVector, basis_state, fidelity, random_state
-from qsim.rng import Stream
+from qsim.qstate import DENSE_MAX_QUBITS, StateVector, basis_state, fidelity, random_state
+from qsim.rng import Stream, sample_indices
 
 
 def phase_unitary(phi: float) -> GateOp:
@@ -86,6 +90,26 @@ class TestQft:
         s = random_state(5, Stream(1, "qft"))
         back = run_circuit(inverse_qft(5), apply_qft(s))
         assert fidelity(back, s) >= 1 - 1e-9
+
+
+def test_dense_oracles_are_capped_before_they_allocate(monkeypatch):
+    def no_array(*args, **kwargs):
+        raise AssertionError("a dense matrix was allocated")
+
+    f = BooleanOracle.from_solutions(DENSE_MAX_QUBITS + 1, [1])
+    with monkeypatch.context() as m:
+        for name in ("meshgrid", "ones", "exp"):
+            m.setattr(np, name, no_array)
+        with pytest.raises(ResourceError):
+            dft_matrix(DENSE_MAX_QUBITS + 1)
+        with pytest.raises(ResourceError):
+            qft_check(40, Stream(3, "qft-cap"))
+        with pytest.raises(ResourceError):
+            grover_operator_matrix(f)
+        with pytest.raises(ResourceError):
+            quantum_counts(f, PhasePlan(zeta=0.25, epsilon=0.25), 1, Stream(3, "count-cap"))
+    small = BooleanOracle.from_solutions(3, [1])
+    assert dft_matrix(3).shape == grover_operator_matrix(small).shape == (8, 8)
 
 
 class TestRegisterSize:
@@ -197,23 +221,22 @@ class TestPhaseEstimation:
             assert dist.tobytes() == divided.tobytes()
         assert len(cases) == 8 + 139 and not seen
 
-    def test_permutation_gather_is_bit_equal_to_the_product(self):
-        # modular multiplication takes the row-gather route and an in-place
-        # DFT; the out-of-place route by matrix products must give the same
-        # distribution in every bit, for |1> at order finding's b = 2k + 4
+    def test_products_are_bit_equal_to_the_out_of_place_route_for_modmul(self):
+        # modular multiplication from a random state: the in-place DFT and
+        # squares on the product-built columns must not change a bit
         cases = 0
         for n in range(2, 34):
             for x in range(1, n):
                 if math.gcd(x, n) == 1:
                     gate = modmul_unitary(x, n)
                     k = len(gate.targets)
-                    for state, b in ((basis_state(k, 1), 2 * k + 4),
-                                     (random_state(k, Stream(n, f"perm{x}")), min(2 * k + 4, 12))):
-                        got = _pe_register_distribution(gate, state, b)
-                        want = pe_register_out_of_place(gate.matrix, state.amps, b)
-                        assert got.tobytes() == want.tobytes()
-                        cases += 1
-        assert cases == 2 * 343
+                    state = random_state(k, Stream(n, f"perm{x}"))
+                    b = min(2 * k + 4, 12)
+                    got = _pe_register_distribution(gate, state, b)
+                    want = pe_register_out_of_place(gate.matrix, state.amps, b)
+                    assert got.tobytes() == want.tobytes()
+                    cases += 1
+        assert cases == 343
 
     @given(k=st.integers(1, 3), b=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
     def test_in_place_route_is_bit_equal_to_the_out_of_place_route(self, k, b, seed):
@@ -512,6 +535,64 @@ def run_circuit_like(gate, state):
 
 
 class TestOrderFind:
+    def test_closed_form_matches_the_dense_route(self):
+        # every coprime pair with N <= 33 at order finding's b = 2k + 4,
+        # against phase estimation on the dense modular multiplication gate
+        kinds = set()
+        for n in range(2, 34):
+            for x in range(1, n):
+                if math.gcd(x, n) != 1:
+                    continue
+                gate = modmul_unitary(x, n)
+                k = len(gate.targets)
+                b = 2 * k + 4
+                r = order_brute_force(x, n)
+                got = _orbit_register_distribution(r, b)
+                want = pe_register_out_of_place(gate.matrix, basis_state(k, 1).amps, b)
+                assert np.max(np.abs(got - want)) <= 1e-15, (n, x)
+                assert abs(got.sum() - 1.0) <= 1e-15, (n, x)
+                # draw i is the first uniform of criterion 7's substream i:
+                # attempts 1-25 of order_find, then 2,000 further draws
+                u = Stream(SEED, f"acc/order/{n}/{x}").uniforms(np.arange(1, 2026), 1)[:, 0]
+                assert np.array_equal(sample_indices(got, u), sample_indices(want, u)), (n, x)
+                kinds.add("r = 1" if r == 1 else "a = r" if (1 << b) % r == 0 else "a < r")
+        assert kinds == {"r = 1", "a = r", "a < r"}
+
+    @given(n=st.integers(2, 64), pick=st.integers(0, 2**32 - 1), b=st.integers(1, 10))
+    def test_closed_form_matches_the_dense_route_at_small_registers(self, n, pick, b):
+        # b <= 10 covers r >= M = 2^b (L = 1, a uniform register) as well
+        coprime = [x for x in range(1, n) if math.gcd(x, n) == 1]
+        x = coprime[pick % len(coprime)]
+        gate = modmul_unitary(x, n)
+        k = len(gate.targets)
+        got = _orbit_register_distribution(order_brute_force(x, n), b)
+        want = pe_register_out_of_place(gate.matrix, basis_state(k, 1).amps, b)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert abs(got.sum() - 1.0) <= 1e-15
+
+    def test_builds_no_dense_gate(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("order finding built a dense gate")
+
+        monkeypatch.setattr(algorithms, "modmul_unitary", dense)
+        monkeypatch.setattr(algorithms, "_pe_register_distribution", dense)
+        assert order_find(7, 15, Stream(59, "no-dense")) == 4
+
+    @pytest.mark.parametrize("n", range(33, 65))
+    def test_up_to_the_modulus_cap(self, n):
+        smallest = next(x for x in range(2, n) if math.gcd(x, n) == 1)
+        for x in (smallest, n - 1):
+            found, reference = order_trial(x, n, Stream(SEED, f"order-cap/{n}/{x}"))
+            assert found == reference == order_brute_force(x, n)
+
+    def test_checks_keep_their_order(self):
+        with pytest.raises(ResourceError):
+            order_find(6, 65, Stream(61, "cap"))
+        with pytest.raises(DomainError, match="gcd"):
+            order_find(6, 9, Stream(61, "gcd"))
+        with pytest.raises(DomainError, match="1 <= x < N"):
+            order_find(9, 9, Stream(61, "range"))
+
     def test_worked_examples(self):
         assert order_find(2, 5, Stream(37, "of1")) == 4
         assert order_find(4, 5, Stream(41, "of2")) == 2

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -202,3 +203,33 @@ def test_chsh_emit_shots_rows(capsys):
     first = shot_rows[0]
     assert {"shot", "setting", "alice", "bob"} <= set(first)
     assert first["alice"] in (-1, 1) and first["bob"] in (-1, 1)
+
+
+# Runs each argv through qsim.cli.main in one child whose address space is
+# capped before numpy is imported, so an uncapped dense allocation fails
+# there (MemoryError, a traceback) instead of exhausting the machine.
+_CAPPED_CHILD = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+from qsim.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        results.append((main(argv), err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
+    cases = [("qft", "14"), ("qft", "40"), ("count", "12"), ("count", "24"), ("count", "30"),
+             ("grover", "30"), ("grover", "-1"), ("count", "-1")]
+    argvs = [["run", "--experiment", name, "--bits", bits, "--shots", "5"] for name, bits in cases]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    for case, (code, err) in zip(cases, json.loads(proc.stdout)):
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)

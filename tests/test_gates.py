@@ -31,7 +31,15 @@ from qsim.gates import (
     swap_gate,
     uniform_with_ancilla,
 )
-from qsim.qstate import StateVector, basis_state, fidelity, random_state, states_equal, tensor
+from qsim.qstate import (
+    DENSE_MAX_QUBITS,
+    StateVector,
+    basis_state,
+    fidelity,
+    random_state,
+    states_equal,
+    tensor,
+)
 from qsim.rng import Stream
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -133,6 +141,23 @@ class TestOracle:
     def test_dense_oracle_cap(self):
         with pytest.raises(ResourceError):
             oracle_uf(BooleanOracle(12, fn=lambda x: 0))
+        with pytest.raises(ResourceError):  # 10 input bits and the target: 11 qubits
+            oracle_uf(BooleanOracle.from_solutions(DENSE_MAX_QUBITS, [1]))
+        assert oracle_uf(BooleanOracle.from_solutions(3, [1])).matrix.shape == (16, 16)
+
+    def test_solution_table_is_capped_before_it_is_allocated(self, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was allocated")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "zeros", no_table)
+            with pytest.raises(ResourceError):
+                BooleanOracle.from_solutions(21, [1])
+            with pytest.raises(DomainError):
+                BooleanOracle.from_solutions(0, [])
+            with pytest.raises(DomainError):
+                BooleanOracle.from_solutions(-1, [])
+        assert BooleanOracle.from_solutions(20, [5]).solution_count() == 1
 
     def test_callable_oracle_above_table_cap_rejected(self):
         def never(x):

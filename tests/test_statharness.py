@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_binomial_tail, qmc_by_shots, qrng_values
+from oracles import exact_binomial_tail, qmc_by_shots, qrng_values, repeat_successes_by_trial
+from qsim.acceptance import _repeat_successes
 from qsim.errors import DomainError, NotFoundError
 from qsim.gates import PAULI_X, PAULI_Z
 from qsim.hamsim import TrotterPlan, exact_evolve, ising_chain, qmc_problem, trotter_evolve
@@ -16,6 +17,7 @@ from qsim.statharness import (
     binomial_tail,
     chi_square_uniform,
     point_mass,
+    point_mass_mixture,
     qmc_estimate,
     quantum_rng,
     repeat_verified,
@@ -288,3 +290,28 @@ class TestGrossErrorModel:
         rng = Stream(37, "mix")
         draws = model.sample(20000, rng)
         assert abs(np.mean(draws) - 0.4) <= 3.0 * math.sqrt(0.24 / 20000)
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**64 - 1), eps=st.floats(0.0, 0.99),
+       good=st.floats(-1e3, 1e3), bad=st.floats(-1e3, 1e3),
+       n=st.integers(1, 60), shots=st.integers(1, 40))
+def test_point_mass_mixture_matches_the_per_shot_model(seed, eps, good, bad, n, shots):
+    rng = Stream(seed, "mixture")
+    model = GrossErrorModel(epsilon=eps, good=point_mass(good), bad=point_mass(bad))
+    expected = [model.sample(n, rng.substream(t)) for t in range(shots)]
+    assert point_mass_mixture(eps, good, bad, n, shots, rng).tolist() == expected
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**64 - 1), eps=st.floats(0.0, 1.0),
+       budget=st.integers(1, 8), trials=st.integers(1, 300))
+def test_batched_repetition_matches_the_per_trial_loop(seed, eps, budget, trials):
+    rng = Stream(seed, "repeat")
+    assert _repeat_successes(rng, trials, eps, budget) == repeat_successes_by_trial(
+        rng, trials, eps, budget)
+
+
+def test_point_mass_mixture_checks_epsilon():
+    with pytest.raises(DomainError):
+        point_mass_mixture(1.0, 0.0, 1.0, 3, 2, Stream(1, "eps"))
