@@ -5,11 +5,6 @@ Monte Carlo estimate at its stated tolerance, and returns a structured
 result. The CLI `acceptance` command prints one line per criterion; the
 pytest suite asserts each one. A criterion with a `qsim run` twin calls
 the same library function, and the threshold functions below serve both.
-
-`tol_scale` shrinks the central tolerance of a criterion and exists for
-the negative-control test (at 0 no criterion can pass, so a corrupted
-tolerance fails loudly); the published tolerances, which `qsim run
---assert` also applies, correspond to tol_scale = 1.
 """
 
 from __future__ import annotations
@@ -30,17 +25,17 @@ TSIRELSON = entangle.TSIRELSON_BOUND
 CHI2_99_9_DF15 = 37.697  # chi-square critical value, df = 15, right tail 0.001
 
 
-def within_4_sigma(estimate, reference, stderr, tol_scale: float = 1.0) -> bool:
-    return abs(estimate - reference) <= 4.0 * stderr * max(tol_scale, 1e-12)
+def within_4_sigma(estimate, reference, stderr) -> bool:
+    return abs(estimate - reference) <= 4.0 * stderr
 
 
-def teleport_ok(min_fidelity: float, tol_scale: float = 1.0) -> bool:
-    return min_fidelity >= 1.0 - 1e-10 * max(tol_scale, 1e-12)
+def teleport_ok(min_fidelity: float) -> bool:
+    return min_fidelity >= 1.0 - 1e-10
 
 
-def error_ok(error: float, tol_scale: float = 1.0) -> bool:
-    """An error that must vanish up to rounding; at tol_scale = 0 none passes."""
-    return error <= 1e-9 * tol_scale and tol_scale > 0
+def error_ok(error: float) -> bool:
+    """An error that must vanish up to rounding."""
+    return error <= 1e-9
 
 
 def unit_ok(value: float) -> bool:
@@ -55,9 +50,9 @@ def grover_ok(rate: float, plan: algorithms.GroverPlan, shots: int) -> bool:
     return rate >= 1.0 - 1.0 / plan.N - 3.0 * sigma
 
 
-def chi_square_ok(stat: float, tol_scale: float = 1.0) -> bool:
+def chi_square_ok(stat: float) -> bool:
     """Uniformity of 16 bins at the 0.1% level."""
-    return stat < CHI2_99_9_DF15 * max(tol_scale, 1e-12)
+    return stat < CHI2_99_9_DF15
 
 
 @dataclass
@@ -78,12 +73,12 @@ def _check(details, label, ok, value):
     return bool(ok)
 
 
-def criterion_1_chsh(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_1_chsh() -> tuple[bool, dict]:
     """Analytic CHSH value on the singlet and its Monte Carlo estimate."""
     details = {}
     start = time.perf_counter()
     analytic = entangle.chsh_quantum_value(entangle.singlet(), entangle.default_chsh_setting())
-    ok = _check(details, "analytic_error", abs(analytic - TSIRELSON) <= 1e-9 * tol_scale,
+    ok = _check(details, "analytic_error", abs(analytic - TSIRELSON) <= 1e-9,
                 abs(analytic - TSIRELSON))
     result = entangle.chsh_experiment(100_000, Stream(SEED, "acc/chsh"))
     ok &= _check(details, "mc_deviation_over_se",
@@ -95,7 +90,7 @@ def criterion_1_chsh(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_2_tsirelson(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_2_tsirelson() -> tuple[bool, dict]:
     """Quantum bound 2 sqrt(2) on random densities; classical bound 2."""
     details = {}
     start = time.perf_counter()
@@ -105,7 +100,7 @@ def criterion_2_tsirelson(tol_scale: float = 1.0) -> tuple[bool, dict]:
     for i in range(1000):
         rho = qstate.random_density(2, rng.substream(i))
         worst = max(worst, entangle.chsh_quantum_value(rho, setting))
-    ok = _check(details, "max_quantum_value", worst <= (TSIRELSON + 1e-9) * tol_scale, worst)
+    ok = _check(details, "max_quantum_value", worst <= TSIRELSON + 1e-9, worst)
     classical = entangle.classical_chsh_maximum()
     ok &= _check(details, "classical_max", classical == 2.0, classical)
     elapsed = time.perf_counter() - start
@@ -113,11 +108,11 @@ def criterion_2_tsirelson(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_3_teleport(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_3_teleport() -> tuple[bool, dict]:
     """Unit fidelity over random inputs; uniform classical bits."""
     details = {}
     worst, _ = entangle.teleport_trials(1000, Stream(SEED, "acc/teleport"))
-    ok = _check(details, "min_fidelity", teleport_ok(worst, tol_scale), worst)
+    ok = _check(details, "min_fidelity", teleport_ok(worst), worst)
 
     shots = 10_000
     psi = qstate.random_state(1, Stream(SEED, "acc/teleport/fixed"))
@@ -130,18 +125,18 @@ def criterion_3_teleport(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_4_qft(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_4_qft() -> tuple[bool, dict]:
     """Circuit vs dense DFT matrix for n = 1..6, and the round trip."""
     details = {}
     rng = Stream(SEED, "acc/qft")
     errors, fidelities = zip(*(algorithms.qft_check(n, rng.substream(n)) for n in range(1, 7)))
-    ok = _check(details, "max_amplitude_error", error_ok(max(errors), tol_scale), max(errors))
+    ok = _check(details, "max_amplitude_error", error_ok(max(errors)), max(errors))
     worst_rt = min(1.0, *fidelities)
     ok &= _check(details, "min_roundtrip_fidelity", unit_ok(worst_rt), worst_rt)
     return ok, details
 
 
-def criterion_5_phase_estimation(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_5_phase_estimation() -> tuple[bool, dict]:
     """Exact recovery of every b-bit phase, and the (zeta, epsilon) bound."""
     details = {}
     rng = Stream(SEED, "acc/pe-exact")
@@ -162,18 +157,18 @@ def criterion_5_phase_estimation(tol_scale: float = 1.0) -> tuple[bool, dict]:
     runs = 2000
     coverage = algorithms.phase_coverage(1.0 / 3.0, plan, runs, Stream(SEED, "acc/pe-bound"))
     sigma = math.sqrt(0.9 * 0.1 / runs)
-    threshold = ((1.0 - plan.epsilon) - 3.0 * sigma) / max(tol_scale, 1e-12)
+    threshold = (1.0 - plan.epsilon) - 3.0 * sigma
     ok &= _check(details, "coverage", coverage >= threshold, coverage)
     return ok, details
 
 
-def criterion_6_grover(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_6_grover() -> tuple[bool, dict]:
     """Certain success at (4,1); empirical success at (64,1); geometry."""
     details = {}
     f4 = gates.BooleanOracle.from_solutions(2, [3])
     amp = algorithms.grover_solution_amplitude(f4, 1, algorithms.grover_iterations(4, 1))
     error = abs(amp * amp - 1.0)
-    ok = _check(details, "n4_success_prob_error", error_ok(error, tol_scale), error)
+    ok = _check(details, "n4_success_prob_error", error_ok(error), error)
 
     f64 = gates.BooleanOracle.from_solutions(6, [37])
     plan = algorithms.GroverPlan.for_counts(64, 1)
@@ -189,7 +184,7 @@ def criterion_6_grover(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_7_order_finding(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_7_order_finding() -> tuple[bool, dict]:
     """Every coprime pair with N <= 21, against the brute-force order."""
     details = {}
     start = time.perf_counter()
@@ -207,17 +202,17 @@ def criterion_7_order_finding(tol_scale: float = 1.0) -> tuple[bool, dict]:
     elapsed = time.perf_counter() - start
     ok = _check(details, "pair_failures", not failures, failures[:5])
     details["pairs"] = pairs
-    ok &= _check(details, "runtime_s", elapsed < 60.0 * max(tol_scale, 1e-12), elapsed)
+    ok &= _check(details, "runtime_s", elapsed < 60.0, elapsed)
     return ok, details
 
 
-def criterion_8_trotter(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_8_trotter() -> tuple[bool, dict]:
     """Commuting exactness, second-order error slope, search-as-simulation."""
     details = {}
     commuting = hamsim.commuting_chain(3)
     psi3 = qstate.random_state(3, Stream(SEED, "acc/trotter/commuting"))
     err_commuting = hamsim.trotter_error(commuting, hamsim.TrotterPlan(1.0, 7), psi3)
-    ok = _check(details, "commuting_error", err_commuting < 1e-9 * tol_scale, err_commuting)
+    ok = _check(details, "commuting_error", err_commuting < 1e-9, err_commuting)
 
     model = hamsim.ising_chain(2)
     psi = qstate.random_state(2, Stream(SEED, "acc/trotter/slope"))
@@ -235,7 +230,7 @@ def criterion_8_trotter(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_9_qec(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_9_qec() -> tuple[bool, dict]:
     """Logical rate vs 3p^2 - 2p^3 at four p values; exhaustive Shor-9 sweep."""
     details = {}
     start = time.perf_counter()
@@ -249,7 +244,7 @@ def criterion_9_qec(tol_scale: float = 1.0) -> tuple[bool, dict]:
         predicted = qec.predicted_logical_rate(p)
         sigma = math.sqrt(predicted * (1.0 - predicted) / shots)
         rate_checks[p] = (rate, predicted)
-        ok &= abs(rate - predicted) <= 3.0 * sigma * max(tol_scale, 1e-12)
+        ok &= abs(rate - predicted) <= 3.0 * sigma
     details["rates"] = rate_checks
     elapsed = time.perf_counter() - start
     ok &= _check(details, "sweep_runtime_s", elapsed < 60.0, elapsed)
@@ -277,7 +272,7 @@ def _repeat_successes(rng: Stream, trials: int, eps: float, budget: int) -> int:
     attempt i of trial t accepting when the i-th uniform of rng.substream(t)
     is at least eps; trial t's uniforms are row t of `rng.uniforms`."""
     successes = 0
-    for row in rng.uniforms(np.arange(trials), budget).tolist():
+    for row in rng.shot_uniforms(trials, budget).tolist():
         try:
             statharness.repeat_verified(lambda attempt: row[attempt - 1] >= eps, bool, budget)
             successes += 1
@@ -286,7 +281,7 @@ def _repeat_successes(rng: Stream, trials: int, eps: float, budget: int) -> int:
     return successes
 
 
-def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_10_statistics() -> tuple[bool, dict]:
     """Verified-repetition law, trimmed-mean bound vs Monte Carlo, and the
     exact values for the (eps = 0.3, alpha = 0.2) worked example."""
     details = {}
@@ -297,7 +292,7 @@ def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
     expect = 1.0 - eps**budget
     sigma = math.sqrt(expect * (1.0 - expect) / trials)
     ok = _check(details, "repeat_rate",
-                abs(successes / trials - expect) <= 3.0 * sigma * max(tol_scale, 1e-12),
+                abs(successes / trials - expect) <= 3.0 * sigma,
                 successes / trials)
     details["repeat_expected"] = expect
 
@@ -328,13 +323,13 @@ def criterion_10_statistics(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_11_qmc(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_11_qmc() -> tuple[bool, dict]:
     """Bias/variance split of the Trotterized Monte Carlo estimator."""
     details = {}
     t_final, steps = 1.0, 2
     result = hamsim.trotter_qmc(t_final, steps, 10_000, Stream(SEED, "acc/qmc"))
     ok = _check(details, "sampling_deviation",
-                within_4_sigma(result.theta_hat, result.theta_prepared, result.stderr, tol_scale),
+                within_4_sigma(result.theta_hat, result.theta_prepared, result.stderr),
                 abs(result.theta_hat - result.theta_prepared))
     # The bias against dense routes that share no code with trotter_qmc:
     # the dense Trotter step applied `steps` times, and the matrix exponential.
@@ -351,11 +346,11 @@ def criterion_11_qmc(tol_scale: float = 1.0) -> tuple[bool, dict]:
     return ok, details
 
 
-def criterion_12_qrng(tol_scale: float = 1.0) -> tuple[bool, dict]:
+def criterion_12_qrng() -> tuple[bool, dict]:
     """Chi-square uniformity of 4-bit extraction at 10^5 shots."""
     details = {}
     stat = statharness.quantum_rng_chi_square(4, 100_000, Stream(SEED, "acc/qrng"))
-    ok = _check(details, "chi_square", chi_square_ok(stat, tol_scale), stat)
+    ok = _check(details, "chi_square", chi_square_ok(stat), stat)
     details["critical_value"] = CHI2_99_9_DF15
     return ok, details
 
@@ -376,18 +371,14 @@ CRITERIA = {
 }
 
 
-def run_acceptance(ids=None, corrupt: int | None = None):
-    """Run the selected criteria (all by default) and return their results.
-
-    `corrupt` names a criterion whose tolerance is shrunk to an impossible
-    value; the negative control for the reporting pipeline.
-    """
+def run_acceptance(ids=None):
+    """Run the selected criteria (all by default) and return their results."""
     selected = sorted(CRITERIA) if ids is None else sorted(ids)
     results = []
     for cid in selected:
         name, fn = CRITERIA[cid]
         start = time.perf_counter()
-        passed, details = fn(tol_scale=0.0 if corrupt == cid else 1.0)
+        passed, details = fn()
         results.append(
             CriterionResult(
                 cid=cid,

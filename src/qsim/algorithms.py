@@ -155,13 +155,6 @@ def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarr
 EIGENSTATE_TOL = 1e-8
 
 
-def _first_draws(shots: int, rng: Stream) -> np.ndarray:
-    """The first uniform of rng.substream(i) for each shot i."""
-    if shots < 1:
-        raise DomainError("need at least one shot")
-    return rng.uniforms(np.arange(shots), 1)[:, 0]
-
-
 def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: int,
                     rng: Stream) -> list:
     """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) `shots`
@@ -171,7 +164,7 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
     """
-    draws = _first_draws(shots, rng)
+    draws = rng.shot_uniforms(shots, 1)[:, 0]
     applied = u.matrix @ eigenstate.amps
     lam = complex(np.vdot(eigenstate.amps, applied))
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
@@ -260,7 +253,7 @@ def grover_search(f: BooleanOracle, M: int, shots: int, rng: Stream) -> np.ndarr
     """Run Grover search and measure `shots` times, shot i drawn from
     rng.substream(i); each returned index satisfies f with probability at
     least 1 - M/N."""
-    return sample_indices(_grover_probs(f, M), _first_draws(shots, rng))
+    return sample_indices(_grover_probs(f, M), rng.shot_uniforms(shots, 1)[:, 0])
 
 
 def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) -> float:
@@ -286,7 +279,7 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -
     The uniform state splits over the e^{+-i theta} eigenvectors; estimates
     above one half are folded down before inverting sin^2(theta/2) = M/N.
     """
-    draws = _first_draws(shots, rng)
+    draws = rng.shot_uniforms(shots, 1)[:, 0]
     N = 1 << f.b
     gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
     dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
@@ -302,6 +295,7 @@ def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -
 # order finding
 
 ORDER_MAX_MODULUS = 64
+ORDER_MAX_RUNS = 25
 
 
 def _modmul_qubits(x: int, N: int) -> int:
@@ -393,7 +387,7 @@ def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
     return np.concatenate((dist, dist[-2:0:-1]))
 
 
-def order_find(x: int, N: int, rng: Stream, max_runs: int = 25) -> int:
+def order_find(x: int, N: int, rng: Stream) -> int:
     """Find the order of x modulo N by phase estimation on the modular
     multiplication gate, started from register state |1> (the uniform
     mixture of the eigenvectors u_s with phases s/r).
@@ -404,7 +398,7 @@ def order_find(x: int, N: int, rng: Stream, max_runs: int = 25) -> int:
     are the dense route it stands for. Each run measures a phase estimate,
     recovers a candidate denominator, and verifies x^r = 1 (mod N);
     repetition is driven by the verified repetition strategy. Raises
-    NotFoundError when the budget is exhausted.
+    NotFoundError when none of ORDER_MAX_RUNS runs verifies.
     """
     if N > ORDER_MAX_MODULUS:
         raise ResourceError(f"order finding is dense desk scale: N <= {ORDER_MAX_MODULUS}")
@@ -425,7 +419,7 @@ def order_find(x: int, N: int, rng: Stream, max_runs: int = 25) -> int:
     def verify(candidate):
         return candidate is not None and pow(x, candidate, N) == 1
 
-    report = statharness.repeat_verified(run, verify, max_runs)
+    report = statharness.repeat_verified(run, verify, ORDER_MAX_RUNS)
     return report.estimate
 
 

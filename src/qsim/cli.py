@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     acc = sub.add_parser("acceptance", help="run the acceptance criteria")
     acc.add_argument("--criteria", type=str, default=None,
                      help="comma-separated criterion ids (default: all)")
-    acc.add_argument("--corrupt", type=int, default=None,
-                     help="test mode: corrupt the named criterion's tolerance")
     return parser
 
 
@@ -303,7 +301,7 @@ def main(argv=None) -> int:
             if unknown:
                 print(f"unknown criteria: {unknown}", file=sys.stderr)
                 return 2
-        results = acceptance.run_acceptance(ids=ids, corrupt=args.corrupt)
+        results = acceptance.run_acceptance(ids=ids)
         for result in results:
             print(result.line())
         if not all(r.passed for r in results):

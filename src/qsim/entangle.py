@@ -119,10 +119,8 @@ def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream):
     from `rng.substream(i)`, all shots at once. Returns the list of
     (alice, bob) outcomes; they are opposite in every shot.
     """
-    if shots < 1:
-        raise DomainError("need at least one shot")
     obs = spin_observable(axis)
-    outcomes = _singlet_outcomes(obs, obs, rng.uniforms(np.arange(shots), 2))
+    outcomes = _singlet_outcomes(obs, obs, rng.shot_uniforms(shots, 2))
     return [tuple(row) for row in outcomes.tolist()]
 
 
@@ -151,12 +149,6 @@ def _alice_ready(psi: StateVector) -> StateVector:
     return state
 
 
-def _correct(bob: StateVector, bits: str) -> StateVector:
-    """Bob's classical correction for Alice's bits."""
-    correction = _CORRECTIONS[bits]
-    return bob if correction is None else apply_gate(bob, correction)
-
-
 def teleport(psi: StateVector, rng: Stream):
     """Teleport a single-qubit state over a shared Bell pair.
 
@@ -166,7 +158,8 @@ def teleport(psi: StateVector, rng: Stream):
     """
     bits, post, _ = measure_qubits(_alice_ready(psi), [0, 1], rng)
     bob = StateVector(1, post.amps.reshape(4, 2)[int(bits, 2)].copy(), _trusted=True)
-    return _correct(bob, bits), bits
+    correction = _CORRECTIONS[bits]
+    return (bob if correction is None else apply_gate(bob, correction)), bits
 
 
 def teleport_trials(shots: int, rng: Stream):
@@ -186,26 +179,9 @@ def teleport_bit_counts(psi: StateVector, shots: int, rng: Stream) -> dict:
     """Count of each of Alice's bit pairs over `shots` teleports of the fixed
     input psi; shot i measures with the first draw of `rng.substream(i)`,
     as `teleport` would, all shots sampled at once."""
-    if shots < 1:
-        raise DomainError("need at least one shot")
     probs = qstate.marginal(_alice_ready(psi), [0, 1])
-    picks = sample_indices(probs, rng.uniforms(np.arange(shots), 1)[:, 0])
+    picks = sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0])
     return dict(zip(_BITS, np.bincount(picks, minlength=4).tolist()))
-
-
-def teleport_branches(psi: StateVector):
-    """All four measurement branches of the protocol, deterministically.
-
-    Returns a list of (bits, probability, pre_correction, corrected)
-    entries; each branch has probability 1/4 and corrected state psi.
-    """
-    grid = _alice_ready(psi).amps.reshape(4, 2)
-    branches = []
-    for bits, block in zip(_BITS, grid):
-        prob = float(np.sum(np.abs(block) ** 2))
-        pre = StateVector(1, block / math.sqrt(prob), _trusted=True)
-        branches.append((bits, prob, pre, _correct(pre, bits)))
-    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +231,9 @@ def chsh_experiment(shots: int, rng: Stream, collect_rows: bool = False) -> Chsh
     accumulates the per-pair correlators. Shot i takes its three draws
     (pair, Alice, Bob) from `rng.substream(i)`, all shots at once.
     """
-    if shots < 1:
-        raise DomainError("chsh_experiment needs at least one shot")
     pairs = default_chsh_setting().pairs()
     labels = tuple(pairs)
-    u = rng.uniforms(np.arange(shots), 3)
+    u = rng.shot_uniforms(shots, 3)
     picks = (u[:, 0] * 4).astype(np.int64)  # Stream.integer(4) on the first draw
     outcomes = np.empty((shots, 2), dtype=np.int64)
     sums, counts = {}, {}

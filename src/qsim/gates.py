@@ -11,7 +11,6 @@ embedding is never materialized outside the dense test oracles.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,9 +24,6 @@ from .qstate import (
     _check_dense_qubits,
     _check_qubit_count,
     _check_targets,
-    _from_pairs,
-    _to_pairs,
-    basis_state,
 )
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -39,8 +35,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-
-_NAMED_MATRICES = {"h": HADAMARD_MATRIX, "x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 _ORACLE_TABLE_MAX_BITS = 20
 
@@ -77,16 +71,6 @@ class GateOp:
     def qubits_touched(self):
         return self.controls + self.targets
 
-    def full_matrix(self) -> np.ndarray:
-        """Dense block matrix over (controls + targets): identity except the
-        all-controls-one block, which holds the gate matrix."""
-        k = len(self.targets)
-        nc = len(self.controls)
-        dim = 1 << (nc + k)
-        out = np.eye(dim, dtype=complex)
-        out[dim - (1 << k) :, dim - (1 << k) :] = self.matrix
-        return out
-
     def dagger(self) -> "GateOp":
         return GateOp(
             self.name + "†", self.matrix.conj().T, self.targets, self.controls
@@ -111,9 +95,6 @@ class Circuit:
                     raise DomainError(
                         f"gate {op.name!r} touches qubit {q}, register has {self.qubits}"
                     )
-
-    def then(self, *ops) -> "Circuit":
-        return Circuit(self.qubits, self.ops + tuple(ops))
 
     def __len__(self):
         return len(self.ops)
@@ -262,50 +243,3 @@ def bell_circuit() -> Circuit:
     """Hadamard on the first qubit followed by a controlled-NOT."""
     return Circuit(2, (hadamard(0), cnot(0, 1)))
 
-
-def uniform_with_ancilla(b: int) -> StateVector:
-    """Hadamard layer on the data register with a |0> target qubit appended."""
-    return StateVector(
-        b + 1,
-        np.kron(hadamard_layer(b).amps, basis_state(1, 0).amps),
-        _trusted=True,
-    )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def circuit_to_json(c: Circuit) -> str:
-    """JSON list of {name, targets, controls, matrix?}; gates named h/x/y/z
-    omit the matrix, anything else embeds it row-major as [re, im] pairs."""
-    ops = []
-    for op in c.ops:
-        entry = {
-            "name": op.name,
-            "targets": list(op.targets),
-            "controls": list(op.controls),
-        }
-        base = op.name.lstrip("c")
-        if not (base in _NAMED_MATRICES and np.array_equal(op.matrix, _NAMED_MATRICES[base])):
-            entry["matrix"] = _to_pairs(op.matrix)
-        ops.append(entry)
-    return json.dumps({"qubits": c.qubits, "ops": ops})
-
-
-def circuit_from_json(text: str) -> Circuit:
-    data = json.loads(text)
-    ops = []
-    for entry in data["ops"]:
-        targets = entry["targets"]
-        controls = entry.get("controls", [])
-        if "matrix" in entry:
-            dim = 1 << len(targets)
-            mat = _from_pairs(entry["matrix"]).reshape(dim, dim)
-        else:
-            base = entry["name"].lstrip("c")
-            if base not in _NAMED_MATRICES:
-                raise ValidationError(f"gate {entry['name']!r} needs an embedded matrix")
-            mat = _NAMED_MATRICES[base]
-        ops.append(GateOp(entry["name"], mat, targets, controls))
-    return Circuit(int(data["qubits"]), tuple(ops))

@@ -11,7 +11,6 @@ terms (a single term T yields total Hamiltonian 2T).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from . import linalg
 from .errors import DomainError, ResourceError, ValidationError
 from .gates import PAULI_X, PAULI_Z, hadamard_layer
 from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
-from .qstate import _from_pairs, _to_pairs, basis_state
+from .qstate import basis_state
 from .rng import Stream
 from .statharness import QmcResult, qmc_estimate
 
@@ -249,22 +248,3 @@ def commuting_chain(qubits: int, coupling: float = 0.5) -> HamiltonianTerms:
     terms = [(coupling * zz, (q, q + 1)) for q in range(qubits - 1)]
     return HamiltonianTerms(qubits, tuple(terms))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def hamiltonian_to_json(h: HamiltonianTerms) -> str:
-    """JSON {qubits, terms: [{targets, matrix}]}, matrix row-major [re, im]."""
-    terms = [{"targets": list(targets), "matrix": _to_pairs(mat)} for mat, targets in h.terms]
-    return json.dumps({"qubits": h.qubits, "terms": terms})
-
-
-def hamiltonian_from_json(text: str) -> HamiltonianTerms:
-    data = json.loads(text)
-    terms = []
-    for entry in data["terms"]:
-        targets = tuple(entry["targets"])
-        dim = 1 << len(targets)
-        terms.append((_from_pairs(entry["matrix"]).reshape(dim, dim), targets))
-    return HamiltonianTerms(int(data["qubits"]), tuple(terms))

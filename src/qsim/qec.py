@@ -94,7 +94,7 @@ def _measure_labels(s: StateVector, labels, rng: Stream):
     return collapse(s, _SYNDROMES, [s.amps * (labels == a) for a in _SYNDROMES], rng)
 
 
-def syndrome_measure(s: StateVector, rng: Stream = None):
+def syndrome_measure(s: StateVector, rng: Stream):
     """Measure the error syndrome of a three-qubit bit-flip codeword.
 
     For a codeword with at most one flip the outcome is deterministic and
@@ -103,8 +103,6 @@ def syndrome_measure(s: StateVector, rng: Stream = None):
     """
     if s.qubits != 3:
         raise DomainError("syndrome measurement takes a three-qubit state")
-    if rng is None:
-        rng = Stream(0, "qec/syndrome")
     value, post = _measure_labels(s, _SYNDROME_LABELS, rng)
     return Syndrome(value), post
 
@@ -125,7 +123,7 @@ def encode_phaseflip(q: StateVector) -> StateVector:
     return StateVector(3, _H3 @ encoded.amps, _trusted=True)
 
 
-def syndrome_measure_phase(s: StateVector, rng: Stream = None):
+def syndrome_measure_phase(s: StateVector, rng: Stream):
     """Phase-code syndrome: the bit-flip measurement in the |+->, basis."""
     if s.qubits != 3:
         raise DomainError("syndrome measurement takes a three-qubit state")
@@ -177,7 +175,7 @@ _PARITIES = (1, -1)
 _PARITY_TO_BLOCK = {(1, 1): None, (-1, 1): 0, (-1, -1): 1, (1, -1): 2}
 
 
-def shor9_correct(s: StateVector, rng: Stream = None) -> StateVector:
+def shor9_correct(s: StateVector, rng: Stream) -> StateVector:
     """Correct any single-qubit sigma_x, sigma_z, or combined error.
 
     Step one measures and fixes the bit-flip syndrome inside each block;
@@ -186,8 +184,6 @@ def shor9_correct(s: StateVector, rng: Stream = None) -> StateVector:
     """
     if s.qubits != 9:
         raise DomainError("shor9_correct takes a nine-qubit state")
-    if rng is None:
-        rng = Stream(0, "qec/shor9")
     state = s
     for block in range(3):
         syn, state = _measure_labels(state, _BLOCK_LABELS[block], rng)

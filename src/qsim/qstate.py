@@ -12,7 +12,6 @@ are pure and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -475,26 +474,3 @@ def random_density(b: int, rng: Stream) -> DensityMatrix:
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(b, m, _trusted=True)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _to_pairs(values) -> list:
-    """The JSON form of a complex array: [[re, im], ...] in row-major order."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).reshape(-1)]
-
-
-def _from_pairs(pairs) -> np.ndarray:
-    """Inverse of _to_pairs, as a flat complex array."""
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
-
-
-def state_to_json(s: StateVector) -> str:
-    """JSON dump: {"qubits": b, "amps": [[re, im], ...]} in index order."""
-    return json.dumps({"qubits": s.qubits, "amps": _to_pairs(s.amps)})
-
-
-def state_from_json(text: str) -> StateVector:
-    data = json.loads(text)
-    return StateVector(int(data["qubits"]), _from_pairs(data["amps"]))

@@ -15,7 +15,7 @@ draws (a certified vectorised CDF in front of an exact Kahan route), and
 `sample_index` is its one-draw form.
 
 A sampler whose shots all measure one fixed distribution takes
-`(..., shots, rng)` and gives shot i row i of `rng.uniforms(arange(shots), k)`.
+`(..., shots, rng)` and gives shot i row i of `rng.shot_uniforms(shots, k)`.
 A loop keeps one `substream` per shot where a shot's distribution depends
 on its own draws: `entangle.teleport_trials` (random inputs) and the
 repeat-until-verified attempts of `algorithms.order_find`.
@@ -93,6 +93,13 @@ class Stream:
         keys = _stream_key(self.seed, self.tag, np.asarray(shot_indices, dtype=np.uint64))
         counters = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         return (_mix(keys[:, None] + counters) >> 11) * _INV53
+
+    def shot_uniforms(self, shots: int, draws: int) -> np.ndarray:
+        """`uniforms` of shots 0..shots-1: row i holds shot i's draws.
+        Raises DomainError below one shot."""
+        if shots < 1:
+            raise DomainError("need at least one shot")
+        return self.uniforms(np.arange(shots), draws)
 
     def next_u64(self) -> int:
         self._counter += 1

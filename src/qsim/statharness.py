@@ -85,7 +85,7 @@ def point_mass_mixture(epsilon: float, good: float, bad: float, n: int, shots: i
     mass draws nothing, so sample j is `bad` exactly when uniform j of the
     substream is below epsilon."""
     GrossErrorModel(epsilon, point_mass(good), point_mass(bad))  # checks epsilon
-    return np.where(rng.uniforms(np.arange(shots), n) < epsilon, bad, good)
+    return np.where(rng.shot_uniforms(shots, n) < epsilon, bad, good)
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,11 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     expectations, the sampling part from the measured eigenvalues. Shot i
     measures with the first draw of `rng.substream(i)`, all shots at once.
     """
-    if shots < 1:
-        raise DomainError("qmc_estimate needs at least one shot")
     theta_prepared = expectation(prepared, obs)
     theta_true = expectation(target, obs)
     total = 0.0
     total_sq = 0.0
-    u = rng.uniforms(np.arange(shots), 1)
+    u = rng.shot_uniforms(shots, 1)
     for x in measure_sequence(prepared, [obs], u)[:, 0].tolist():
         total += x
         total_sq += x * x
@@ -230,10 +228,8 @@ def quantum_rng(b: int, shots: int, rng: Stream):
     at once. (On a simulator the stream is seeded and reproducible;
     genuine randomness needs hardware.)
     """
-    if shots < 1:
-        raise DomainError("need at least one shot")
     probs = hadamard_layer(b).probabilities()
-    return sample_indices(probs, rng.uniforms(np.arange(shots), 1)[:, 0]).tolist()
+    return sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0]).tolist()
 
 
 def quantum_rng_chi_square(b: int, shots: int, rng: Stream) -> float:

@@ -3,10 +3,13 @@ and the details of every acceptance criterion, pinned byte for byte.
 
     PYTHONPATH=src python tests/make_goldens.py
 
-writes tests/golden/. The goldens were generated once and are never
-regenerated to make a change pass; a change that moves one on purpose
-names it, and says why, in CHANGES.md. tests/test_golden.py compares the
-CLI outputs and tests/test_acceptance.py compares the criterion details.
+writes the goldens under tests/golden/ that do not exist yet. It never
+overwrites one: if an existing golden would change, it names the file,
+exits non-zero and writes nothing. So no golden is regenerated to make a
+change pass; a change that moves one on purpose deletes the file first,
+in a commit of its own that names it and says why in CHANGES.md.
+tests/test_golden.py compares the CLI outputs and tests/test_acceptance.py
+compares the criterion details.
 """
 
 from __future__ import annotations
@@ -61,17 +64,26 @@ def acceptance_path(cid: int) -> Path:
 def main():
     from qsim.acceptance import run_acceptance
 
+    outputs = {}
     for case, argv in CLI_CASES.items():
         code, out = run_case(argv)
         if code != 0:
             raise SystemExit(f"{case} exited {code}")
-        cli_path(case).parent.mkdir(parents=True, exist_ok=True)
-        cli_path(case).write_bytes(out.encode())
+        outputs[cli_path(case)] = out.encode()
     for result in run_acceptance():
         if not result.passed:
             raise SystemExit(f"criterion {result.cid} failed")
-        acceptance_path(result.cid).parent.mkdir(parents=True, exist_ok=True)
-        acceptance_path(result.cid).write_text(details_line(result.cid, result.details) + "\n")
+        line = details_line(result.cid, result.details) + "\n"
+        outputs[acceptance_path(result.cid)] = line.encode()
+    changed = [path for path, data in outputs.items()
+               if path.exists() and path.read_bytes() != data]
+    if changed:
+        names = "\n".join(f"  {path}" for path in changed)
+        raise SystemExit(f"refusing to overwrite goldens that would change:\n{names}")
+    for path, data in outputs.items():
+        if not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
 
 
 if __name__ == "__main__":

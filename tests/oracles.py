@@ -14,7 +14,15 @@ from math import comb
 
 import numpy as np
 from qsim.algorithms import inverse_qft
-from qsim.gates import HADAMARD_MATRIX, PAULI_X, apply_gate, hadamard_layer, pauli_x, pauli_z
+from qsim.gates import (
+    HADAMARD_MATRIX,
+    PAULI_X,
+    PAULI_Z,
+    apply_gate,
+    hadamard_layer,
+    pauli_x,
+    pauli_z,
+)
 from qsim.qec import (
     BIT_FLIP,
     NoiseChannel,
@@ -370,6 +378,26 @@ def teleport_bits_by_shots(psi, shots: int, rng) -> dict:
     for shot in range(shots):
         counts[teleport(psi, rng.substream(shot))[1]] += 1
     return counts
+
+
+# Alice's CNOT (qubit 0 on 1) then H on qubit 0, as one dense 8 x 8 matrix.
+_ALICE_DENSE = dense_embedding(HADAMARD_MATRIX, [0], [], 3) @ dense_embedding(PAULI_X, [1], [0], 3)
+_PHI_PLUS_DENSE = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
+
+
+def teleport_branches(psi: StateVector) -> list:
+    """All four measurement branches of teleportation, from the dense
+    protocol on psi (x) |Phi+>: (bits, probability, Bob's state before the
+    correction, Bob's state after Z^m0 X^m1 for bits m0 m1)."""
+    ready = (_ALICE_DENSE @ np.kron(psi.amps, _PHI_PLUS_DENSE)).reshape(4, 2)
+    branches = []
+    for m, block in enumerate(ready):
+        prob = float(np.vdot(block, block).real)
+        pre = block / math.sqrt(prob)
+        fixed = PAULI_X @ pre if m & 1 else pre
+        fixed = PAULI_Z @ fixed if m & 2 else fixed
+        branches.append((f"{m:02b}", prob, StateVector(1, pre), StateVector(1, fixed)))
+    return branches
 
 
 # The cyclic Jacobi eigensolver the package used before `linalg.eigh` went

@@ -10,10 +10,15 @@ lines, or `qsim acceptance` for the standalone report.
 import pytest
 
 from make_goldens import acceptance_path, details_line
+from qsim import acceptance
 from qsim.acceptance import CRITERIA, CriterionResult, run_acceptance
 
 
-@pytest.mark.parametrize("cid", sorted(CRITERIA), ids=[f"{i:02d}-{CRITERIA[i][0]}" for i in sorted(CRITERIA)])
+CIDS = sorted(CRITERIA)
+CID_NAMES = [f"{i:02d}-{CRITERIA[i][0]}" for i in CIDS]
+
+
+@pytest.mark.parametrize("cid", CIDS, ids=CID_NAMES)
 def test_criterion(cid):
     result = run_acceptance(ids=[cid])[0]
     print()
@@ -24,9 +29,11 @@ def test_criterion(cid):
     assert details_line(cid, result.details) + "\n" == acceptance_path(cid).read_text()
 
 
-@pytest.mark.parametrize("cid", [1, 2, 5, 6])
-def test_negative_control_corruption_fails_loudly(cid):
-    result = run_acceptance(ids=[cid], corrupt=cid)[0]
+@pytest.mark.parametrize("cid", CIDS, ids=CID_NAMES)
+def test_negative_control_corruption_fails_loudly(cid, monkeypatch):
+    """With every check forced to fail, the criterion reports FAIL."""
+    monkeypatch.setattr(acceptance, "_check", lambda details, label, ok, value: False)
+    result = run_acceptance(ids=[cid])[0]
     assert not result.passed
     assert isinstance(result, CriterionResult)
     assert result.line().startswith("FAIL")

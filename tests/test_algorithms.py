@@ -42,10 +42,25 @@ from qsim.algorithms import (
 from qsim import algorithms
 from qsim import rng as qrng
 from qsim.acceptance import SEED, criterion_7_order_finding
+from qsim.entangle import (
+    SpinAxis,
+    anticorrelation_experiment,
+    chsh_experiment,
+    teleport_bit_counts,
+)
 from qsim.errors import DomainError, NotFoundError, ResourceError, ValidationError
-from qsim.gates import BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
-from qsim.qstate import DENSE_MAX_QUBITS, StateVector, basis_state, fidelity, random_state
+from qsim.gates import PAULI_Z, BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
+from qsim.qec import logical_error_rate
+from qsim.qstate import (
+    DENSE_MAX_QUBITS,
+    Observable,
+    StateVector,
+    basis_state,
+    fidelity,
+    random_state,
+)
 from qsim.rng import Stream, sample_indices
+from qsim.statharness import point_mass_mixture, qmc_estimate, quantum_rng
 
 
 def phase_unitary(phi: float) -> GateOp:
@@ -491,6 +506,16 @@ SAMPLERS = {
         BooleanOracle.from_solutions(3, [5]), 1, shots, rng),
     "grover_success_rate": lambda shots, rng: grover_success_rate(
         BooleanOracle.from_solutions(3, [5]), 5, shots, rng),
+    "anticorrelation_experiment": lambda shots, rng: anticorrelation_experiment(
+        SpinAxis(0.0, 0.0, 1.0), shots, rng),
+    "teleport_bit_counts": lambda shots, rng: teleport_bit_counts(
+        basis_state(1, 0), shots, rng),
+    "chsh_experiment": chsh_experiment,
+    "qmc_estimate": lambda shots, rng: qmc_estimate(
+        Observable(PAULI_Z), basis_state(1, 0), shots, rng, basis_state(1, 0)),
+    "quantum_rng": lambda shots, rng: quantum_rng(4, shots, rng),
+    "logical_error_rate": lambda shots, rng: logical_error_rate("bit-flip-3", 0.1, shots, rng),
+    "point_mass_mixture": lambda shots, rng: point_mass_mixture(0.3, 0.25, 0.3, 50, shots, rng),
 }
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qsim import acceptance
 from qsim.cli import EXPERIMENTS, build_parser, main
 
 
@@ -176,8 +177,9 @@ class TestAcceptanceCommand:
         assert code == 0
         assert out.startswith("PASS  criterion  4")
 
-    def test_corrupted_tolerance_fails_with_name(self, capsys):
-        code, out, err = run_cli(capsys, "acceptance", "--criteria", "1", "--corrupt", "1")
+    def test_corrupted_tolerance_fails_with_name(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "_check", lambda details, label, ok, value: False)
+        code, out, err = run_cli(capsys, "acceptance", "--criteria", "1")
         assert code == 3
         assert out.startswith("FAIL  criterion  1")
         assert "chsh" in err

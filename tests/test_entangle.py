@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import anticorrelation_by_shots, chsh_by_shots, teleport_bits_by_shots
+from oracles import (
+    anticorrelation_by_shots,
+    chsh_by_shots,
+    teleport_bits_by_shots,
+    teleport_branches,
+)
 from qsim.entangle import (
     ChshSetting,
     SpinAxis,
@@ -19,7 +24,6 @@ from qsim.entangle import (
     spin_observable,
     teleport,
     teleport_bit_counts,
-    teleport_branches,
 )
 from qsim.errors import DomainError, ValidationError
 from qsim.gates import PAULI_X, PAULI_Z

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+import make_goldens
 import oracles
 from make_goldens import CLI_CASES, acceptance_path, cli_path, details_line, run_case
-from qsim import linalg
+from qsim import acceptance, linalg
 from qsim.acceptance import run_acceptance
 
 
@@ -37,6 +38,24 @@ def _assert_same_up_to_rounding(got, want, where):
         assert math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-14), (where, got, want)
     else:
         assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def test_make_goldens_writes_only_missing_files(tmp_path, monkeypatch):
+    committed = cli_path("bell").read_bytes()
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(make_goldens, "CLI_CASES", {"bell": CLI_CASES["bell"]})
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda: [])
+    make_goldens.main()
+    assert cli_path("bell").read_bytes() == committed
+
+    # a golden that would change stops the run before anything is written
+    cli_path("bell").write_bytes(b"stale\n")
+    make_goldens.CLI_CASES["chsh"] = CLI_CASES["chsh"]
+    with pytest.raises(SystemExit, match="bell.jsonl") as stop:
+        make_goldens.main()
+    assert stop.value.code != 0
+    assert cli_path("bell").read_bytes() == b"stale\n"
+    assert not cli_path("chsh").exists()
 
 
 # The goldens re-pinned when `linalg.eigh` moved from a cyclic Jacobi

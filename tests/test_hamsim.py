@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -17,8 +16,6 @@ from qsim.hamsim import (
     commuting_chain,
     exact_evolve,
     grover_hamiltonian,
-    hamiltonian_from_json,
-    hamiltonian_to_json,
     ising_chain,
     trotter_error,
     trotter_evolve,
@@ -189,19 +186,6 @@ class TestValidation:
             TrotterPlan(1.0, 0)
         with pytest.raises(DomainError):
             TrotterPlan(-1.0, 3)
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        h = ising_chain(3, coupling=0.25, field=0.75)
-        restored = hamiltonian_from_json(hamiltonian_to_json(h))
-        np.testing.assert_allclose(restored.assemble(), h.assemble(), atol=1e-12)
-
-    def test_schema_shape(self):
-        data = json.loads(hamiltonian_to_json(ising_chain(2)))
-        assert set(data) == {"qubits", "terms"}
-        assert set(data["terms"][0]) == {"targets", "matrix"}
-        assert all(len(pair) == 2 for pair in data["terms"][0]["matrix"])
 
 
 def test_step_unitarity_dense_four_qubits():

@@ -28,8 +28,6 @@ from qsim.qstate import (
     posterior_density,
     random_density,
     random_state,
-    state_from_json,
-    state_to_json,
     states_equal,
     tensor,
     variance,
@@ -93,12 +91,6 @@ class TestStateValidation:
         with pytest.raises(AssertionError, match="float64"):
             DensityMatrix(1, np.diag([1.0, 0.0]), _trusted=True)
         assert StateVector(1, np.array([1.0, 0.0], dtype=complex), _trusted=True).qubits == 1
-
-    def test_json_roundtrip(self):
-        s = random_state(3, Stream(5, "json"))
-        restored = state_from_json(state_to_json(s))
-        assert restored.qubits == 3
-        np.testing.assert_allclose(restored.amps, s.amps)
 
 
 class TestApplyUnitary:
