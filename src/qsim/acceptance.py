@@ -236,7 +236,7 @@ def criterion_9_qec() -> tuple[bool, dict]:
     start = time.perf_counter()
     shots = 100_000
     rate_checks = {}
-    ok = True
+    within = []
     for p in (0.01, 0.05, 0.1, 0.2):
         rate = qec.logical_error_rate(
             "bit-flip-3", p, shots, Stream(SEED, f"acc/qec/{p}")
@@ -244,8 +244,8 @@ def criterion_9_qec() -> tuple[bool, dict]:
         predicted = qec.predicted_logical_rate(p)
         sigma = math.sqrt(predicted * (1.0 - predicted) / shots)
         rate_checks[p] = (rate, predicted)
-        ok &= abs(rate - predicted) <= 3.0 * sigma
-    details["rates"] = rate_checks
+        within.append(abs(rate - predicted) <= 3.0 * sigma)
+    ok = _check(details, "rates", all(within), rate_checks)
     elapsed = time.perf_counter() - start
     ok &= _check(details, "sweep_runtime_s", elapsed < 60.0, elapsed)
 
@@ -316,10 +316,10 @@ def criterion_10_statistics() -> tuple[bool, dict]:
     # Worked example: computed and reported, not asserted against 0.999.
     verified_5 = 1.0 - eps**5
     unverified_20 = statharness.trimmed_success_bound(20, eps, alpha)
-    details["example_verified_n5"] = verified_5
-    details["example_unverified_n20_exact"] = unverified_20.exact
+    ok &= _check(details, "example_verified_n5", 0.9 < verified_5 < 1.0, verified_5)
+    ok &= _check(details, "example_unverified_n20_exact",
+                 0.0 < unverified_20.exact < 1.0, unverified_20.exact)
     details["example_unverified_n20_normal"] = unverified_20.normal_approx
-    ok &= 0.0 < unverified_20.exact < 1.0 and 0.9 < verified_5 < 1.0
     return ok, details
 
 

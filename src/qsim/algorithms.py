@@ -11,6 +11,7 @@ Order finding's register distribution has Shor's closed form instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -350,6 +351,19 @@ def _order_candidate(phi: float, x: int, N: int, window: float):
     return None
 
 
+@functools.cache
+def _sin2_table(b: int) -> np.ndarray:
+    """S(j) = sin^2(pi j / M) for every j < M = 2^b, read-only, built on
+    first use. S(M - j) = S(j), so it is computed up to M/2 and mirrored.
+    Order finding takes N <= 64, so b = 2 ceil(log2 N) + 4 <= 16: at most
+    six tables, 0.7 MB in all."""
+    M = 1 << b
+    half = np.sin(np.pi / M * np.arange(M // 2 + 1)) ** 2
+    table = np.concatenate((half, half[-2:0:-1]))
+    table.flags.writeable = False
+    return table
+
+
 def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
     """Register distribution of order finding, in closed form (Shor 1997,
     section 5; Nielsen & Chuang 5.3.1): the phase-estimation distribution
@@ -359,32 +373,40 @@ def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
     collects the n_t register values j = t, t + r, ... below M = 2^b:
     L = ceil(M/r) of them for the a = M - (L-1) r offsets t < a, L - 1 for
     the rest. Their DFT at m is a geometric sum in e^{-2 pi i k / M},
-    k = m r mod M, so with S(j) = sin^2(pi j / M)
+    k = m r mod M, so with S(j) = sin^2(pi j / M) (`_sin2_table`)
 
         P(m) = [a S(k L) + (r - a) S(k (L-1))] / (M^2 S(k)),
 
     and P(m) = (a L^2 + (r - a) (L-1)^2) / M^2 where k = 0, that is where
     M / gcd(r, M) divides m. Every argument is reduced mod M on integers.
-    S(M - j) = S(j) and P(M - m) = P(m), so both are computed up to M/2 and
-    mirrored.
+    P(M - m) = P(m), so P is computed up to M/2, in place in the first
+    half of the result, and mirrored.
     """
     M = 1 << b
     L = -(-M // r)
     a = M - (L - 1) * r
+    sin2 = _sin2_table(b)
     m = np.arange(M // 2 + 1)
-    sin2 = np.sin(np.pi / M * m) ** 2
-    sin2 = np.concatenate((sin2, sin2[-2:0:-1]))
+    at = np.empty_like(m)
 
-    def s_of(c):  # S(m c mod M) for every m <= M/2
-        return sin2[(m * c) & (M - 1)]
+    def s_of(c, out=None):  # S(m c mod M) for every m <= M/2
+        np.bitwise_and(np.multiply(m, c, out=at), M - 1, out=at)
+        return sin2.take(at, out=out, mode="clip")  # in range; "clip" is unbuffered
 
-    dist = a / M**2 * s_of(r * L) + (r - a) / M**2 * s_of(r * (L - 1))
-    den = s_of(r)
+    dist = np.empty(M)
+    half = dist[: M // 2 + 1]
+    s_of(r * L, out=half)
+    half *= a / M**2
+    part = s_of(r * (L - 1))
+    part *= (r - a) / M**2
+    half += part
+    den = s_of(r, out=part)
     peaks = slice(None, None, M // math.gcd(r, M))
     den[peaks] = 1.0
-    dist /= den
-    dist[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
-    return np.concatenate((dist, dist[-2:0:-1]))
+    half /= den
+    half[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
+    dist[M // 2 + 1 :] = half[-2:0:-1]
+    return dist
 
 
 def order_find(x: int, N: int, rng: Stream) -> int:

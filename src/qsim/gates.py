@@ -24,6 +24,7 @@ from .qstate import (
     _check_dense_qubits,
     _check_qubit_count,
     _check_targets,
+    _renormalized,
 )
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -223,7 +224,8 @@ def apply_gate(s: StateVector, op: GateOp) -> StateVector:
 
 
 def run_circuit(c: Circuit, input_state: StateVector) -> StateVector:
-    """Apply the circuit's gates in order."""
+    """Apply the circuit's gates in order; the result is renormalised if
+    its norm has drifted (qstate.NORM_DRIFT)."""
     if input_state.qubits != c.qubits:
         raise DomainError(
             f"circuit expects {c.qubits} qubits, state has {input_state.qubits}"
@@ -231,7 +233,7 @@ def run_circuit(c: Circuit, input_state: StateVector) -> StateVector:
     state = input_state
     for op in c.ops:
         state = apply_gate(state, op)
-    return state
+    return _renormalized(state)
 
 
 def inverse_circuit(c: Circuit) -> Circuit:

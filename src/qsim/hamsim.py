@@ -20,7 +20,7 @@ from . import linalg
 from .errors import DomainError, ResourceError, ValidationError
 from .gates import PAULI_X, PAULI_Z, hadamard_layer
 from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
-from .qstate import basis_state
+from .qstate import _renormalized, basis_state
 from .rng import Stream
 from .statharness import QmcResult, qmc_estimate
 
@@ -119,7 +119,8 @@ class TrotterStep:
     Factors are the exponentials e^{-i H_l delta} of the local terms,
     applied in listed order and then in reverse, so a single step equals
     [e^{-i H_1 d} ... e^{-i H_L d}][e^{-i H_L d} ... e^{-i H_1 d}] acting
-    on the state.
+    on the state. `apply` renormalises a state whose norm has drifted
+    (qstate.NORM_DRIFT), so that long runs stay measurable.
     """
 
     __slots__ = ("qubits", "delta", "factors")
@@ -139,7 +140,7 @@ class TrotterStep:
         amps = s.amps
         for mat, targets in self.factors:
             amps = _apply_matrix(amps, self.qubits, mat, targets)
-        return StateVector(self.qubits, amps, _trusted=True)
+        return _renormalized(StateVector(self.qubits, amps, _trusted=True))
 
     def dense(self) -> np.ndarray:
         """Dense U_delta for oracle-scale checks."""

@@ -37,6 +37,10 @@ DEFAULT_QUBIT_CAP = 24
 QUBIT_CAP_ENV = "QSIM_MAX_QUBITS"
 # Dense 2^n x 2^n matrices (oracles, exact evolution): 16 MiB at 10 qubits.
 DENSE_MAX_QUBITS = 10
+# Evolution renormalises a state whose squared norm has drifted further
+# than this from 1. Each gate adds about 1e-16, so a long Trotter run would
+# otherwise drift past the Born sampler's CDF_RESIDUAL of 1e-12.
+NORM_DRIFT = 1e-13
 
 
 def qubit_cap() -> int:
@@ -230,6 +234,15 @@ def _apply_matrix(amps, b, mat, targets, controls=()):
     rows = active.reshape(-1, 1 << len(targets))
     active[...] = (rows @ mat.T).reshape(active.shape)
     return out
+
+
+def _renormalized(s: StateVector) -> StateVector:
+    """`s`, or `s` scaled to unit norm when its squared norm has drifted
+    from 1 by more than NORM_DRIFT."""
+    norm2 = np.vdot(s.amps, s.amps).real
+    if abs(norm2 - 1.0) <= NORM_DRIFT:
+        return s
+    return StateVector(s.qubits, s.amps / math.sqrt(norm2), _trusted=True)
 
 
 def _check_targets(b, targets, controls=()):

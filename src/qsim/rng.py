@@ -11,8 +11,11 @@ and costs a handful of integer operations per draw. Because a draw is a
 pure function of (key, counter), `Stream.uniforms` computes the draws of
 a whole array of shots with numpy uint64 arithmetic, bit for bit equal to
 the per-shot streams. `sample_indices` is the Born sampler for an array of
-draws (a certified vectorised CDF in front of an exact Kahan route), and
-`sample_index` is its one-draw form.
+draws, and `sample_index` is its one-draw form. The exact route defines
+its result: a Kahan-compensated cumulative array, searched. In front of it
+sits a certified filter: one pass sums the block totals, and only the
+blocks that the draws land in are cumulated, so a single draw from 2^14
+outcomes cumulates one block of 128 and allocates no full-length array.
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)` and gives shot i row i of `rng.shot_uniforms(shots, k)`.
@@ -168,53 +171,118 @@ _UNIT_ROUNDOFF = 2.0**-53
 _FILTER_MIN_OUTCOMES = 128
 
 
-def _filtered_cdf(probs: np.ndarray):
-    """(approximate CDF a, bound E) such that every |a_i - c_i| < E / 2,
-    where c is `kahan_cumsum(probs)` and the residual check of `c` is sure
-    to pass; None when the filter cannot promise that.
+def _grid(probs: np.ndarray) -> np.ndarray:
+    """`probs` as nb rows of width m, m the least power of two with
+    m^2 >= n; a view of `probs` when nb m = n (every n = 2^b), otherwise a
+    copy padded with zeros."""
+    n = probs.shape[0]
+    width = 1 << ((n - 1).bit_length() + 1) // 2
+    blocks = -(-n // width)
+    if blocks * width == n:
+        return probs.reshape(blocks, width)
+    padded = np.zeros(blocks * width)
+    padded[:n] = probs
+    return padded.reshape(blocks, width)
+
+
+def _block_edges(block_probs: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Approximate cumulative values of the given blocks, one row of m + 1
+    each: the block's start, then the start plus the running sum within
+    the block, clipped into [start, end]. The start plus a non-negative
+    sum never rounds below the start, so only the end needs the clip."""
+    # built as the columns of a Fortran-ordered array, so that the starts
+    # and ends broadcast along its last axis
+    edges = np.zeros((block_probs.shape[1] + 1, block_probs.shape[0]), order="F")
+    np.add.accumulate(block_probs.T, axis=0, out=edges[1:])
+    edges += starts
+    np.minimum(edges, ends, out=edges)
+    return edges.T
+
+
+def _filtered_indices(probs: np.ndarray, u: np.ndarray):
+    """(picks, decided): picks[i] is the exact route's index wherever
+    decided[i]. None when the residual check is not settled.
 
     This is the floating-point filter of adaptive-precision predicates
     (Shewchuk 1997): a fast answer with a rigorous error bound, and the
-    exact route only where the bound cannot decide. For non-negative finite
-    p_0..p_{n-1} with exact prefix sums S_i and total T = S_{n-1}, and unit
-    roundoff u, gamma_k = k u / (1 - k u) (Higham, ASNA ch. 3-4):
+    exact route only where the bound cannot decide. Every entry is summed
+    once for the block totals; then only the blocks that hold a draw are
+    cumulated (all of them once the draws are as many as the blocks), each
+    once however many draws land in it.
 
-    - the array is cut into nb blocks of width m = ceil(sqrt(n)) (zero
-      padding adds exactly); `np.cumsum` along each row gives running
-      sums within a block, each with relative error at most gamma_{m-1};
-    - the start of each block is the running sum of the computed block
-      totals, which adds a factor (1 + theta), |theta| <= gamma_{nb-1};
-    - a_i = start + within-block sum is one more rounding.
+    The bound. For non-negative finite p_0..p_{n-1} with exact prefix sums
+    S_i, total T = S_{n-1}, unit roundoff u and gamma_k = k u / (1 - k u)
+    (Higham, ASNA ch. 3-4):
 
-    So a_i = sum_{k <= i} p_k (1 + theta_k) with |theta_k| <= gamma_{m+nb-1}
-    and |a_i - S_i| <= gamma_{m+nb-1} S_i <= gamma_{m+nb-1} T. Kahan's sum
-    obeys |c_i - S_i| <= (2u + O(n u^2)) S_i (ASNA section 4.3), at most
-    3u T while n u is far below 1. Hence |a_i - c_i| <= (gamma_{m+nb-1} +
-    3u) T <= 1.03 (m + nb + 2) u T for (m + nb) u < 0.01. The residual test
-    |a_{n-1} - 1| <= CDF_RESIDUAL - E gives T < 1.01, and with it
+    - the array is cut into nb blocks of width m (`_grid`; zero padding
+      adds exactly). Each block total is summed in whatever order `np.sum`
+      takes (pairwise), with relative error at most gamma_{m-1};
+    - the block ends e_j are the running sum of the computed totals, one
+      more factor (1 + theta), |theta| <= gamma_{nb-1}: e_j is within
+      gamma_{m+nb-2} T of S at block j's last entry. Block j starts at
+      e_{j-1} (e_{-1} = 0);
+    - within a hit block j, a_i = e_{j-1} + (running sum of the block up
+      to i): gamma_{m-1} for the running sum and one rounding for the add,
+      so |a_i - S_i| <= G = gamma_{m+nb-1} T;
+    - the edge of entry i is a_i clipped into [e_{j-1}, e_j]. S_i lies
+      between the exact sums that e_{j-1} and e_j approximate within G, so
+      the clip keeps the edge within G of S_i.
+
+    Kahan's sum obeys |c_i - S_i| <= (2u + O(n u^2)) S_i (ASNA section
+    4.3), at most 3u T while n u is far below 1. So every edge, and every
+    block start, is within D = G + 3u T <= 1.03 (m + nb + 2) u T of the
+    Kahan value c_i of the entry it stands for. The residual test
+    |e_{nb-1} - 1| <= CDF_RESIDUAL - E gives T < 1.01, and with it
     |c_{n-1} - 1| < CDF_RESIDUAL. E = 4 (m + nb + 2) u is therefore more
-    than twice the distance bound; the rest covers the rounding of the
-    comparisons made against it. Any summation order obeys these gamma
-    bounds, but `np.cumsum` is sequential, and with it each block ends
-    exactly where the next starts (the start of block b + 1 is the rounded
-    sum that ends block b); rounding is monotone, so a is non-decreasing.
+    than twice D; the rest covers the rounding of the comparisons.
+
+    The search. `np.cumsum` is sequential and rounding is monotone, so the
+    edges rise within a block, and the clip keeps each block at or below
+    the start of the next: the rows of the hit blocks, each led by its
+    start, form one non-decreasing array, and one search serves every
+    draw. A draw u picks the first entry whose edge exceeds it; its lower
+    edge is the value before that one in the array, which is the block
+    start where the pick opens its block. The draw is decided when u is
+    more than E above its lower edge and more than E below the pick's
+    edge. Then the pick lies in u's block, between that block's start and
+    end. Every entry before the pick, in its block or an earlier one, has
+    an edge at most the lower edge, so a Kahan value below u; the pick's
+    Kahan value is above u; and the pick is not floored, because its edge
+    and its lower edge lie more than 2E apart and each within G of an
+    exact sum, so p_pick > 2E - 2G > E >= 4 (16 + 8 + 2) u > PROB_FLOOR.
+    So the exact route picks it too. A block start is never decided as a
+    pick: the first edge above u is the start of the next hit block only
+    when u lies between the last edge of its own block j and e_j, which
+    are less than 2G < E apart. Nor is a draw below or past every edge.
     """
     n = probs.shape[0]
     if n < _FILTER_MIN_OUTCOMES or not probs.min() >= 0.0:
         return None
-    width = math.isqrt(n - 1) + 1
-    blocks = -(-n // width)
-    padded = np.zeros(blocks * width)
-    padded[:n] = probs
-    rows = padded.reshape(blocks, width).cumsum(axis=1)
-    ends = rows[:, -1].cumsum()
-    rows[1:] += ends[:-1, None]
-    cdf = rows.reshape(-1)[:n]
+    grid = _grid(probs)
+    blocks, width = grid.shape
     bound = 4.0 * (width + blocks + 2) * _UNIT_ROUNDOFF
+    limits = np.zeros(blocks + 1)  # block j runs from limits[j] to limits[j + 1]
+    np.add.accumulate(np.add.reduce(grid, axis=1), out=limits[1:])
     # NaN and inf fail this test, so they fall to the exact route
-    if not abs(cdf[-1] - 1.0) <= CDF_RESIDUAL - bound:
+    if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:
         return None
-    return cdf, bound
+    if u.size < blocks:
+        hit = np.zeros(blocks, dtype=bool)
+        hit[limits[1:-1].searchsorted(u, side="right")] = True
+        rows = hit.nonzero()[0]
+        edges = _block_edges(grid[rows], limits[rows], limits[rows + 1])
+    else:  # one pass over every block costs less than a block search per draw
+        rows = np.arange(blocks)
+        edges = _block_edges(grid, limits[:-1], limits[1:])
+    flat = edges.reshape(-1)
+    # flat[below] is the lower edge, flat[below + 1] the pick's edge
+    below = flat.searchsorted(u, side="right") - 1
+    lower, upper = flat.take(below, mode="clip"), flat.take(below + 1, mode="clip")
+    decided = np.minimum(u - lower, upper - u) > bound
+    # column 0 of a row holds the block start, so the pick, one column after
+    # `below`, has `below`'s column as its offset in its block
+    row, col = np.divmod(below, width + 1)
+    return rows.take(row, mode="clip") * width + col, decided
 
 
 def _exact_indices(probs: np.ndarray, valid: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -240,35 +308,20 @@ def sample_indices(probs, u) -> np.ndarray:
     InternalError when the array misses 1 by more than CDF_RESIDUAL or no
     entry reaches the floor.
 
-    Large non-negative arrays are decided by `_filtered_cdf`: a draw more
-    than its bound E from the approximate edges on both sides has the same
-    bucket in the Kahan CDF. Undecided draws, and every other array, take
-    the exact route, so the result is always the exact route's.
+    Large non-negative arrays are decided by `_filtered_indices`: a draw
+    more than its bound E from the approximate edges on both sides has the
+    same bucket in the Kahan CDF. Undecided draws, and every other array,
+    take the exact route, so the result is always the exact route's.
     """
     probs = np.asarray(probs, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    valid = probs >= PROB_FLOOR
-    filtered = _filtered_cdf(probs)
+    filtered = _filtered_indices(probs, u)
     if filtered is None:
-        return _exact_indices(probs, valid, u)
-    cdf, bound = filtered
-    at = valid.nonzero()[0]
-    if at.size == 0:
-        raise InternalError(_NO_OUTCOME)
-    # a is non-decreasing, so its running maximum over the valid entries is
-    # a at those entries, within E / 2 of the exact route's bounds there;
-    # the sentinels give every draw an edge on each side
-    edges = np.empty(at.size + 2)
-    edges[0], edges[-1] = -np.inf, np.inf
-    np.take(cdf, at, out=edges[1:-1], mode="clip")  # in range; "clip" is unbuffered
-    k = edges.searchsorted(u, side="right")
-    lower = edges.take(k - 1, mode="clip")
-    upper = edges.take(k, mode="clip")
-    decided = (u - lower > bound) & (upper - u > bound)
-    picks = at.take(k - 1, mode="clip")
-    if not decided.all():
+        return _exact_indices(probs, probs >= PROB_FLOOR, u)
+    picks, decided = filtered
+    if np.count_nonzero(decided) < decided.size:
         undecided = ~decided
-        picks[undecided] = _exact_indices(probs, valid, u[undecided])
+        picks[undecided] = _exact_indices(probs, probs >= PROB_FLOOR, u[undecided])
     return picks
 
 

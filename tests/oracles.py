@@ -36,7 +36,7 @@ from qsim.entangle import default_chsh_setting, singlet, spin_observable, telepo
 from qsim.errors import InternalError, NotFoundError
 from qsim.linalg import require_hermitian
 from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
-from qsim.rng import PROB_FLOOR, _checked_cdf, sample_index
+from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, sample_index
 from qsim.statharness import repeat_verified
 
 
@@ -156,6 +156,62 @@ def kahan_sample_indices(probs, u) -> np.ndarray:
     bounds = np.maximum.accumulate(np.where(valid, cdf, -np.inf))
     last_valid = np.flatnonzero(valid)[-1]
     return np.minimum(np.searchsorted(bounds, u, side="right"), last_valid)
+
+
+def two_level_sample_indices(probs, u) -> np.ndarray:
+    """The batched Born sampler's former filter: the full two-level
+    cumulative array (rows of width ceil(sqrt(n)), zero-padded, each
+    cumsummed, then the running sum of the row totals added to every row)
+    and the bound E = 4 (m + nb + 2) u. A draw more than E from the edges of
+    the non-floored entries on both sides is decided there; every other
+    draw, and every array the filter cannot certify, by
+    `kahan_sample_indices`."""
+    probs = np.asarray(probs, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    n = probs.shape[0]
+    if n < 128 or not probs.min() >= 0.0:
+        return kahan_sample_indices(probs, u)
+    width = math.isqrt(n - 1) + 1
+    blocks = -(-n // width)
+    padded = np.zeros(blocks * width)
+    padded[:n] = probs
+    rows = padded.reshape(blocks, width).cumsum(axis=1)
+    ends = rows[:, -1].cumsum()
+    rows[1:] += ends[:-1, None]
+    cdf = rows.reshape(-1)[:n]
+    bound = 4.0 * (width + blocks + 2) * 2.0**-53
+    at = np.flatnonzero(probs >= PROB_FLOOR)
+    if not abs(cdf[-1] - 1.0) <= CDF_RESIDUAL - bound or at.size == 0:
+        return kahan_sample_indices(probs, u)
+    edges = np.concatenate(([-np.inf], cdf[at], [np.inf]))
+    k = edges.searchsorted(u, side="right")
+    decided = (u - edges[k - 1] > bound) & (edges[k] - u > bound)
+    picks = at[np.minimum(k - 1, at.size - 1)]
+    if not decided.all():
+        picks[~decided] = kahan_sample_indices(probs, u[~decided])
+    return picks
+
+
+def orbit_register_distribution(r: int, b: int) -> np.ndarray:
+    """Order finding's closed-form register distribution as first written:
+    S(j) = sin^2(pi j / M) rebuilt for the call, out-of-place arithmetic."""
+    M = 1 << b
+    L = -(-M // r)
+    a = M - (L - 1) * r
+    m = np.arange(M // 2 + 1)
+    sin2 = np.sin(np.pi / M * m) ** 2
+    sin2 = np.concatenate((sin2, sin2[-2:0:-1]))
+
+    def s_of(c):
+        return sin2[(m * c) & (M - 1)]
+
+    dist = a / M**2 * s_of(r * L) + (r - a) / M**2 * s_of(r * (L - 1))
+    den = s_of(r)
+    peaks = slice(None, None, M // math.gcd(r, M))
+    den[peaks] = 1.0
+    dist /= den
+    dist[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
+    return np.concatenate((dist, dist[-2:0:-1]))
 
 
 def per_stream_indices(probs, rngs) -> list:

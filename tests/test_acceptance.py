@@ -37,3 +37,16 @@ def test_negative_control_corruption_fails_loudly(cid, monkeypatch):
     assert not result.passed
     assert isinstance(result, CriterionResult)
     assert result.line().startswith("FAIL")
+
+
+@pytest.mark.parametrize("cid, label", [
+    (9, "rates"), (10, "example_verified_n5"), (10, "example_unverified_n20_exact"),
+])
+def test_one_failed_check_fails_its_criterion(cid, label, monkeypatch):
+    """A criterion reports FAIL when only the check under `label` fails."""
+    check = acceptance._check
+    monkeypatch.setattr(acceptance, "_check", lambda details, name, ok, value:
+                        check(details, name, ok and name != label, value))
+    result = run_acceptance(ids=[cid])[0]
+    assert label in result.details
+    assert not result.passed and result.line().startswith("FAIL")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     circuit_unitary,
+    orbit_register_distribution,
     pe_register_distribution,
     pe_register_full_columns,
     pe_register_out_of_place,
@@ -594,6 +595,22 @@ class TestOrderFind:
         want = pe_register_out_of_place(gate.matrix, basis_state(k, 1).amps, b)
         assert np.max(np.abs(got - want)) <= 1e-15
         assert abs(got.sum() - 1.0) <= 1e-15
+
+    def test_sine_tables_are_the_per_call_expression_and_read_only(self):
+        for b in range(6, 17, 2):
+            M = 1 << b
+            half = np.sin(np.pi / M * np.arange(M // 2 + 1)) ** 2
+            table = algorithms._sin2_table(b)
+            assert table.tobytes() == np.concatenate((half, half[-2:0:-1])).tobytes()
+            assert algorithms._sin2_table(b) is table
+            with pytest.raises(ValueError):
+                table[1] = 0.0
+
+    def test_closed_form_is_bit_equal_to_the_per_call_formula(self):
+        for b in range(6, 17, 2):
+            for r in range(1, 65):
+                got = _orbit_register_distribution(r, b)
+                assert got.tobytes() == orbit_register_distribution(r, b).tobytes(), (r, b)
 
     def test_builds_no_dense_gate(self, monkeypatch):
         def dense(*args):

@@ -29,9 +29,11 @@ from qsim.gates import (
 )
 from qsim.qstate import (
     DENSE_MAX_QUBITS,
+    NORM_DRIFT,
     StateVector,
     basis_state,
     fidelity,
+    measure_qubits,
     random_state,
     states_equal,
     tensor,
@@ -244,6 +246,15 @@ class TestRunCircuit:
         np.testing.assert_allclose(
             permute_qubits(direct.amps, perm), moved.amps, atol=1e-10
         )
+
+    def test_long_circuit_stays_measurable(self):
+        # each H scales the squared norm by about 1 + 1.6e-16: unrenormalised,
+        # 8,000 of them drift by 1.3e-12, past the sampler's CDF_RESIDUAL
+        circuit = Circuit(6, tuple(hadamard(q % 6) for q in range(8000)))
+        out = run_circuit(circuit, basis_state(6, 0))
+        bits, _, _ = measure_qubits(out, range(6), Stream(37, "long-circuit"))
+        assert len(bits) == 6
+        assert abs(np.vdot(out.amps, out.amps).real - 1.0) <= NORM_DRIFT
 
     def test_qubit_bounds_checked(self):
         with pytest.raises(DomainError):

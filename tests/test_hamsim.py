@@ -20,7 +20,17 @@ from qsim.hamsim import (
     trotter_error,
     trotter_evolve,
 )
-from qsim.qstate import Observable, basis_state, expectation, fidelity, random_state
+from qsim.qstate import (
+    NORM_DRIFT,
+    Observable,
+    StateVector,
+    _apply_matrix,
+    basis_state,
+    expectation,
+    fidelity,
+    measure_qubits,
+    random_state,
+)
 from qsim.rng import Stream
 
 
@@ -117,6 +127,29 @@ class TestTrotterEvolve:
         e1 = trotter_error(h, TrotterPlan(1.0, 8), psi)
         e2 = trotter_error(h, TrotterPlan(1.0, 16), psi)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+    @pytest.mark.parametrize("qubits, steps", [(10, 200), (6, 2000)])
+    def test_long_runs_stay_measurable(self, qubits, steps):
+        # unrenormalised, the squared norms drift by 1.6e-12 and 5.0e-12:
+        # past the Born sampler's CDF_RESIDUAL of 1e-12
+        plan = TrotterPlan(2.0, steps)
+        final = trotter_evolve(ising_chain(qubits), plan, basis_state(qubits, 0))[-1]
+        bits, post, _ = measure_qubits(final, range(qubits), Stream(29, "long-trotter"))
+        assert len(bits) == qubits and abs(post.norm() - 1.0) < 1e-12
+        assert abs(np.vdot(final.amps, final.amps).real - 1.0) <= NORM_DRIFT
+
+    @pytest.mark.parametrize("drift, renormalised", [(5e-14, False), (3e-13, True)])
+    def test_step_renormalises_only_past_the_drift_limit(self, drift, renormalised):
+        step = TrotterStep(ising_chain(2), 0.1)
+        psi = random_state(2, Stream(31, "drift-limit")).amps * np.sqrt(1.0 + drift)
+        raw = psi
+        for mat, targets in step.factors:
+            raw = _apply_matrix(raw, 2, mat, targets)
+        out = step.apply(StateVector(2, psi, _trusted=True)).amps
+        norm2 = np.vdot(raw, raw).real
+        assert (abs(norm2 - 1.0) > NORM_DRIFT) == renormalised
+        want = raw / np.sqrt(norm2) if renormalised else raw
+        assert out.tobytes() == want.tobytes()
 
     def test_norm_drift_bounded(self):
         h = ising_chain(2)

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import kahan_sample_index, kahan_sample_indices
+from oracles import kahan_sample_index, kahan_sample_indices, two_level_sample_indices
 from qsim import rng
 from qsim.errors import InternalError
 from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, Stream, kahan_cumsum, sample_index, sample_indices
@@ -210,14 +211,14 @@ def test_negative_entries_take_the_exact_route(head, u, index):
 
 
 def test_undecided_residual_check_goes_to_the_exact_route():
-    # in the first block every 0.6-ulp entry rounds the plain running sum
-    # up by a whole ulp, so the filter's total passes the residual check
-    # that the Kahan total fails
+    # every block after the first holds one 0.6-ulp entry, so each step of
+    # the running sum of the block totals rounds up by a whole ulp, and the
+    # filter's total passes the residual check that the Kahan total fails
     ulp = 2.0**-53
     probs = np.zeros(1 << 14)
-    probs[2:128] = 0.6 * ulp
-    probs[:2] = [0.5, 0.5 - (CDF_RESIDUAL + 96 * ulp)]
-    filtered_total = probs.reshape(128, 128).cumsum(axis=1)[:, -1].cumsum()[-1]
+    probs[128::128] = 0.6 * ulp
+    probs[:2] = [0.5, 0.5 - (CDF_RESIDUAL + 100 * ulp)]
+    filtered_total = rng._grid(probs).sum(axis=1).cumsum()[-1]
     assert abs(filtered_total - 1.0) <= CDF_RESIDUAL < abs(kahan_cumsum(probs)[-1] - 1.0)
     message = outcome(kahan_sample_indices, probs, [0.25])
     assert "exceeds" in message
@@ -227,22 +228,35 @@ def test_undecided_residual_check_goes_to_the_exact_route():
 
 @st.composite
 def long_distributions(draw):
-    """Arrays above the filter's crossover, up to 2^14 entries: entries near
-    1e-3 mixed with 1e-17 values, entries just above and below the floor,
-    exact zeros, and a total short of 1 by a residual gap (the last gaps
-    sit near and past CDF_RESIDUAL, so the residual check is left
-    undecided or fails)."""
+    """Arrays above the filter's crossover, up to 2^14 entries, most of
+    them not a whole number of the filter's blocks: entries near 1e-3 mixed
+    with 1e-17 values, entries just above and below the floor, exact zeros,
+    up to three blocks of floored entries only, and a total short of 1 by a
+    residual gap (the last gaps sit near and past CDF_RESIDUAL, so the
+    residual check is left undecided or fails)."""
     n = draw(st.integers(LONG, 1 << 14))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds = draw(st.lists(st.sampled_from([0.0, 1e-17, PROB_FLOOR / 2, 2 * PROB_FLOOR, 1e-13]),
                           min_size=1, max_size=3))
     small = gen.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9, 0.999]))
-    small[gen.integers(n)] = False
     probs = gen.random(n) * 1e-3
     probs[small] = gen.choice(kinds, size=int(small.sum()))
+    width = rng._grid(probs).shape[1]
+    floored = np.zeros(n, dtype=bool)
+    for j in draw(st.lists(st.integers(0, (n - 1) // width), max_size=3)):
+        floored[j * width : (j + 1) * width] = True
+    probs[floored] = gen.choice([0.0, 1e-17, PROB_FLOOR / 2], size=int(floored.sum()))
+    small |= floored
+    keep = gen.choice(np.flatnonzero(~floored))
+    small[keep], probs[keep] = False, 1e-3
     gap = draw(st.sampled_from([0.0, 4e-13, -4e-13, 8.9e-13, 9.5e-13, 2e-12]))
     probs[~small] *= (1.0 - gap - probs[small].sum()) / probs[~small].sum()
     return probs
+
+
+def block_bounds(probs):
+    """Starts of the filter's blocks, then the end of the last one."""
+    return np.concatenate(([0.0], rng._grid(probs).sum(axis=1).cumsum()))
 
 
 def outcome(sampler, *args):
@@ -256,20 +270,92 @@ def outcome(sampler, *args):
 
 @settings(max_examples=60)
 @given(probs=long_distributions(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                                               max_size=10))
-def test_filtered_samplers_match_the_kahan_route(probs, us):
+                                               max_size=10),
+       many=st.sampled_from([0, 1, 10_000]))
+def test_filtered_samplers_match_the_kahan_route(probs, us, many):
     edges = [c for c in kahan_cumsum(probs) if c < 1.0]
-    draws = us + edges + [np.nextafter(c, 0.0) for c in edges]
+    bounds = block_bounds(probs)
+    # at and just below every block start and end, and inside every block
+    # (a floored block holds a draw only there)
+    at_blocks = bounds.tolist() + np.nextafter(bounds, 0.0).tolist()
+    at_blocks += ((bounds[:-1] + bounds[1:]) / 2).tolist()
+    # as many uniform draws as blocks, or 10^4 of them
+    uniform = np.random.default_rng(probs.size).random(max(many, bounds.size - 1) if many else 0)
+    draws = us + edges + [np.nextafter(c, 0.0) for c in edges] + at_blocks + uniform.tolist()
     draws += [0.0, np.nextafter(1.0, 0.0), 1.0 - 1e-12]
-    assert outcome(sample_indices, probs, draws) == outcome(kahan_sample_indices, probs, draws)
-    # the scalar route on a sample of the edges: each rebuilds the CDF
-    picked = us + [c for c in edges[:: max(1, len(edges) // 6)]] + draws[-3:]
+    want = outcome(kahan_sample_indices, probs, draws)
+    assert outcome(sample_indices, probs, draws) == want
+    assert outcome(two_level_sample_indices, probs, draws) == want
+    # the scalar route on a sample of the edges and block starts: each
+    # rebuilds the CDF
+    picked = us + edges[:: max(1, len(edges) // 6)] + at_blocks[:: max(1, len(at_blocks) // 6)]
+    picked += draws[-3:]
     for u in picked + [np.nextafter(u, 0.0) for u in picked]:
         for arr in (probs, probs.tolist()):
             got = outcome(sample_index, arr, FixedDraw(u))
             assert got == outcome(kahan_sample_index, arr, FixedDraw(u))
             if isinstance(got, tuple):
                 assert type(got[0]) is int and type(got[1]) is type(arr[got[0]])
+
+
+@settings(max_examples=30)
+@given(probs=long_distributions())
+def test_block_edges_rise_and_stay_within_half_the_bound(probs):
+    grid = rng._grid(probs)
+    bounds = block_bounds(probs)
+    edges = rng._block_edges(grid, bounds[:-1], bounds[1:])
+    # each row opens with its block start and stays within the block
+    assert edges[:, 0].tolist() == bounds[:-1].tolist()
+    assert (edges <= bounds[1:, None]).all()
+    assert (np.diff(edges.reshape(-1)) >= 0.0).all()
+    # every edge, and every block start, is within E / 2 of the Kahan value
+    # it stands for: position p of row r stands for Kahan value p - r
+    kahan = np.array([0.0] + kahan_cumsum(grid.reshape(-1)))
+    stands_for = kahan[np.arange(edges.size) - np.arange(edges.size) // edges.shape[1]]
+    bound = 4.0 * (sum(grid.shape) + 2) * 2.0**-53
+    assert np.abs(edges.reshape(-1) - stands_for).max() < bound / 2
+
+
+def test_filter_defers_draws_within_its_bound_of_an_edge_or_a_block_start(monkeypatch):
+    probs = np.random.default_rng(11).random(1 << 12)
+    probs /= probs.sum()
+    grid = rng._grid(probs)
+    bound = 4.0 * (sum(grid.shape) + 2) * 2.0**-53
+    # a decided pick is more than 2E - 2G > E above its lower edge, and E
+    # exceeds PROB_FLOOR even at the crossover, so no floored entry is picked
+    assert 4.0 * (sum(rng._grid(np.empty(LONG)).shape) + 2) * 2.0**-53 > 10 * PROB_FLOOR
+    starts = block_bounds(probs)[1:-1]
+    edges = kahan_cumsum(probs)
+    near = [starts[j] + 0.75 * bound for j in (5, 17, 40)]
+    near += [edges[i] + 0.75 * bound for i in (70, 700, 3000)]
+    near += [edges[i] - 0.75 * bound for i in (70, 700, 3000)]
+    far = [starts[j] + 4 * bound for j in (5, 17, 40)]
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return kahan_cumsum(values)
+
+    monkeypatch.setattr(rng, "kahan_cumsum", counted)
+    # the oracle builds the Kahan CDF once; a deferred draw builds it again
+    for u, builds in [(u, 2) for u in near] + [(u, 1) for u in far]:
+        calls.clear()
+        assert sample_index(probs, FixedDraw(u)) == kahan_sample_index(probs, FixedDraw(u))
+        assert calls == [1 << 12] * builds
+
+
+def test_warm_sample_index_peaks_below_32_kib():
+    probs = np.random.default_rng(7).random(1 << 14)
+    probs /= probs.sum()
+    for _ in range(3):
+        sample_index(probs, FixedDraw(0.37))
+    tracemalloc.start()
+    try:
+        sample_index(probs, FixedDraw(0.37))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024
 
 
 def test_filter_decides_off_edge_draws_and_defers_edge_draws(monkeypatch):
