@@ -21,6 +21,7 @@ from .gates import (
     apply_gate,
     run_circuit,
 )
+from .linalg import kron
 from .qstate import (
     Observable,
     StateVector,
@@ -72,7 +73,7 @@ class ChshSetting:
         for label, obs in zip(("x1", "x2", "x3", "x4"), (self.x1, self.x2, self.x3, self.x4)):
             if obs.dim != 2:
                 raise ValidationError(f"{label} must be a single-qubit observable")
-            if np.max(np.abs(obs.mat @ obs.mat - _ID2)) > 1e-9:
+            if np.abs(obs.mat @ obs.mat - _ID2).max() > 1e-9:
                 raise ValidationError(f"{label} does not square to the identity")
 
     def pairs(self) -> dict:
@@ -108,7 +109,7 @@ def singlet() -> StateVector:
 def _singlet_outcomes(alice: Observable, bob: Observable, u) -> np.ndarray:
     """(shots, 2) integer outcomes of Alice's single-qubit observable on the
     singlet, then Bob's on the collapsed state; a row of `u` per shot."""
-    pair = [Observable(np.kron(alice.mat, _ID2)), Observable(np.kron(_ID2, bob.mat))]
+    pair = [Observable(kron(alice.mat, _ID2)), Observable(kron(_ID2, bob.mat))]
     return np.rint(measure_sequence(singlet(), pair, u)).astype(np.int64)
 
 
@@ -195,7 +196,7 @@ def chsh_quantum_value(state, setting: ChshSetting) -> float:
     if dim != 4:
         raise DomainError("CHSH needs a two-qubit state")
     corr = {
-        label: qstate._expect_matrix(state, np.kron(a.mat, b.mat))
+        label: qstate._expect_matrix(state, kron(a.mat, b.mat))
         for label, (a, b) in setting.pairs().items()
     }
     return corr["13"] + corr["23"] + corr["24"] - corr["14"]

@@ -72,7 +72,7 @@ def _embed(mat: np.ndarray, targets, b: int) -> np.ndarray:
     mat (x) I with the qubits in the order (targets, rest), its row and
     column axes then permuted back to qubit order."""
     order = list(targets) + [q for q in range(b) if q not in targets]
-    full = np.kron(mat, np.eye(1 << (b - len(targets)))).reshape((2,) * (2 * b))
+    full = linalg.kron(mat, np.eye(1 << (b - len(targets)))).reshape((2,) * (2 * b))
     axes = np.argsort(order).tolist()
     return full.transpose(axes + [b + a for a in axes]).reshape(1 << b, 1 << b)
 
@@ -215,7 +215,7 @@ def grover_hamiltonian_success(b: int, marked: int):
 def qmc_problem():
     """(model, observable) of trotter_qmc: the two-qubit Ising chain with
     coupling 0.6 and field 0.7, and Z (x) I; the input state is |00>."""
-    return ising_chain(2, coupling=0.6, field=0.7), Observable(np.kron(PAULI_Z, np.eye(2)))
+    return ising_chain(2, coupling=0.6, field=0.7), Observable(linalg.kron(PAULI_Z, np.eye(2)))
 
 
 def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
@@ -233,7 +233,7 @@ def ising_chain(qubits: int, coupling: float = 0.5, field: float = 0.4) -> Hamil
     if qubits < 2:
         raise DomainError("the chain needs at least two qubits")
     terms = []
-    zz = np.kron(PAULI_Z, PAULI_Z)
+    zz = linalg.kron(PAULI_Z, PAULI_Z)
     for q in range(qubits - 1):
         terms.append((coupling * zz, (q, q + 1)))
     for q in range(qubits):
@@ -245,7 +245,7 @@ def commuting_chain(qubits: int, coupling: float = 0.5) -> HamiltonianTerms:
     """All-ZZ chain; every term commutes, so the Trotter step is exact."""
     if qubits < 2:
         raise DomainError("the chain needs at least two qubits")
-    zz = np.kron(PAULI_Z, PAULI_Z)
+    zz = linalg.kron(PAULI_Z, PAULI_Z)
     terms = [(coupling * zz, (q, q + 1)) for q in range(qubits - 1)]
     return HamiltonianTerms(qubits, tuple(terms))
 

@@ -1,5 +1,11 @@
-"""Dense complex linear algebra: the Hermitian eigensolver and the checks
-that validate every matrix entering the package.
+"""Dense complex linear algebra: the Hermitian eigensolver, the checks
+that validate every matrix entering the package, and a 2-D `kron`.
+
+Most matrices the checks and `kron` see are 2x2 to 8x8 gates and local
+terms, where numpy's generic wrappers (`np.max`, `np.all`, `np.kron`) cost
+more than the arithmetic. So they call the ufuncs and ndarray methods
+directly, on the same operands in the same order, and every result is the
+wrapper's bit for bit.
 
 `eigh` is the one eigensolver (LAPACK through `np.linalg.eigh`, behind the
 Hermitian check); every caller reaches it as `linalg.eigh`, so patching
@@ -20,7 +26,8 @@ def as_complex_matrix(mat) -> np.ndarray:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # a complex entry is finite when its real and imaginary parts both are
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains non-finite entries")
     return m
 
@@ -28,12 +35,12 @@ def as_complex_matrix(mat) -> np.ndarray:
 def is_unitary(mat: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     m = np.asarray(mat, dtype=complex)
     eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) < tol)
+    return bool(np.abs(m.conj().T @ m - eye).max() < tol)
 
 
 def require_unitary(mat, tol: float = UNITARY_TOL) -> np.ndarray:
     m = as_complex_matrix(mat)
-    dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    dev = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
     if dev >= tol:
         raise ValidationError(f"matrix is not unitary: max |U†U - I| = {dev:.3e}")
     return m
@@ -41,19 +48,28 @@ def require_unitary(mat, tol: float = UNITARY_TOL) -> np.ndarray:
 
 def is_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     m = np.asarray(mat, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) < tol)
+    return bool(np.abs(m - m.conj().T).max() < tol)
 
 
 def require_hermitian(mat, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = as_complex_matrix(mat)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.abs(m - m.conj().T).max())
     if dev >= tol:
         raise ValidationError(f"matrix is not Hermitian: max |A - A†| = {dev:.3e}")
     return m
 
 
+def kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """`np.kron(a, c)` of two 2-D arrays: the same products, in one
+    broadcast multiply."""
+    r, k = a.shape
+    p, q = c.shape
+    return (a.reshape(r, 1, k, 1) * c.reshape(1, p, 1, q)).reshape(r * p, k * q)
+
+
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence, left factor most significant."""
+    """Kronecker product of a sequence, left factor most significant; the
+    factors may be vectors, so this keeps `np.kron`."""
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = np.kron(out, m)

@@ -89,7 +89,7 @@ class StateVector:
             raise ValidationError(
                 f"expected {1 << b} amplitudes for {b} qubits, got {vec.shape[0]}"
             )
-        if not np.all(np.isfinite(vec.real)) or not np.all(np.isfinite(vec.imag)):
+        if not np.isfinite(vec).all():
             raise ValidationError("amplitudes contain non-finite values")
         norm_sq = float(np.sum(np.abs(vec) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
@@ -171,20 +171,20 @@ class Observable:
         for lo, hi in groups:
             vecs = eigvecs[:, lo:hi]
             projector = vecs @ vecs.conj().T
-            spectrum.append((float(np.mean(eigvals[lo:hi])), projector))
+            spectrum.append((float(eigvals[lo:hi].mean()), projector))
         return spectrum
 
     def _validate(self):
         dim = self.mat.shape[0]
         total = sum(q for _, q in self.spectrum)
-        if np.max(np.abs(total - np.eye(dim))) > DERIVED_TOL:
+        if np.abs(total - np.eye(dim)).max() > DERIVED_TOL:
             raise ValidationError("projectors do not sum to the identity")
         recon = sum(x * q for x, q in self.spectrum)
-        if np.max(np.abs(recon - self.mat)) > DERIVED_TOL:
+        if np.abs(recon - self.mat).max() > DERIVED_TOL:
             raise ValidationError("spectral decomposition does not reproduce the matrix")
         for i, (_, qa) in enumerate(self.spectrum):
             for _, qc in self.spectrum[i + 1 :]:
-                if np.max(np.abs(qa @ qc)) > DERIVED_TOL:
+                if np.abs(qa @ qc).max() > DERIVED_TOL:
                     raise ValidationError("projectors are not mutually orthogonal")
 
     @property
@@ -429,7 +429,7 @@ def posterior_density(rho: DensityMatrix, q):
     proj = linalg.require_hermitian(q, DERIVED_TOL)
     if proj.shape[0] != rho.dim:
         raise DomainError("projector dimension does not match state")
-    if np.max(np.abs(proj @ proj - proj)) > DERIVED_TOL:
+    if np.abs(proj @ proj - proj).max() > DERIVED_TOL:
         raise ValidationError("q is not a projector (q^2 != q)")
     prob = float(np.real(np.trace(proj @ rho.mat)))
     if prob < 1e-14:

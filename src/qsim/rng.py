@@ -7,11 +7,18 @@ numbers a shot sees depend only on its key, never on scheduling order.
 
 The generator is the splitmix64 output function applied to a running
 counter, which is statistically solid for Monte Carlo work at desk scale
-and costs a handful of integer operations per draw. Because a draw is a
-pure function of (key, counter), `Stream.uniforms` computes the draws of
-a whole array of shots with numpy uint64 arithmetic, bit for bit equal to
-the per-shot streams. `sample_indices` is the Born sampler for an array of
-draws, and `sample_index` is its one-draw form. The exact route defines
+and costs a handful of integer operations per draw. A stream's key is
+mix(base ^ mix(shot)), where base mixes the seed and the tag; each
+`Stream` keeps its base, so `substream` derives only the shot part.
+Because a draw is a pure function of (key, counter), `Stream.uniforms`
+computes the draws of a whole array of shots with numpy uint64
+arithmetic, bit for bit equal to the per-shot streams. That route has its
+own mixer, `_mix_array`, whose shifts and multipliers are uint64 scalars
+and which needs no mask (uint64 wraps mod 2^64); the scalar draws keep
+the Python-int `_mix` and never pass through it.
+
+`sample_indices` is the Born sampler for an array of draws, and
+`sample_index` is its one-draw form. The exact route defines
 its result: a Kahan-compensated cumulative array, searched. In front of it
 sits a certified filter: one pass sums the block totals, and only the
 blocks that the draws land in are cumulated, so a single draw from 2^14
@@ -42,13 +49,24 @@ CDF_RESIDUAL = 1e-12
 PROB_FLOOR = 1e-15
 
 
-def _mix(z):
-    """splitmix64 finalizer: a 64-bit bijective scrambler, applied to a
-    Python int or elementwise to a uint64 array (which wraps mod 2^64)."""
+def _mix(z: int) -> int:
+    """splitmix64 finalizer: a 64-bit bijective scrambler of a Python int."""
     z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+_U30, _U27, _U31, _U11 = (np.uint64(s) for s in (30, 27, 31, 11))
+_U_MUL1, _U_MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U_GOLDEN = np.uint64(_GOLDEN)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """`_mix` elementwise on a uint64 array, whose products wrap mod 2^64."""
+    z = (z ^ (z >> _U30)) * _U_MUL1
+    z = (z ^ (z >> _U27)) * _U_MUL2
+    return z ^ (z >> _U31)
 
 
 def _tag_key(tag) -> int:
@@ -61,11 +79,9 @@ def _tag_key(tag) -> int:
     return h
 
 
-def _stream_key(seed: int, tag, shot):
-    """Key of the stream (seed, tag, shot); `shot` is an int or a uint64
-    array of shot indices, giving one key per shot."""
-    k = _mix(_mix(seed ^ _GOLDEN) ^ _tag_key(tag))
-    return _mix(k ^ _mix(shot))
+def _base_key(seed: int, tag) -> int:
+    """The (seed, tag) part of a stream key, shared by every shot."""
+    return _mix(_mix(seed ^ _GOLDEN) ^ _tag_key(tag))
 
 
 class Stream:
@@ -75,34 +91,37 @@ class Stream:
     experiment its own independent stream.
     """
 
-    __slots__ = ("seed", "tag", "shot", "_key", "_counter", "_gauss_spare")
+    __slots__ = ("seed", "tag", "shot", "_base", "_key", "_counter", "_gauss_spare")
 
-    def __init__(self, seed: int, tag="", shot: int = 0):
+    def __init__(self, seed: int, tag="", shot: int = 0, *, _base=None):
         self.seed = seed & _MASK64
         self.tag = tag
         self.shot = shot
-        self._key = _stream_key(self.seed, tag, shot)
+        # `_base` is this (seed, tag)'s `_base_key`, passed by `substream`
+        self._base = _base_key(self.seed, tag) if _base is None else _base
+        self._key = _mix(self._base ^ _mix(shot))
         self._counter = 0
         self._gauss_spare = None
 
     def substream(self, shot: int) -> "Stream":
         """Independent stream for shot index `shot` under this (seed, tag)."""
-        return Stream(self.seed, self.tag, shot)
+        return Stream(self.seed, self.tag, shot, _base=self._base)
 
     def uniforms(self, shot_indices, draws: int) -> np.ndarray:
         """(len(shot_indices), draws) float64 array whose row i holds the
         first `draws` values of `self.substream(shot_indices[i]).uniform()`,
         bit for bit. Shot indices lie in [0, 2^64)."""
-        keys = _stream_key(self.seed, self.tag, np.asarray(shot_indices, dtype=np.uint64))
-        counters = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        return (_mix(keys[:, None] + counters) >> 11) * _INV53
+        shots = np.asarray(shot_indices, dtype=np.uint64)
+        keys = _mix_array(np.uint64(self._base) ^ _mix_array(shots))
+        counters = np.arange(1, draws + 1, dtype=np.uint64) * _U_GOLDEN
+        return (_mix_array(keys[:, None] + counters) >> _U11) * _INV53
 
     def shot_uniforms(self, shots: int, draws: int) -> np.ndarray:
         """`uniforms` of shots 0..shots-1: row i holds shot i's draws.
         Raises DomainError below one shot."""
         if shots < 1:
             raise DomainError("need at least one shot")
-        return self.uniforms(np.arange(shots), draws)
+        return self.uniforms(np.arange(shots, dtype=np.uint64), draws)
 
     def next_u64(self) -> int:
         self._counter += 1

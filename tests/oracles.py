@@ -33,10 +33,10 @@ from qsim.qec import (
     syndrome_measure,
 )
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
-from qsim.errors import InternalError, NotFoundError
+from qsim.errors import InternalError, NotFoundError, ValidationError
 from qsim.linalg import require_hermitian
 from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
-from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, sample_index
+from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, _tag_key, sample_index
 from qsim.statharness import repeat_verified
 
 
@@ -527,3 +527,56 @@ def jacobi_eigh(mat, threshold: float = JACOBI_THRESHOLD):
     order = np.argsort(eigvals, kind="stable")
     return eigvals[order], v[:, order]
 
+
+# ---------------------------------------------------------------------------
+# The generic-wrapper routes that `linalg`'s checks and `rng`'s array mixer
+# replaced, kept as references for the property tests.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def as_complex_matrix_two_part(mat) -> np.ndarray:
+    """`linalg.as_complex_matrix` with its finiteness test split into the
+    real and the imaginary part."""
+    m = np.asarray(mat, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise ValidationError("matrix contains non-finite entries")
+    return m
+
+
+def hermitian_deviation(mat) -> float:
+    """max |A - A†| through the `np.max` wrapper."""
+    m = np.asarray(mat, dtype=complex)
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
+def unitary_deviation(mat) -> float:
+    """max |U†U - I| through the `np.max` wrapper."""
+    m = np.asarray(mat, dtype=complex)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def mix_masked(z):
+    """splitmix64 with Python-int constants and the 64-bit mask after each
+    product, on a Python int or elementwise on a uint64 array."""
+    z = z & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def stream_key(seed: int, tag, shot):
+    """Key of the stream (seed, tag, shot), derived whole each time; `shot`
+    is an int or a uint64 array."""
+    k = mix_masked(mix_masked((seed & _MASK64) ^ _GOLDEN) ^ _tag_key(tag))
+    return mix_masked(k ^ mix_masked(shot))
+
+
+def uniforms_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
+    """`Stream(seed, tag).uniforms(shot_indices, draws)` through `mix_masked`."""
+    keys = stream_key(seed, tag, np.asarray(shot_indices, dtype=np.uint64))
+    counters = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return (mix_masked(keys[:, None] + counters) >> 11) * (1.0 / (1 << 53))

@@ -87,3 +87,21 @@ def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_same_up_to_rounding(json.loads(g), json.loads(w), f"{case} line {i + 1}")
+
+
+# These build their 2-D Kronecker products through `linalg.kron`; only the
+# vector products of `kron_all` and `qstate.tensor` keep `np.kron`.
+@pytest.mark.parametrize("case", ["qmc", "trotter", "chsh", 8, 11])
+def test_small_matrix_runs_never_call_np_kron(case, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron was called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    if isinstance(case, int):
+        result = run_acceptance(ids=[case])[0]
+        assert result.passed
+        assert details_line(case, result.details) + "\n" == acceptance_path(case).read_text()
+    else:
+        code, out = run_case(CLI_CASES[case])
+        assert code == 0
+        assert out.encode() == cli_path(case).read_bytes()

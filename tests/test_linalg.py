@@ -1,5 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from qsim import linalg
@@ -8,6 +14,7 @@ from qsim.linalg import (
     expm_hermitian,
     is_hermitian,
     is_unitary,
+    kron,
     kron_all,
     require_hermitian,
     require_unitary,
@@ -83,3 +90,76 @@ def test_kron_all_ordering():
     a = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     np.testing.assert_allclose(kron_all([a, eye]), np.kron(a, eye))
+
+
+# Entries with both signs of zero, so that a product's sign of zero is compared too.
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _matrices(draw, max_side=8, square=False):
+    """A real or a complex matrix of up to max_side rows and columns."""
+    rows = draw(st.integers(1, max_side))
+    shape = (rows, rows if square else draw(st.integers(1, max_side)))
+    real = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    if draw(st.booleans()):
+        return real
+    out = np.empty(shape, dtype=complex)  # set part by part, keeping -0.0
+    out.real = real
+    out.imag = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
+    return out
+
+
+@settings(max_examples=100)
+@given(a=_matrices(), c=_matrices())
+@example(a=np.array([[-0.0, 0.0], [1.0, -1.0]]),
+         c=np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1j]]))
+@example(a=np.array([[complex(-0.0, 0.0)]]), c=np.array([[-0.0, 0.0, 2.0]]))
+def test_kron_is_np_kron_bit_for_bit(a, c):
+    got, want = kron(a, c), np.kron(a, c)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_as_complex_matrix_rejects_what_the_two_part_test_rejects(part, bad):
+    for n in (1, 2, 3):
+        for at in itertools.product(range(n), repeat=2):
+            m = np.full((n, n), 0.5 - 0.25j)
+            getattr(m, part)[at] = bad
+            for check in (linalg.as_complex_matrix, oracles.as_complex_matrix_two_part):
+                with pytest.raises(ValidationError) as err:
+                    check(m)
+                assert str(err.value) == "matrix contains non-finite entries"
+
+
+@settings(max_examples=100)
+@given(m=_matrices(max_side=4, square=True))
+def test_as_complex_matrix_accepts_what_the_two_part_test_accepts(m):
+    got, want = linalg.as_complex_matrix(m), oracles.as_complex_matrix_two_part(m)
+    assert got.tobytes() == want.tobytes()
+
+
+def _decisions(require, is_ok, deviation, text, m):
+    """At tol = the deviation the check rejects with the old text; one ulp
+    above, it accepts."""
+    dev = deviation(m)
+    with pytest.raises(ValidationError) as err:
+        require(m, dev)
+    assert str(err.value) == f"{text} = {dev:.3e}"
+    assert not is_ok(m, dev)
+    above = math.nextafter(dev, math.inf)
+    assert require(m, above).tobytes() == np.asarray(m, dtype=complex).tobytes()
+    assert is_ok(m, above)
+
+
+@settings(max_examples=150)
+@given(m=_matrices(max_side=4, square=True))
+@example(m=np.array([[0.0, 1.0], [0.0, 0.0]]))
+@example(m=np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+def test_hermitian_and_unitary_checks_keep_their_decisions_and_texts(m):
+    _decisions(require_hermitian, is_hermitian, oracles.hermitian_deviation,
+               "matrix is not Hermitian: max |A - A†|", m)
+    _decisions(require_unitary, is_unitary, oracles.unitary_deviation,
+               "matrix is not unitary: max |U†U - I|", m)

@@ -85,6 +85,15 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             StateVector(1, [np.nan, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_non_finite_part_rejected_at_every_position(self, part, bad):
+        for at in range(4):
+            amps = np.full(4, 0.5 + 0.0j)
+            getattr(amps, part)[at] = bad
+            with pytest.raises(ValidationError, match="^amplitudes contain non-finite values$"):
+                StateVector(2, amps)
+
     def test_trusted_constructors_reject_real_arrays(self):
         with pytest.raises(AssertionError, match="float64"):
             StateVector(1, np.array([1.0, 0.0]), _trusted=True)

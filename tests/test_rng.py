@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import kahan_sample_index, kahan_sample_indices, two_level_sample_indices
 from qsim import rng
 from qsim.errors import InternalError
@@ -97,6 +98,57 @@ def test_uniforms_match_per_shot_streams(seed, tag, shots, draws):
     for row, shot in zip(batch.tolist(), shots):
         sub = stream.substream(shot)
         assert row == [sub.uniform() for _ in range(draws)]
+
+
+EDGE_KEYS = [0, 2**63, 2**64 - 1]
+ANY_SHOTS = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+TOP_SHOTS = st.lists(st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6)
+
+
+@settings(max_examples=100)
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+@example(keys=EDGE_KEYS)
+def test_array_mixer_matches_the_int_mixer(keys):
+    arr = np.array(keys, dtype=np.uint64)
+    got = rng._mix_array(arr)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [rng._mix(k) for k in keys]
+    assert got.tolist() == oracles.mix_masked(arr).tolist()
+    assert arr.tolist() == keys
+
+
+@settings(max_examples=100)
+@given(seed=st.one_of(st.sampled_from(EDGE_KEYS), SEEDS), tag=TAGS,
+       shots=st.one_of(TOP_SHOTS, ANY_SHOTS), draws=st.integers(1, 4))
+@example(seed=2**64 - 1, tag="", shots=[2**64 - 1, 2**64 - 2, 0, 2**63], draws=3)
+@example(seed=2**63, tag=0, shots=[2**63, 2**64 - 1], draws=1)
+def test_uniforms_and_keys_match_the_whole_derivation(seed, tag, shots, draws):
+    stream = Stream(seed, tag)
+    got = stream.uniforms(shots, draws)
+    assert got.tobytes() == oracles.uniforms_masked(seed, tag, shots, draws).tobytes()
+    for row, shot in zip(got.tolist(), shots):
+        key = oracles.stream_key(seed, tag, shot)
+        assert stream.substream(shot)._key == key
+        fresh = Stream(seed, tag, shot)
+        assert fresh._key == key
+        assert row == [fresh.uniform() for _ in range(draws)]
+
+
+def test_scalar_draws_never_reach_the_array_mixer(monkeypatch):
+    def draws():
+        s = Stream(21, "guard")
+        sub = s.substream(3)
+        return [s.uniform(), s.integer(10), sub.uniform(), sub.integer(2), s.normal()]
+
+    want = draws()
+
+    def refuse(z):
+        raise AssertionError("the array mixer was called")
+
+    monkeypatch.setattr(rng, "_mix_array", refuse)
+    assert draws() == want
+    with pytest.raises(AssertionError, match="array mixer"):
+        Stream(21, "guard").shot_uniforms(2, 1)
 
 
 class FixedDraw:
