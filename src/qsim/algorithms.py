@@ -310,19 +310,10 @@ def _modmul_qubits(x: int, N: int) -> int:
     return max(1, math.ceil(math.log2(N)))
 
 
-def modmul_unitary(x: int, N: int) -> GateOp:
-    """Permutation gate |y> -> |x y mod N> on ceil(log2 N) qubits,
-    identity on padding states y >= N."""
-    k = _modmul_qubits(x, N)
-    dim = 1 << k
-    mat = np.zeros((dim, dim), dtype=complex)
-    for y in range(dim):
-        mat[(x * y) % N if y < N else y, y] = 1.0
-    return GateOp(f"modmul({x},{N})", mat, list(range(k)))
-
-
 def order_brute_force(x: int, N: int) -> int:
     """Smallest r with x^r = 1 (mod N), by direct scan."""
+    if N < 2:
+        raise DomainError("modulus must be at least 2")
     if math.gcd(x, N) != 1:
         raise DomainError(f"gcd({x}, {N}) != 1")
     value = x % N
@@ -416,8 +407,9 @@ def order_find(x: int, N: int, rng: Stream) -> int:
 
     The register distribution is the closed form of
     `_orbit_register_distribution`, from the length r of the orbit of 1
-    under y -> x y mod N; `modmul_unitary` and `_pe_register_distribution`
-    are the dense route it stands for. Each run measures a phase estimate,
+    under y -> x y mod N; phase estimation on the dense modular
+    multiplication gate (`tests/oracles.py`'s `modmul_unitary`) is the
+    route it stands for. Each run measures a phase estimate,
     recovers a candidate denominator, and verifies x^r = 1 (mod N);
     repetition is driven by the verified repetition strategy. Raises
     NotFoundError when none of ORDER_MAX_RUNS runs verifies.

@@ -87,8 +87,8 @@ class TrotterPlan:
     def __post_init__(self):
         if self.m < 1:
             raise DomainError("step count m must be at least 1")
-        if self.t_final < 0:
-            raise DomainError("t_final must be non-negative")
+        if not 0 <= self.t_final < math.inf:
+            raise DomainError(f"t_final must be finite and non-negative, got {self.t_final}")
 
     @property
     def delta(self) -> float:
@@ -205,7 +205,9 @@ def _search_matrix(x: int, psi: StateVector):
 
 def grover_hamiltonian_success(b: int, marked: int):
     """(success probability of the b-qubit search Hamiltonian at t_measure,
-    t_measure); the dense Hamiltonian is evolved, so b is not term-capped."""
+    t_measure); the dense Hamiltonian is evolved, so b is not term-capped,
+    but dense-capped before anything is allocated."""
+    _check_dense_qubits(b, "dense evolution")
     uniform = hadamard_layer(b)
     mat, t_measure = _search_matrix(marked, uniform)
     evolved = _evolve_dense(mat, t_measure, uniform.amps)

@@ -13,11 +13,12 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from qsim.algorithms import inverse_qft
+from qsim.algorithms import _modmul_qubits, inverse_qft
 from qsim.gates import (
     HADAMARD_MATRIX,
     PAULI_X,
     PAULI_Z,
+    GateOp,
     apply_gate,
     hadamard_layer,
     pauli_x,
@@ -190,6 +191,18 @@ def two_level_sample_indices(probs, u) -> np.ndarray:
     if not decided.all():
         picks[~decided] = kahan_sample_indices(probs, u[~decided])
     return picks
+
+
+def modmul_unitary(x: int, N: int) -> GateOp:
+    """Permutation gate |y> -> |x y mod N> on ceil(log2 N) qubits,
+    identity on padding states y >= N: the dense gate whose phase
+    estimation from |1> order finding samples in closed form."""
+    k = _modmul_qubits(x, N)
+    dim = 1 << k
+    mat = np.zeros((dim, dim), dtype=complex)
+    for y in range(dim):
+        mat[(x * y) % N if y < N else y, y] = 1.0
+    return GateOp(f"modmul({x},{N})", mat, list(range(k)))
 
 
 def orbit_register_distribution(r: int, b: int) -> np.ndarray:

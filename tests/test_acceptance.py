@@ -12,6 +12,7 @@ import pytest
 from make_goldens import acceptance_path, details_line
 from qsim import acceptance
 from qsim.acceptance import CRITERIA, CriterionResult, run_acceptance
+from qsim.errors import DomainError
 
 
 CIDS = sorted(CRITERIA)
@@ -50,3 +51,49 @@ def test_one_failed_check_fails_its_criterion(cid, label, monkeypatch):
     result = run_acceptance(ids=[cid])[0]
     assert label in result.details
     assert not result.passed and result.line().startswith("FAIL")
+
+
+def _stub(*checks, details=None):
+    """A criterion that reports `checks` and writes `details`."""
+    def criterion(check, out):
+        out.update(details or {})
+        for label, ok in checks:
+            check(label, ok, ok)
+    return criterion
+
+
+@pytest.mark.parametrize("checks, passed", [
+    ([("a", True), ("b", True)], True),
+    ([("a", True), ("b", False)], False),
+    ([("a", False)], False),
+    ([], False),  # a criterion that checked nothing has not passed
+])
+def test_verdict_is_every_reported_check(monkeypatch, checks, passed):
+    stub = _stub(*checks, details={"n": 3})
+    monkeypatch.setattr(acceptance, "CRITERIA", {1: ("stub", stub, None)})
+    result = run_acceptance()[0]
+    assert result.passed is passed and result.line().startswith("PASS" if passed else "FAIL")
+    assert result.details == {"n": 3, **{label: ok for label, ok in checks}}
+
+
+@pytest.mark.parametrize("budget, passed", [(60.0, True), (0.0, False)])
+def test_budget_is_a_check_on_the_whole_criterion(monkeypatch, budget, passed):
+    monkeypatch.setattr(acceptance, "CRITERIA", {1: ("stub", _stub(("a", True)), budget)})
+    result = run_acceptance(ids=[1])[0]
+    assert result.passed is passed
+    assert list(result.details) == ["a", "runtime_s"]
+    assert result.details["runtime_s"] == result.elapsed
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([], "no criteria selected"), ([0], r"unknown criteria: \[0\]"),
+    ([4, 13, -1], r"unknown criteria: \[-1, 13\]"),
+])
+def test_empty_or_unknown_selection_raises(ids, message):
+    with pytest.raises(DomainError, match=message):
+        run_acceptance(ids=ids)
+
+
+def test_budgets_are_the_published_gates():
+    budgets = {cid: entry[2] for cid, entry in CRITERIA.items() if entry[2] is not None}
+    assert budgets == {1: 5.0, 2: 10.0, 7: 60.0}

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsim import acceptance
 from qsim.cli import EXPERIMENTS, build_parser, main
@@ -160,6 +164,32 @@ class TestRun:
         assert row["register_qubits"] == 7
         assert row["value"] >= 0.8
 
+    def test_qmc_assert_takes_sigma_at_the_reference(self, capsys):
+        # theta_hat = -0.66 against -0.323: 4.49 sample stderrs, but 3.6 standard
+        # deviations sqrt((1 - theta^2)/n) of the shot mean at the reference
+        code, out, _ = run_cli(capsys, "run", "--experiment", "qmc", "--shots", "100",
+                               "--steps", "2", "--seed", "4111601437", "--assert")
+        assert code == 0
+        assert parse_rows(out)[0]["value"] == -0.66
+
+    @pytest.mark.parametrize("argv, named", [
+        (["count", "--m-count", "-1", "--assert"], "--m-count"),
+        (["count", "--bits", "4", "--m-count", "17"], "--m-count"),
+        (["order-find", "--modulus", "1"], "modulus"),
+        (["qmc", "--t-final", "nan"], "t_final"),
+        (["trotter", "--t-final", "inf"], "t_final"),
+    ])
+    def test_bad_parameters_exit_2_and_name_the_parameter(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "run", "--shots", "5", "--experiment", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err
+
+    def test_m_count_range_ends_are_accepted(self, capsys):
+        for m in ("0", "16"):
+            code, out, _ = run_cli(capsys, "run", "--experiment", "count", "--bits", "4",
+                                   "--m-count", m, "--shots", "20", "--assert")
+            assert code == 0 and parse_rows(out)[0]["value"] == int(m)
+
     def test_qmc_experiment(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--experiment", "qmc", "--shots", "1500", "--assert"
@@ -188,6 +218,16 @@ class TestAcceptanceCommand:
         code, _, err = run_cli(capsys, "acceptance", "--criteria", "99")
         assert code == 2
         assert "unknown" in err
+
+    @pytest.mark.parametrize("ids", ["x", ",,", "4,x"])
+    def test_malformed_criteria_exit_2(self, capsys, ids):
+        try:
+            code = main(["acceptance", "--criteria", ids])
+        except SystemExit as stop:
+            code = stop.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "argument --criteria" in err or "no criteria selected" in err
 
     def test_report_is_reproducible(self, capsys):
         first = run_cli(capsys, "acceptance", "--criteria", "4")[1]
@@ -235,3 +275,98 @@ def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     for case, (code, err) in zip(cases, json.loads(proc.stdout)):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)
+
+
+# Edge values for the CLI fuzz below. Register sizes that the dense routes
+# accept stay at or below 4 bits (12 for grover and qrng, which build no
+# dense matrix); 12 is past the dense cap, 21+ past the oracle-table cap.
+_EDGE_FLOATS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "0.5", "1", "1.5")
+_EDGE_INTS = ("-1", "0", "1", "2", "25", "40")
+_FLAG_VALUES = {
+    "--shots": ("-1", "0", "1", "2", "8", "40"),
+    "--seed": ("-1", "0", "1", "18446744073709551616"),
+    "--threads": ("-1", "0", "1", "2"),
+    "--bits": ("-1", "0", "1", "2", "4", "12", "21", "25", "40"),
+    "--marked": _EDGE_INTS,
+    "--m-count": _EDGE_INTS + ("16", "17"),
+    "--zeta": _EDGE_FLOATS + ("1e-300",),
+    "--epsilon": _EDGE_FLOATS + ("1e-300",),
+    "--alpha": _EDGE_FLOATS,
+    "--phase": _EDGE_FLOATS,
+    "--t-final": _EDGE_FLOATS,
+    "--steps": _EDGE_INTS,
+    "--x-base": _EDGE_INTS + ("7", "64"),
+    "--modulus": _EDGE_INTS + ("15", "21", "65"),
+    "--n-runs": _EDGE_INTS,
+}
+# values for flags that take several, where argparse would read "-inf" as a flag
+_LIST_VALUES = ("nan", "inf", "-1", "-0.5", "0", "0.5", "1", "1.5")
+
+
+def fuzz_cli(max_examples=400):
+    """Drive `main` over every experiment's flags and `acceptance --criteria`
+    at edge values, asserting exit 0, 2 or 3 and no traceback. Returns the
+    exit codes seen. Runs the sizes past the caps, so call it only in a
+    memory-capped child (the test below)."""
+
+    def flag(name, values):
+        return st.sampled_from(values).map(lambda value: [f"{name}={value}"])
+
+    def flags(draw_from):
+        return st.lists(st.one_of(draw_from), max_size=4).map(lambda parts: sum(parts, []))
+
+    def run_flags(experiment):
+        values = dict(_FLAG_VALUES)
+        if experiment == "qrng":  # 21 bits is past the table cap, but a legal qrng register
+            values["--bits"] = tuple(bits for bits in values["--bits"] if bits != "21")
+        return flags([flag(name, pool) for name, pool in values.items()] + [
+            st.lists(st.sampled_from(_LIST_VALUES), min_size=1, max_size=3).map(
+                lambda ps: ["--p", *ps]),
+            st.lists(st.sampled_from(_LIST_VALUES), min_size=3, max_size=3).map(
+                lambda axis: ["--axis", *axis]),
+            st.sampled_from([["--assert"], ["--emit-shots"], ["--format", "csv"]]),
+        ]).map(lambda parts: ["run", "--experiment", experiment, "--shots", "5", *parts])
+
+    run = st.sampled_from(sorted(EXPERIMENTS)).flatmap(run_flags)
+    criteria = ["x", ",,", "", "0", "-1", "4", "99", "4,x", " 4 "]
+    acceptance_run = st.sampled_from(criteria).map(lambda ids: ["acceptance", f"--criteria={ids}"])
+    codes = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
+    @given(argv=st.one_of(run, acceptance_run))
+    @example(argv=["run", "--experiment", "chsh", "--shots", "8", "--assert"])  # exit 3
+    def drive(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        message = err.getvalue()
+        assert code in (0, 2, 3) and "Traceback" not in message, (argv, code, message)
+        codes.add(code)
+
+    for ids in criteria:
+        drive = example(argv=["acceptance", f"--criteria={ids}"])(drive)
+    for name in ("qft", "grover", "count", "grover-ham", "qrng"):  # every size past its cap
+        for bits in ("21", "25", "40") if name != "qrng" else ("25", "40"):
+            drive = example(argv=["run", "--experiment", name, "--bits", bits])(drive)
+    drive()
+    return sorted(codes)
+
+
+def test_cli_fuzz_exits_0_2_or_3_in_a_memory_capped_child():
+    child = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_cli\n"
+        "print(json.dumps(test_cli.fuzz_cli()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, os.path.dirname(__file__)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-4000:]
+    assert json.loads(proc.stdout) == [0, 2, 3]
