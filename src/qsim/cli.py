@@ -78,7 +78,7 @@ def _run_chsh(args):
     if args.emit_shots:
         for shot, label, a, b in result.rows:
             rows.append(_row(args, "shot", a * b, shot=shot, setting=label, alice=a, bob=b))
-    return rows, acceptance.within_4_sigma(result.value, entangle.TSIRELSON_BOUND, result.stderr)
+    return rows, acceptance.chsh_ok(result)
 
 
 @experiment("teleport")

@@ -10,12 +10,16 @@ counter, which is statistically solid for Monte Carlo work at desk scale
 and costs a handful of integer operations per draw. A stream's key is
 mix(base ^ mix(shot)), where base mixes the seed and the tag; each
 `Stream` keeps its base, so `substream` derives only the shot part.
-Because a draw is a pure function of (key, counter), `Stream.uniforms`
-computes the draws of a whole array of shots with numpy uint64
-arithmetic, bit for bit equal to the per-shot streams. That route has its
-own mixer, `_mix_array`, whose shifts and multipliers are uint64 scalars
-and which needs no mask (uint64 wraps mod 2^64); the scalar draws keep
-the Python-int `_mix` and never pass through it.
+Because a draw is a pure function of (key, counter), `Stream.words`
+computes the splitmix words of a whole array of shots with numpy uint64
+arithmetic, bit for bit equal to the per-shot streams. It lays them out
+draw-major, (draws, shots), so each operation runs along the contiguous
+shot axis; `Stream.uniforms` turns them into the (shots, draws) floats,
+and `Stream.below` decides "draw below p" on the integer words alone,
+exactly as the float comparison would. That route has its own mixer,
+`_mix_array`, whose shifts and multipliers are uint64 scalars and which
+needs no mask (uint64 wraps mod 2^64); the scalar draws keep the
+Python-int `_mix` and never pass through it.
 
 `sample_indices` is the Born sampler for an array of draws, and
 `sample_index` is its one-draw form. The exact route defines
@@ -87,7 +91,7 @@ def _base_key(seed: int, tag) -> int:
 class Stream:
     """Counter-based random stream keyed by (seed, tag, shot).
 
-    Streams are cheap to derive; use `child(shot)` to give each shot of an
+    Streams are cheap to derive; use `substream(shot)` to give each shot of an
     experiment its own independent stream.
     """
 
@@ -107,14 +111,38 @@ class Stream:
         """Independent stream for shot index `shot` under this (seed, tag)."""
         return Stream(self.seed, self.tag, shot, _base=self._base)
 
-    def uniforms(self, shot_indices, draws: int) -> np.ndarray:
-        """(len(shot_indices), draws) float64 array whose row i holds the
-        first `draws` values of `self.substream(shot_indices[i]).uniform()`,
-        bit for bit. Shot indices lie in [0, 2^64)."""
+    def words(self, shot_indices, draws: int) -> np.ndarray:
+        """(draws, len(shot_indices)) uint64 array; column i holds the words
+        behind the first `draws` values of
+        `self.substream(shot_indices[i]).uniform()`. Shot indices lie in
+        [0, 2^64)."""
         shots = np.asarray(shot_indices, dtype=np.uint64)
         keys = _mix_array(np.uint64(self._base) ^ _mix_array(shots))
         counters = np.arange(1, draws + 1, dtype=np.uint64) * _U_GOLDEN
-        return (_mix_array(keys[:, None] + counters) >> _U11) * _INV53
+        return _mix_array(counters[:, None] + keys)
+
+    def uniforms(self, shot_indices, draws: int) -> np.ndarray:
+        """(len(shot_indices), draws) float64 array whose row i holds the
+        first `draws` values of `self.substream(shot_indices[i]).uniform()`,
+        bit for bit: the transpose of the floats of `words`."""
+        return ((self.words(shot_indices, draws) >> _U11) * _INV53).T
+
+    def below(self, shot_indices, draws: int, p: float) -> np.ndarray:
+        """(draws, len(shot_indices)) bool array equal to
+        `self.uniforms(shot_indices, draws).T < p`, decided on the words.
+
+        Exact: a draw is u = k 2^-53 with k = w >> 11, and p 2^53 is exact
+        (a power-of-two scaling of p <= 1), so u < p exactly when
+        k < ceil(p 2^53) = t, that is when w < t 2^11. At t = 2^53 (p above
+        1 - 2^-53) every draw is below p, and t 2^11 = 2^64 does not fit a
+        uint64. Raises DomainError unless 0 <= p <= 1."""
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"probability {p} not in [0, 1]")
+        words = self.words(shot_indices, draws)
+        threshold = math.ceil(p * 2.0**53) << 11
+        if threshold > _MASK64:
+            return np.ones(words.shape, dtype=bool)
+        return words < np.uint64(threshold)
 
     def shot_uniforms(self, shots: int, draws: int) -> np.ndarray:
         """`uniforms` of shots 0..shots-1: row i holds shot i's draws.

@@ -83,9 +83,11 @@ def point_mass_mixture(epsilon: float, good: float, bad: float, n: int, shots: i
     """(shots, n) samples; row t is, bit for bit, GrossErrorModel(epsilon,
     point_mass(good), point_mass(bad)).sample(n, rng.substream(t)). A point
     mass draws nothing, so sample j is `bad` exactly when uniform j of the
-    substream is below epsilon."""
+    substream is below epsilon, which `rng.below` decides on the words."""
     GrossErrorModel(epsilon, point_mass(good), point_mass(bad))  # checks epsilon
-    return np.where(rng.shot_uniforms(shots, n) < epsilon, bad, good)
+    if shots < 1:
+        raise DomainError("need at least one shot")
+    return np.where(rng.below(np.arange(shots), n, epsilon).T, bad, good)
 
 
 @dataclass(frozen=True)

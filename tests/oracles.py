@@ -290,6 +290,17 @@ def bitflip_failures(p: float, shots: int, rng) -> int:
     return failures
 
 
+def float_sweep_rate(p: float, shots: int, rng) -> float:
+    """The logical failure rate of the three-qubit bit-flip code from float
+    draws: each shot's three uniforms, compared with p, summed per shot and
+    counted where two or more fall below p, over blocks of 2^16 shots."""
+    failures = 0
+    for start in range(0, shots, 1 << 16):
+        flips = rng.uniforms(np.arange(start, min(start + (1 << 16), shots)), 3) < p
+        failures += int(np.count_nonzero(flips.sum(axis=1) >= 2))
+    return failures / shots
+
+
 def _basis_projector(indices, dim: int) -> np.ndarray:
     proj = np.zeros((dim, dim), dtype=complex)
     for i in indices:
@@ -588,8 +599,14 @@ def stream_key(seed: int, tag, shot):
     return mix_masked(k ^ mix_masked(shot))
 
 
-def uniforms_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
-    """`Stream(seed, tag).uniforms(shot_indices, draws)` through `mix_masked`."""
+def words_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
+    """(shots, draws) splitmix words of the streams (seed, tag, shot)
+    through `mix_masked`: the transpose of `Stream(seed, tag).words`."""
     keys = stream_key(seed, tag, np.asarray(shot_indices, dtype=np.uint64))
     counters = np.arange(1, draws + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return (mix_masked(keys[:, None] + counters) >> 11) * (1.0 / (1 << 53))
+    return mix_masked(keys[:, None] + counters)
+
+
+def uniforms_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
+    """`Stream(seed, tag).uniforms(shot_indices, draws)` through `mix_masked`."""
+    return (words_masked(seed, tag, shot_indices, draws) >> 11) * (1.0 / (1 << 53))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsim import acceptance
+from qsim import acceptance, entangle
 from qsim.cli import EXPERIMENTS, build_parser, main
 
 
@@ -171,6 +171,21 @@ class TestRun:
                                "--steps", "2", "--seed", "4111601437", "--assert")
         assert code == 0
         assert parse_rows(out)[0]["value"] == -0.66
+
+    def test_chsh_assert_takes_sigma_at_the_reference(self, capsys):
+        # two pairs a setting, every correlator +-1: the sample stderr is 0, but
+        # sigma at the reference is sqrt(4 (1 - 1/2) / 2) = 1
+        code, out, _ = run_cli(capsys, "run", "--experiment", "chsh", "--shots", "8",
+                               "--seed", "1", "--assert")
+        assert code == 0
+        head = parse_rows(out)[0]
+        assert (head["value"], head["stderr"]) == (4.0, 0.0)
+        # at 100 pairs a setting sigma is 0.141: the classical bound 2 lies 5.9 sigma off
+        counts = dict.fromkeys(("13", "23", "24", "14"), 100)
+        for value, ok in ((2.0, False), (2.6, True)):
+            result = entangle.ChshResult(value=value, stderr=0.0, correlators={},
+                                         counts=counts, shots=400, rows=())
+            assert acceptance.chsh_ok(result) is ok
 
     @pytest.mark.parametrize("argv, named", [
         (["count", "--m-count", "-1", "--assert"], "--m-count"),
@@ -334,7 +349,8 @@ def fuzz_cli(max_examples=400):
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=max_examples)
     @given(argv=st.one_of(run, acceptance_run))
-    @example(argv=["run", "--experiment", "chsh", "--shots", "8", "--assert"])  # exit 3
+    @example(argv=["run", "--experiment", "count", "--shots", "40", "--zeta", "0.5",
+                   "--assert"])  # exit 3
     def drive(argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -4,15 +4,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     bitflip_failures,
+    float_sweep_rate,
     shor9_correct_dense,
     syndrome_measure_dense,
     syndrome_measure_phase_dense,
 )
+from qsim import qec
 from qsim.errors import DomainError
 from qsim.gates import PAULI_X, PAULI_Z
 from qsim.qec import (
@@ -341,6 +343,38 @@ class TestLogicalRate:
             stream = rng.substream(shot)
             failures += sum(stream.uniform() < p for _ in range(3)) >= 2
         assert logical_error_rate("bit-flip-3", p, shots, rng) == failures / shots
+
+    @settings(max_examples=60)
+    @given(p=st.one_of(st.sampled_from([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+                       st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**64 - 1),
+           shots=st.one_of(st.integers(1, 3000),
+                           st.sampled_from([SWEEP_BLOCK - 1, SWEEP_BLOCK, SWEEP_BLOCK + 1,
+                                            2 * SWEEP_BLOCK + 1])))
+    @example(p=0.3, seed=57, shots=SWEEP_BLOCK - 1)
+    @example(p=0.3, seed=57, shots=SWEEP_BLOCK + 1)
+    @example(p=0.3, seed=57, shots=2 * SWEEP_BLOCK + 1)
+    def test_matches_the_float_sweep(self, p, seed, shots):
+        rng = Stream(seed, "float-sweep")
+        assert logical_error_rate("bit-flip-3", p, shots, rng) == float_sweep_rate(p, shots, rng)
+
+    @pytest.mark.parametrize("block", [1 << 10, 1 << 16])
+    def test_rate_does_not_depend_on_the_block_size(self, monkeypatch, block):
+        shots = 3 * (1 << 14) + 7
+        want = [logical_error_rate("bit-flip-3", p, shots, Stream(61, f"block{p}"))
+                for p in (0.05, 0.3)]
+        monkeypatch.setattr(qec, "SWEEP_BLOCK", block)
+        assert [logical_error_rate("bit-flip-3", p, shots, Stream(61, f"block{p}"))
+                for p in (0.05, 0.3)] == want
+
+    def test_sweep_never_draws_floats(self, monkeypatch):
+        want = logical_error_rate("bit-flip-3", 0.2, 5000, Stream(63, "words"))
+
+        def refuse(self, shot_indices, draws):
+            raise AssertionError("the sweep drew float uniforms")
+
+        monkeypatch.setattr(Stream, "uniforms", refuse)
+        assert logical_error_rate("bit-flip-3", 0.2, 5000, Stream(63, "words")) == want
 
     def test_invalid_arguments_rejected(self):
         for p in (1.5, -0.1, float("nan")):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import kahan_sample_index, kahan_sample_indices, two_level_sample_indices
 from qsim import rng
-from qsim.errors import InternalError
+from qsim.errors import DomainError, InternalError
 from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, Stream, kahan_cumsum, sample_index, sample_indices
 
 
@@ -132,6 +132,82 @@ def test_uniforms_and_keys_match_the_whole_derivation(seed, tag, shots, draws):
         fresh = Stream(seed, tag, shot)
         assert fresh._key == key
         assert row == [fresh.uniform() for _ in range(draws)]
+
+
+@settings(max_examples=100)
+@given(seed=st.one_of(st.sampled_from(EDGE_KEYS), SEEDS), tag=TAGS,
+       shots=st.one_of(TOP_SHOTS, ANY_SHOTS), draws=st.integers(1, 5))
+@example(seed=2**64 - 1, tag="", shots=[2**64 - 1, 0, 2**63], draws=5)
+def test_words_match_the_masked_derivation(seed, tag, shots, draws):
+    got = Stream(seed, tag).words(shots, draws)
+    assert got.dtype == np.uint64 and got.shape == (draws, len(shots))
+    assert got.T.tolist() == oracles.words_masked(seed, tag, shots, draws).tolist()
+
+
+EDGE_PROBS = [0.0, -0.0, 5e-324, 2.0**-53, 0.05, 0.5, 1.0 - 2.0**-53, 1.0]
+NUDGES = st.sampled_from([0.0, None, 1.0])
+
+
+def _nudge(p, toward):
+    """p itself (toward None), or the next float from p toward `toward`."""
+    return p if toward is None else float(np.nextafter(p, toward))
+
+
+# p = k 2^-53, a possible draw, and the floats on either side of it
+GRID_PROBS = st.builds(
+    lambda k, toward: _nudge(k * 2.0**-53, toward),
+    st.one_of(st.integers(0, 64), st.integers(0, 2**53), st.integers(2**53 - 64, 2**53)),
+    NUDGES,
+)
+PROBS = st.one_of(st.sampled_from(EDGE_PROBS), GRID_PROBS, st.floats(0.0, 1.0))
+
+
+def _below_is_the_float_comparison(stream, shots, draws, p):
+    got = stream.below(shots, draws, p)
+    assert got.dtype == bool and got.shape == (draws, len(shots))
+    assert got.tolist() == (stream.uniforms(shots, draws).T < p).tolist()
+
+
+@settings(max_examples=300)
+@given(p=PROBS, seed=SEEDS, shots=st.one_of(TOP_SHOTS, ANY_SHOTS), draws=st.integers(1, 5))
+def test_below_equals_the_float_comparison(p, seed, shots, draws):
+    _below_is_the_float_comparison(Stream(seed, "below"), shots, draws, p)
+
+
+@pytest.mark.parametrize("p", EDGE_PROBS)
+def test_below_at_the_edge_probabilities(p):
+    shots = [0, 1, 2**63, 2**64 - 2, 2**64 - 1]
+    for draws in range(1, 6):
+        _below_is_the_float_comparison(Stream(5, "below-edge"), shots, draws, p)
+
+
+@settings(max_examples=100)
+@given(seed=SEEDS, shots=st.one_of(TOP_SHOTS, ANY_SHOTS), draws=st.integers(1, 5),
+       toward=NUDGES)
+def test_below_decides_a_draw_at_its_own_threshold(seed, shots, draws, toward):
+    """p equal to a draw, or one float either side of it: the comparison
+    that a word far from the threshold never tests."""
+    stream = Stream(seed, "below-at")
+    for u in stream.uniforms(shots, draws).ravel().tolist():
+        _below_is_the_float_comparison(stream, shots, draws, _nudge(u, toward))
+
+
+def test_below_at_a_word_on_its_threshold():
+    """A word whose low 11 bits are zero equals t 2^11 for p its own draw:
+    the only word on which w < t 2^11 and w <= t 2^11 differ."""
+    stream = Stream(7, "below-word")
+    shots = np.arange(1 << 14)
+    on_grid = shots[(stream.words(shots, 1)[0] & np.uint64(0x7FF)) == 0]
+    assert on_grid.size > 0
+    for u in stream.uniforms(on_grid, 1)[:4, 0].tolist():
+        for toward in (0.0, None, 1.0):
+            _below_is_the_float_comparison(stream, on_grid, 1, _nudge(u, toward))
+
+
+@pytest.mark.parametrize("p", [-5e-324, -1.0, 1.0 + 2.0**-52, 2.0, math.inf, math.nan])
+def test_below_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(DomainError):
+        Stream(1, "below-bad").below([0, 1], 3, p)
 
 
 def test_scalar_draws_never_reach_the_array_mixer(monkeypatch):

@@ -303,6 +303,16 @@ def test_point_mass_mixture_matches_the_per_shot_model(seed, eps, good, bad, n, 
     assert point_mass_mixture(eps, good, bad, n, shots, rng).tolist() == expected
 
 
+def test_point_mass_mixture_never_draws_floats(monkeypatch):
+    want = point_mass_mixture(0.3, 0.25, 0.5, 20, 30, Stream(3, "words")).tolist()
+
+    def refuse(self, shot_indices, draws):
+        raise AssertionError("the mixture drew float uniforms")
+
+    monkeypatch.setattr(Stream, "uniforms", refuse)
+    assert point_mass_mixture(0.3, 0.25, 0.5, 20, 30, Stream(3, "words")).tolist() == want
+
+
 @settings(max_examples=50)
 @given(seed=st.integers(0, 2**64 - 1), eps=st.floats(0.0, 1.0),
        budget=st.integers(1, 8), trials=st.integers(1, 300))
