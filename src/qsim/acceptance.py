@@ -52,6 +52,11 @@ def grover_ok(rate: float, plan: algorithms.GroverPlan, shots: int) -> bool:
     return rate >= 1.0 - 1.0 / plan.N - 3.0 * sigma
 
 
+def coverage_ok(coverage: float, epsilon: float, shots: int) -> bool:
+    """At least 1 - epsilon, less 3 sigma taken at the reference."""
+    return coverage >= (1.0 - epsilon) - 3.0 * math.sqrt(epsilon * (1.0 - epsilon) / shots)
+
+
 def chi_square_ok(stat: float) -> bool:
     """Uniformity of 16 bins at the 0.1% level."""
     return stat < CHI2_99_9_DF15
@@ -136,17 +141,22 @@ def criterion_4_qft(check, details) -> None:
 
 
 def criterion_5_phase_estimation(check, details) -> None:
-    """Exact recovery of every b-bit phase, and the (zeta, epsilon) bound."""
+    """Exact recovery of every b-bit phase, by the simulated circuit (b <= 5,
+    within 1e-12 of the closed form) or the closed form; the (zeta, epsilon) bound."""
     rng = Stream(SEED, "acc/pe-exact")
     exact_failures = 0
     for b in range(1, 9):
         # a b-bit register recovers every phi = k / 2^b with certainty
         for k in range(1 << b):
             phi = k / (1 << b)
-            u = gates.GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-            dist = algorithms._pe_register_distribution(u, qstate.basis_state(1, 1), b)
+            dist = closed = algorithms._pe_register_distribution(phi, b)
+            if b <= 5:
+                out = gates.run_circuit(algorithms.phase_estimation_circuit(phi, b),
+                                        qstate.basis_state(b + 1, 1))
+                dist = qstate.marginal(out, range(b))
             idx, _ = algorithms.sample_index(dist, rng.substream((b << 10) | k))
-            if idx / (1 << b) != phi or dist[idx] < 1.0 - 1e-9:
+            if (np.max(np.abs(dist - closed)) > 1e-12 or idx / (1 << b) != phi
+                    or dist[idx] < 1.0 - 1e-9):
                 exact_failures += 1
     check("exact_case_failures", exact_failures == 0, exact_failures)
 
@@ -154,9 +164,7 @@ def criterion_5_phase_estimation(check, details) -> None:
     details["plan_b"] = plan.b
     runs = 2000
     coverage = algorithms.phase_coverage(1.0 / 3.0, plan, runs, Stream(SEED, "acc/pe-bound"))
-    sigma = math.sqrt(0.9 * 0.1 / runs)
-    threshold = (1.0 - plan.epsilon) - 3.0 * sigma
-    check("coverage", coverage >= threshold, coverage)
+    check("coverage", coverage_ok(coverage, plan.epsilon, runs), coverage)
 
 
 def criterion_6_grover(check, details) -> None:

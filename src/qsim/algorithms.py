@@ -4,9 +4,9 @@ quantum counting, and small-modulus order finding.
 Phase estimation follows the two-stage procedure: a Hadamard layer on the
 b-qubit register, the controlled-U^(2^j) ladder (register qubit j controls
 U^(2^(b-1-j))), an inverse QFT, and a register measurement whose value
-over 2^b estimates the eigenphase. The register distribution takes the
-inverse QFT as a DFT (np.fft); the acceptance suite checks the QFT circuit.
-Order finding's register distribution has Shor's closed form instead.
+over 2^b estimates the eigenphase. On an eigenstate the register follows
+the Fejer kernel, counting mixes it at two eigenphases and order finding
+has Shor's closed form; the dense routes are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .gates import (
     GateOp,
     controlled,
     hadamard,
-    hadamard_layer,
     inverse_circuit,
     phase_gate,
     run_circuit,
@@ -118,39 +117,34 @@ def qft_check(n: int, rng: Stream) -> tuple[float, float]:
 # phase estimation
 
 
-def _pe_register_distribution(u: GateOp, state: StateVector, b: int) -> np.ndarray:
-    """Probability distribution of the register measurement after the
-    phase-estimation circuit, for an arbitrary second-register input.
+def _pe_register_distribution(phi: float, b: int) -> np.ndarray:
+    """Phase estimation's register distribution on an eigenstate of phase
+    phi: the Fejer kernel (Nielsen & Chuang 5.2.1; Cleve et al. 1998)
 
-    After the Hadamard layer and the controlled-U^(2^j) ladder the state is
-    sum_j |j> (x) U^j|psi> / sqrt(2^b). Every U^j|psi> lies on the closed
-    support of psi under U, so U is restricted to it exactly; the columns
-    U^j|psi> are built by doubling with the repeated squares of U, and the
-    inverse QFT on the register is a DFT along j.
+        P(m) = sin^2(pi M d) / (M^2 sin^2(pi d)),  d = phi - m/M,  M = 2^b,
+
+    and 1 where d is an integer. With n the integer nearest M phi, t = M phi - n
+    is exact (0 below 2^-900, where P rounds to the one-hot at n) and
+    sin^2(pi M d) = sin^2(pi t); M d is t - j mod M, j = m - n in [-M/2, M/2).
     """
-    if u.controls:
-        raise DomainError("phase estimation takes an uncontrolled unitary")
-    k = len(u.targets)
-    if state.qubits != k:
-        raise DomainError(
-            f"eigenstate register has {state.qubits} qubits, unitary acts on {k}"
-        )
-    _check_qubit_count(b + k)
-    live = state.amps != 0
-    while (grown := live | (u.matrix[:, live] != 0).any(axis=1)).sum() > live.sum():
-        live = grown
-    power = u.matrix[np.ix_(live, live)]
-    cols = np.empty((power.shape[0], 1 << b), dtype=complex)
-    cols[:, 0] = state.amps[live]
+    M = 1 << b
+    n = round(phi * M)
+    t = phi * M - n if abs(phi * M - n) >= 2.0**-900 else 0.0
+    j = (np.arange(M) - n % M + M // 2) % M - M // 2
+    den = np.sin((t - j) * (math.pi / M))
+    dist = np.divide(math.sin(math.pi * t) / M, den, out=np.ones(M), where=den != 0.0)
+    return np.square(dist, out=dist)
+
+
+def phase_estimation_circuit(phi: float, b: int) -> Circuit:
+    """Phase estimation of U = diag(1, e^{2 pi i phi}) on qubit b, which the
+    caller prepares in |1>, as gates: Hadamards on register qubits 0..b-1,
+    qubit j controlling U^(2^(b-1-j)), then the inverse QFT on the register."""
+    ops = [hadamard(j) for j in range(b)]
     for j in range(b):
-        cols[:, 1 << j : 2 << j] = power @ cols[:, : 1 << j]
-        power = power @ power
-    # In place: a call holds two (support x 2^b) buffers, not four, and glibc
-    # hands freed ones of this size back to the kernel to be faulted in again.
-    np.fft.fft(cols, norm="forward", out=cols)
-    mag = np.abs(cols)
-    np.square(mag, out=mag)
-    return mag.sum(axis=0)
+        turn = math.ldexp(phi, b - 1 - j) % 1.0  # exact, so the angle rounds once
+        ops.append(controlled(phase_gate(2.0 * math.pi * turn, b), j))
+    return Circuit(b + 1, (*ops, *inverse_qft(b).ops))
 
 
 EIGENSTATE_TOL = 1e-8
@@ -160,18 +154,26 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
                     rng: Stream) -> list:
     """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) `shots`
     times, shot i drawn from rng.substream(i); the register distribution is
-    computed once.
+    the closed form at phi = arg(<psi|u|psi>) / 2 pi, computed once.
 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
     """
-    draws = rng.shot_uniforms(shots, 1)[:, 0]
+    if u.controls:
+        raise DomainError("phase estimation takes an uncontrolled unitary")
+    k = len(u.targets)
+    if eigenstate.qubits != k:
+        raise DomainError(
+            f"eigenstate register has {eigenstate.qubits} qubits, unitary acts on {k}"
+        )
+    _check_qubit_count(plan.b + k)
     applied = u.matrix @ eigenstate.amps
     lam = complex(np.vdot(eigenstate.amps, applied))
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
-    dist = _pe_register_distribution(u, eigenstate, plan.b)
-    indices = sample_indices(dist, draws).tolist()
+    draws = rng.shot_uniforms(shots, 1)[:, 0]
+    phi = math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0
+    indices = sample_indices(_pe_register_distribution(phi, plan.b), draws).tolist()
     return [i / float(1 << plan.b) for i in indices]
 
 
@@ -217,13 +219,10 @@ def grover_iterations(N: int, M: int) -> int:
     return GroverPlan.for_counts(N, M).R
 
 
-def _oracle_signs(f: BooleanOracle) -> np.ndarray:
-    return 1.0 - 2.0 * f.values().astype(float)
-
-
-def _grover_amps(signs: np.ndarray, r: int) -> np.ndarray:
+def _grover_amps(f: BooleanOracle, r: int) -> np.ndarray:
     """Amplitudes after r Grover iterations from the uniform start: each
     iteration is the oracle phase flip then inversion about the mean."""
+    signs = 1.0 - 2.0 * f.values().astype(float)
     n = signs.shape[0]
     amps = np.full(n, 1.0 / math.sqrt(n))
     for _ in range(r):
@@ -236,7 +235,7 @@ def grover_solution_amplitude(f: BooleanOracle, M: int, r: int) -> float:
     """sqrt of the probability mass on the solution subspace after r
     iterations; equals sin((2r+1) theta / 2)."""
     GroverPlan.for_counts(1 << f.b, M)
-    amps = _grover_amps(_oracle_signs(f), r)
+    amps = _grover_amps(f, r)
     return float(np.sqrt(np.sum(amps[f.values() == 1] ** 2)))
 
 
@@ -247,7 +246,7 @@ def _grover_probs(f: BooleanOracle, M: int) -> np.ndarray:
     actual = f.solution_count()
     if actual != M:
         raise ValidationError(f"oracle marks {actual} solutions, caller claimed {M}")
-    return _grover_amps(_oracle_signs(f), plan.R) ** 2
+    return _grover_amps(f, plan.R) ** 2
 
 
 def grover_search(f: BooleanOracle, M: int, shots: int, rng: Stream) -> np.ndarray:
@@ -262,28 +261,19 @@ def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) 
     return int(np.count_nonzero(grover_search(f, 1, shots, rng) == marked)) / shots
 
 
-def grover_operator_matrix(f: BooleanOracle) -> np.ndarray:
-    """Dense N x N Grover operator: oracle phase flip followed by the
-    reflection about the uniform state."""
-    _check_dense_qubits(f.b, "the dense Grover operator")
-    N = 1 << f.b
-    signs = _oracle_signs(f)
-    reflect = 2.0 / N * np.ones((N, N)) - np.eye(N)
-    return (reflect * signs[np.newaxis, :]).astype(complex)
-
-
 def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -> list:
-    """Estimate the solution count by phase-estimating the Grover operator
-    `shots` times, shot i drawn from rng.substream(i); the register
-    distribution is computed once.
-
-    The uniform state splits over the e^{+-i theta} eigenvectors; estimates
-    above one half are folded down before inverting sin^2(theta/2) = M/N.
-    """
+    """Estimate the solution count M by phase-estimating the Grover operator
+    `shots` times, shot i drawn from rng.substream(i). The uniform state has
+    weight 1/2 on each eigenvector of phase +-omega, sin^2(pi omega) = M/N
+    (Brassard, Hoyer, Mosca & Tapp 2002), so the register reads the mean of
+    the kernel at omega and its mirror m -> -m mod 2^b. Estimates above one
+    half are folded down before inverting sin^2(theta/2) = M/N."""
+    _check_qubit_count(plan.b + f.b)
     draws = rng.shot_uniforms(shots, 1)[:, 0]
     N = 1 << f.b
-    gate = GateOp("grover", grover_operator_matrix(f), list(range(f.b)))
-    dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
+    dist = _pe_register_distribution(math.asin(math.sqrt(f.solution_count() / N)) / math.pi, plan.b)
+    dist += np.roll(dist[::-1], 1)
+    dist *= 0.5
     counts = []
     for i in sample_indices(dist, draws).tolist():
         omega = i / float(1 << plan.b)

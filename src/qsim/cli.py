@@ -108,8 +108,7 @@ def _run_phase_est(args):
                                          Stream(args.seed, "cli/phase-est"))
     rows = [_row(args, "coverage", coverage, reference=1.0 - args.epsilon, zeta=args.zeta,
                  epsilon=args.epsilon, phase=args.phase, register_qubits=plan.b)]
-    sigma = math.sqrt(max(coverage * (1 - coverage), 1e-12) / args.shots)
-    return rows, coverage >= 1.0 - args.epsilon - 3.0 * sigma
+    return rows, acceptance.coverage_ok(coverage, args.epsilon, args.shots)
 
 
 @experiment("grover")

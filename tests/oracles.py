@@ -128,6 +128,33 @@ def pe_register_out_of_place(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarr
     return (np.abs(np.fft.fft(cols, norm="forward")) ** 2).sum(axis=0)
 
 
+def grover_operator_matrix(f) -> np.ndarray:
+    """Dense N x N Grover operator: the oracle phase flip, then the
+    reflection about the uniform state. Quantum counting samples its phase
+    estimation from the uniform state in closed form."""
+    N = 1 << f.b
+    signs = 1.0 - 2.0 * f.values().astype(float)
+    reflect = 2.0 / N * np.ones((N, N)) - np.eye(N)
+    return (reflect * signs[np.newaxis, :]).astype(complex)
+
+
+def fejer_longdouble(phi: float, b: int) -> np.ndarray:
+    """Phase estimation's closed-form register distribution in np.longdouble:
+    P(m) = sin^2(pi t) / (M sin(pi (t - j) / M))^2 with M = 2^b, t = M phi
+    less its nearest integer n, and j = m - n mod M in [-M/2, M/2); 1 where
+    the denominator is 0."""
+    M = 1 << b
+    pi = 4 * np.arctan(np.longdouble(1))
+    x = np.longdouble(phi) * M
+    n = int(np.round(x))
+    t = x - n
+    j = ((np.arange(M) - n % M + M // 2) % M - M // 2).astype(np.longdouble)
+    den = M * np.sin(pi * (t - j) / M)
+    ratio = np.ones(M, dtype=np.longdouble)
+    np.divide(np.sin(pi * t), den, out=ratio, where=den != 0)
+    return ratio * ratio
+
+
 def kahan_sample_index(probs, rng):
     """The scalar Born sampler before the filter: a Python scan of the
     Kahan CDF. Returns (index, probs[index])."""

@@ -1,13 +1,14 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     circuit_unitary,
+    fejer_longdouble,
+    grover_operator_matrix,
     modmul_unitary,
     orbit_register_distribution,
     pe_register_distribution,
@@ -21,7 +22,6 @@ from qsim.algorithms import (
     apply_qft,
     dft_matrix,
     grover_iterations,
-    grover_operator_matrix,
     grover_search,
     grover_solution_amplitude,
     grover_success_rate,
@@ -32,6 +32,7 @@ from qsim.algorithms import (
     phase_coverage,
     phase_distance,
     phase_estimates,
+    phase_estimation_circuit,
     qft,
     qft_check,
     quantum_counts,
@@ -50,7 +51,16 @@ from qsim.entangle import (
     teleport_bit_counts,
 )
 from qsim.errors import DomainError, NotFoundError, ResourceError, ValidationError
-from qsim.gates import PAULI_Z, BooleanOracle, GateOp, hadamard, hadamard_layer, run_circuit
+from qsim.gates import (
+    PAULI_Z,
+    BooleanOracle,
+    GateOp,
+    controlled,
+    hadamard,
+    hadamard_layer,
+    phase_gate,
+    run_circuit,
+)
 from qsim.qec import logical_error_rate
 from qsim.qstate import (
     DENSE_MAX_QUBITS,
@@ -58,6 +68,7 @@ from qsim.qstate import (
     StateVector,
     basis_state,
     fidelity,
+    marginal,
     random_state,
 )
 from qsim.rng import Stream, sample_indices
@@ -68,11 +79,47 @@ def phase_unitary(phi: float) -> GateOp:
     return GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
 
 
+def plan_with_b(b: int) -> PhasePlan:
+    """A phase-estimation plan whose register has b >= 3 qubits."""
+    plan = PhasePlan(zeta=2.0 ** (2 - b), epsilon=0.5)
+    assert plan.b == b
+    return plan
+
+
+def sampled_distribution(call):
+    """The register distribution that `call` hands to the Born sampler."""
+    seen = []
+
+    def spy(probs, u):
+        seen.append(np.array(probs))
+        return sample_indices(probs, u)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algorithms, "sample_indices", spy)
+        call()
+    [dist] = seen
+    return dist
+
+
+def eigenpair(gen, k: int):
+    """(U = V diag(e^{2 pi i phi_j}) V^dagger on k qubits for a random
+    unitary V, V's column j, phi_j) for a random j."""
+    dim = 1 << k
+    v = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
+    phis = gen.random(dim)
+    j = int(gen.integers(dim))
+    return (v * np.exp(2j * np.pi * phis)) @ v.conj().T, v[:, j], float(phis[j])
+
+
+def count_distribution(f: BooleanOracle, plan: PhasePlan) -> np.ndarray:
+    return sampled_distribution(lambda: quantum_counts(f, plan, 1, Stream(0, "dist")))
+
+
 def per_stream_counts(f: BooleanOracle, plan: PhasePlan, rngs) -> list:
-    """quantum_counts by one sample_index call per stream."""
+    """quantum_counts by one sample_index call per stream, on the register
+    distribution quantum_counts samples."""
     n = 1 << f.b
-    gate = GateOp("g", grover_operator_matrix(f), range(f.b))
-    dist = _pe_register_distribution(gate, hadamard_layer(f.b), plan.b)
+    dist = count_distribution(f, plan)
     counts = []
     for i in per_stream_indices(dist, rngs):
         omega = i / float(1 << plan.b)
@@ -112,20 +159,18 @@ def test_dense_oracles_are_capped_before_they_allocate(monkeypatch):
     def no_array(*args, **kwargs):
         raise AssertionError("a dense matrix was allocated")
 
-    f = BooleanOracle.from_solutions(DENSE_MAX_QUBITS + 1, [1])
+    past_cap = BooleanOracle.from_solutions(18, [1])  # 18 + 7 register qubits > 24
+    plan = PhasePlan(zeta=2.0**-4, epsilon=0.1)
     with monkeypatch.context() as m:
-        for name in ("meshgrid", "ones", "exp"):
+        for name in ("meshgrid", "ones", "exp", "arange", "full", "empty"):
             m.setattr(np, name, no_array)
         with pytest.raises(ResourceError):
             dft_matrix(DENSE_MAX_QUBITS + 1)
         with pytest.raises(ResourceError):
             qft_check(40, Stream(3, "qft-cap"))
         with pytest.raises(ResourceError):
-            grover_operator_matrix(f)
-        with pytest.raises(ResourceError):
-            quantum_counts(f, PhasePlan(zeta=0.25, epsilon=0.25), 1, Stream(3, "count-cap"))
-    small = BooleanOracle.from_solutions(3, [1])
-    assert dft_matrix(3).shape == grover_operator_matrix(small).shape == (8, 8)
+            quantum_counts(past_cap, plan, 1, Stream(3, "count-cap"))
+    assert dft_matrix(3).shape == (8, 8)
 
 
 class TestRegisterSize:
@@ -171,142 +216,138 @@ class TestPhaseEstimation:
     def test_exact_case_all_phases_small_registers(self):
         for b in range(1, 6):
             for k in range(1 << b):
-                dist = _pe_register_distribution(
-                    phase_unitary(k / (1 << b)), basis_state(1, 1), b
-                )
-                assert dist[k] >= 1 - 1e-9
+                dist = _pe_register_distribution(k / (1 << b), b)
+                assert dist[k] == 1.0 and dist.sum() == 1.0
 
     @pytest.mark.parametrize("b", range(1, 7))
     @pytest.mark.parametrize("k", [1, 2])
     def test_register_distribution_matches_dense_circuit(self, b, k):
-        gen = np.random.default_rng(10 * b + k)
-        dim = 1 << k
-        u = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
-        psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        dist = _pe_register_distribution(GateOp("u", u, range(k)), StateVector(k, psi), b)
-        np.testing.assert_allclose(dist, pe_register_distribution(u, psi, b), atol=1e-12)
+        # an eigenpair of a random unitary, against the gate-level circuit
+        u, psi, phi = eigenpair(np.random.default_rng(10 * b + k), k)
+        np.testing.assert_allclose(
+            _pe_register_distribution(phi, b), pe_register_distribution(u, psi, b),
+            rtol=0, atol=1e-12,
+        )
 
     def test_register_distribution_order_finding_and_counting(self):
+        # both mixtures of eigenstates, against the gate-level circuit
         modmul = modmul_unitary(7, 15)
-        one = basis_state(4, 1)
         np.testing.assert_allclose(
-            _pe_register_distribution(modmul, one, 6),
-            pe_register_distribution(modmul.matrix, one.amps, 6),
-            atol=1e-12,
+            _orbit_register_distribution(4, 6),
+            pe_register_distribution(modmul.matrix, basis_state(4, 1).amps, 6),
+            rtol=0, atol=1e-12,
         )
         f = BooleanOracle.from_solutions(3, [2])
-        grover = GateOp("g", grover_operator_matrix(f), range(3))
-        uniform = hadamard_layer(3)
         np.testing.assert_allclose(
-            _pe_register_distribution(grover, uniform, 5),
-            pe_register_distribution(grover.matrix, uniform.amps, 5),
-            atol=1e-12,
+            count_distribution(f, plan_with_b(5)),
+            pe_register_distribution(grover_operator_matrix(f), hadamard_layer(3).amps, 5),
+            rtol=0, atol=1e-12,
         )
 
     @pytest.mark.parametrize("n", range(2, 22))
     def test_orbit_columns_match_full_columns_for_order_finding(self, n):
+        # the orbit's closed form against every column of the dense gate
         for x in range(1, n):
             if math.gcd(x, n) != 1:
                 continue
             gate = modmul_unitary(x, n)
             k = len(gate.targets)
-            one = basis_state(k, 1)
             np.testing.assert_allclose(
-                _pe_register_distribution(gate, one, 2 * k + 4),
-                pe_register_full_columns(gate.matrix, one.amps, 2 * k + 4),
+                _orbit_register_distribution(order_brute_force(x, n), 2 * k + 4),
+                pe_register_full_columns(gate.matrix, basis_state(k, 1).amps, 2 * k + 4),
                 rtol=0, atol=1e-15,
             )
 
-    def test_forward_norm_fft_is_bit_equal_to_dividing_after(self, monkeypatch):
-        # 1 / 2^b is exact, so norm="forward" and fft(...) / 2^b agree in every bit
-        fft = np.fft.fft
-        seen = []
-        monkeypatch.setattr(np.fft, "fft",
-                            lambda a, **kw: seen.append(a.copy()) or fft(a, **kw))
-        cases = [(phase_unitary(1.0 / 3.0), basis_state(1, 1), b) for b in range(1, 9)]
-        for n in range(2, 22):
-            for x in range(1, n):
-                if math.gcd(x, n) == 1:
-                    gate = modmul_unitary(x, n)
-                    k = len(gate.targets)
-                    cases.append((gate, basis_state(k, 1), 2 * k + 4))
-        for gate, state, b in cases:
-            dist = _pe_register_distribution(gate, state, b)
-            divided = (np.abs(fft(seen.pop()) / (1 << b)) ** 2).sum(axis=0)
-            assert dist.tobytes() == divided.tobytes()
-        assert len(cases) == 8 + 139 and not seen
+    @given(k=st.integers(1, 3), b=st.integers(3, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_closed_form_matches_the_dense_routes_on_random_eigenpairs(self, k, b, seed):
+        # the phase phase_estimates reads off <psi|U|psi>; the FFT route at
+        # every b, the gate-level circuit while it stays small
+        u, psi, _ = eigenpair(np.random.default_rng(seed), k)
+        dist = sampled_distribution(lambda: phase_estimates(
+            GateOp("u", u, range(k)), StateVector(k, psi), plan_with_b(b), 1, Stream(seed, "e")))
+        np.testing.assert_allclose(dist, pe_register_out_of_place(u, psi, b), rtol=0, atol=1e-12)
+        if b + k <= 7:
+            np.testing.assert_allclose(dist, pe_register_distribution(u, psi, b),
+                                       rtol=0, atol=1e-12)
 
-    def test_products_are_bit_equal_to_the_out_of_place_route_for_modmul(self):
-        # modular multiplication from a random state: the in-place DFT and
-        # squares on the product-built columns must not change a bit
-        cases = 0
-        for n in range(2, 34):
-            for x in range(1, n):
-                if math.gcd(x, n) == 1:
-                    gate = modmul_unitary(x, n)
-                    k = len(gate.targets)
-                    state = random_state(k, Stream(n, f"perm{x}"))
-                    b = min(2 * k + 4, 12)
-                    got = _pe_register_distribution(gate, state, b)
-                    want = pe_register_out_of_place(gate.matrix, state.amps, b)
-                    assert got.tobytes() == want.tobytes()
-                    cases += 1
-        assert cases == 343
+    @given(phi=st.floats(0.0, 1.0, exclude_max=True), b=st.integers(1, 8))
+    @settings(max_examples=40)
+    def test_closed_form_matches_the_simulated_circuit(self, phi, b):
+        out = run_circuit(phase_estimation_circuit(phi, b), basis_state(b + 1, 1))
+        np.testing.assert_allclose(_pe_register_distribution(phi, b), marginal(out, range(b)),
+                                   rtol=0, atol=1e-14)
 
-    @given(k=st.integers(1, 3), b=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-    def test_in_place_route_is_bit_equal_to_the_out_of_place_route(self, k, b, seed):
-        # the DFT overwrites the columns and the squares overwrite the
-        # magnitudes; neither may change a bit of the distribution
-        gen = np.random.default_rng(seed)
-        dim = 1 << k
-        u = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))[0]
-        psi = (gen.normal(size=dim) + 1j * gen.normal(size=dim)) * (gen.random(dim) < 0.7)
-        psi[gen.integers(dim)] += 1.0
-        psi /= np.linalg.norm(psi)
-        got = _pe_register_distribution(GateOp("u", u, range(k)), StateVector(k, psi), b)
-        assert got.tobytes() == pe_register_out_of_place(u, psi, b).tobytes()
+    @pytest.mark.parametrize("b", [1, 3, 7, 10, 12])
+    def test_error_against_long_double_is_no_larger_than_the_fft_route(self, b):
+        phis = [0.0, 1.0, -0.5, 1.0 - 2.0**-53, 2.0, 1.0 / 3.0]
+        phis += list(np.random.default_rng(b).random(20))
+        closed = fft = 0.0
+        for phi in phis:
+            want = fejer_longdouble(phi, b)
+            closed = max(closed, float(np.max(np.abs(_pe_register_distribution(phi, b) - want))))
+            u = np.diag([1.0, np.exp(2j * math.pi * phi)])
+            got = pe_register_out_of_place(u, np.array([0.0, 1.0 + 0j]), b)
+            fft = max(fft, float(np.max(np.abs(got - want))))
+        assert closed <= 1e-15 and closed <= fft, (closed, fft)
+
+    @given(b=st.integers(1, 12), k=st.integers(0, 2**12 - 1), side=st.sampled_from([-1, 1]))
+    def test_edge_phases(self, b, k, side):
+        M = 1 << b
+        near = float(np.nextafter((k % M) / M, side * math.inf))
+        for phi in (0.0, 1.0, -0.5, 1.0 - 2.0**-53, 2.0, (k % M) / M, near):
+            dist = _pe_register_distribution(phi, b)
+            assert np.all(np.isfinite(dist)) and abs(dist.sum() - 1.0) <= 1e-12, phi
+            assert np.max(np.abs(dist - fejer_longdouble(phi, b))) <= 1e-15, phi
+        for phi, peak in ((0.0, 0), (1.0, 0), (2.0, 0), (-0.5, M // 2), ((k % M) / M, k % M)):
+            dist = _pe_register_distribution(phi, b)
+            assert dist[peak] == 1.0 and dist.sum() == 1.0, phi
 
     def test_block_diagonal_unitary_with_psi_inside_one_block(self):
         gen = np.random.default_rng(5)
-        block = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))[0]
+        block, psi_block, phi = eigenpair(gen, 1)
         other = np.linalg.qr(gen.normal(size=(6, 6)) + 1j * gen.normal(size=(6, 6)))[0]
         u = np.zeros((8, 8), dtype=complex)
         u[np.ix_([2, 5], [2, 5])] = block
         u[np.ix_([0, 1, 3, 4, 6, 7], [0, 1, 3, 4, 6, 7])] = other
         psi = np.zeros(8, dtype=complex)
-        psi[[2, 5]] = [0.6, 0.8j]
-        for b in range(1, 7):
-            np.testing.assert_allclose(
-                _pe_register_distribution(GateOp("u", u, range(3)), StateVector(3, psi), b),
-                pe_register_distribution(u, psi, b), atol=1e-12,
-            )
+        psi[[2, 5]] = psi_block
+        for b in range(3, 6):
+            dist = sampled_distribution(lambda: phase_estimates(
+                GateOp("u", u, range(3)), StateVector(3, psi), plan_with_b(b), 1, Stream(5, "blk")))
+            np.testing.assert_allclose(dist, pe_register_distribution(u, psi, b),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist, _pe_register_distribution(phi, b), rtol=0, atol=1e-13)
 
     def test_psi_with_zero_amplitudes(self):
-        gen = np.random.default_rng(6)
-        u = np.linalg.qr(gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4)))[0]
+        # an eigenvector of a degenerate eigenvalue, zero on half the basis
+        u = GateOp("u", np.diag(np.exp(2j * math.pi * np.array([0.1, 0.3, 0.7, 0.3]))), range(2))
         psi = np.array([0.0, 0.6, 0.0, -0.8j])
-        for b in range(1, 7):
-            np.testing.assert_allclose(
-                _pe_register_distribution(GateOp("u", u, range(2)), StateVector(2, psi), b),
-                pe_register_distribution(u, psi, b), atol=1e-12,
-            )
+        for b in range(3, 7):
+            dist = sampled_distribution(lambda: phase_estimates(
+                u, StateVector(2, psi), plan_with_b(b), 1, Stream(6, "zeros")))
+            np.testing.assert_allclose(dist, pe_register_distribution(u.matrix, psi, b),
+                                       rtol=0, atol=1e-12)
 
     def test_modmul_padding_states_are_fixed_points(self):
-        gate = modmul_unitary(2, 5)  # padding states 5, 6, 7 map to themselves
-        for amps in ([0, 1, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 0, 0]):
+        # states 5, 6 and 7 map to themselves under y -> 2y mod 5: phase 0
+        gate = modmul_unitary(2, 5)
+        for amps in ([0, 0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1, 1, 1]):
             psi = np.array(amps, dtype=complex) / math.sqrt(sum(amps))
-            for b in range(1, 7):
+            for b in range(3, 7):
+                estimates = phase_estimates(gate, StateVector(3, psi), plan_with_b(b), 20,
+                                            Stream(b, "pad"))
+                assert estimates == [0.0] * 20
                 np.testing.assert_allclose(
-                    _pe_register_distribution(gate, StateVector(3, psi), b),
-                    pe_register_distribution(gate.matrix, psi, b), atol=1e-12,
+                    _pe_register_distribution(0.0, b),
+                    pe_register_distribution(gate.matrix, psi, b), rtol=0, atol=1e-12,
                 )
 
     def test_estimates_match_a_per_stream_sample_index_loop(self):
         plan = PhasePlan(zeta=2.0**-6, epsilon=0.05)
         u, eigenstate = phase_unitary(1 / 3), basis_state(1, 1)
         rng = Stream(17, "pe-loop")
-        dist = _pe_register_distribution(u, eigenstate, plan.b)
+        dist = sampled_distribution(lambda: phase_estimates(u, eigenstate, plan, 1, rng))
         expected = per_stream_indices(dist, map(rng.substream, range(300)))
         estimates = phase_estimates(u, eigenstate, plan, 300, rng)
         assert estimates == [i / float(1 << plan.b) for i in expected]
@@ -331,33 +372,41 @@ class TestPhaseEstimation:
         assert phase_distance(0.98, 0.01) == pytest.approx(0.03)
         assert phase_distance(0.25, 0.75) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("x, n", [(2, 21), (2, 15), (1, 21)])
-    def test_warm_call_peaks_at_most_34_bytes_per_column_entry(self, x, n):
-        # the columns (16 bytes an entry), one magnitude array (8) and the
-        # result; a DFT or squares into new arrays would add 16 or 8 more
-        gate = modmul_unitary(x, n)
-        k = len(gate.targets)
-        one = basis_state(k, 1)
-        _pe_register_distribution(gate, one, 2 * k + 4)
-        tracemalloc.start()
-        try:
-            _pe_register_distribution(gate, one, 2 * k + 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 34 * (order_brute_force(x, n) << (2 * k + 4))
-
     def test_register_cap(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "6")
-        assert _pe_register_distribution(phase_unitary(0.5), basis_state(1, 1), 5).shape == (32,)
+        u, one = phase_unitary(0.5), basis_state(1, 1)
+        assert phase_estimates(u, one, plan_with_b(5), 3, Stream(8, "cap")) == [0.5] * 3
         with pytest.raises(ResourceError):
-            _pe_register_distribution(phase_unitary(0.5), basis_state(1, 1), 6)
+            phase_estimates(u, one, plan_with_b(6), 3, Stream(8, "cap"))
+        f = BooleanOracle.from_solutions(3, [1])
+        assert len(quantum_counts(f, plan_with_b(3), 3, Stream(8, "cap"))) == 3
+        with pytest.raises(ResourceError):
+            quantum_counts(f, plan_with_b(4), 3, Stream(8, "cap"))
 
     def test_non_eigenstate_rejected(self):
         plan = PhasePlan(zeta=0.25, epsilon=0.25)
         plus = hadamard_layer(1)
         with pytest.raises(ValidationError):
             phase_estimates(phase_unitary(1 / 3), plus, plan, 1, Stream(9, "bad"))
+
+    def test_inputs_are_checked_in_order_before_any_arithmetic(self, monkeypatch):
+        # controls, then widths, then the qubit cap, then the eigenstate
+        plan, rng, plus = plan_with_b(5), Stream(9, "order"), hadamard_layer(1)
+        two_qubit = GateOp("u", np.eye(4), range(2))
+        cases = [
+            (controlled(phase_gate(0.5, 1), 0), plus, DomainError, "uncontrolled"),
+            (two_qubit, basis_state(1, 1), DomainError, "eigenstate register has 1 qubits"),
+            (phase_unitary(1 / 3), hadamard_layer(2), DomainError, "unitary acts on 1"),
+        ]
+        for u, state, error, text in cases:
+            with pytest.raises(error, match=text):
+                phase_estimates(u, state, plan, 1, rng)
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "5")
+        with pytest.raises(ResourceError):
+            phase_estimates(phase_unitary(1 / 3), plus, plan, 1, rng)
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "6")
+        with pytest.raises(ValidationError):
+            phase_estimates(phase_unitary(1 / 3), plus, plan, 1, rng)
 
 
 class TestGrover:
@@ -447,6 +496,33 @@ class TestQuantumCount:
         hits = sum(1 for m in estimates if m == 4)
         assert hits / 30 >= 1 - plan.epsilon - 3 * math.sqrt(0.1 * 0.9 / 30)
 
+    def test_closed_form_matches_the_dense_grover_route_at_small_n(self):
+        # every M at N <= 32, against phase estimation on the dense operator
+        for bits in range(1, 6):
+            uniform = hadamard_layer(bits).amps
+            for m in range((1 << bits) + 1):
+                f = BooleanOracle.from_solutions(bits, range(m))
+                g = grover_operator_matrix(f)
+                for b in (4, 7, 10):
+                    np.testing.assert_allclose(count_distribution(f, plan_with_b(b)),
+                                               pe_register_out_of_place(g, uniform, b),
+                                               rtol=0, atol=1e-13, err_msg=f"{bits} {m} {b}")
+
+    @given(bits=st.integers(1, 8), pick=st.integers(0, 2**16), b=st.sampled_from([4, 7, 10]))
+    @settings(max_examples=30)
+    def test_closed_form_matches_the_dense_grover_route(self, bits, pick, b):
+        f = BooleanOracle.from_solutions(bits, range(pick % ((1 << bits) + 1)))
+        want = pe_register_out_of_place(grover_operator_matrix(f), hadamard_layer(bits).amps, b)
+        np.testing.assert_allclose(count_distribution(f, plan_with_b(b)), want,
+                                   rtol=0, atol=1e-13)
+
+    def test_past_the_dense_cap(self):
+        # N = 4096 with M = 4 reads 40 or 41 of 4096 and inverts to 4; no
+        # N x N operator is built
+        f = BooleanOracle.from_solutions(DENSE_MAX_QUBITS + 2, range(4))
+        estimates = quantum_counts(f, plan_with_b(12), 200, Stream(3, "wide"))
+        assert estimates.count(4) / 200 >= 0.8
+
     def test_counts_match_a_per_stream_sample_index_loop(self):
         f = BooleanOracle.from_solutions(3, [1, 6])
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
@@ -475,7 +551,7 @@ class TestShotsMatchPerShotStreams:
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
         u, eigenstate = phase_unitary(1 / 3), basis_state(1, 1)
         rng = Stream(seed, tag)
-        dist = _pe_register_distribution(u, eigenstate, plan.b)
+        dist = sampled_distribution(lambda: phase_estimates(u, eigenstate, plan, 1, rng))
         expected = per_stream_indices(dist, map(rng.substream, range(shots)))
         estimates = phase_estimates(u, eigenstate, plan, shots, rng)
         assert estimates == [i / float(1 << plan.b) for i in expected]

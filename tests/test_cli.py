@@ -172,6 +172,16 @@ class TestRun:
         assert code == 0
         assert parse_rows(out)[0]["value"] == -0.66
 
+    def test_phase_est_assert_takes_sigma_at_the_reference(self, capsys, monkeypatch):
+        # 5 of 10 estimates inside zeta lie 2.5 sample sigmas below 0.9, but
+        # 4.2 sigmas sqrt(0.1 * 0.9 / 10) taken at the reference; 7 of 10 lie 2.1
+        assert not acceptance.coverage_ok(0.5, 0.1, 10)
+        assert acceptance.coverage_ok(0.7, 0.1, 10)
+        monkeypatch.setattr(acceptance, "coverage_ok", lambda coverage, eps, shots: False)
+        code, _, _ = run_cli(capsys, "run", "--experiment", "phase-est", "--shots", "10",
+                             "--phase", "0", "--assert")
+        assert code == 3
+
     def test_chsh_assert_takes_sigma_at_the_reference(self, capsys):
         # two pairs a setting, every correlator +-1: the sample stderr is 0, but
         # sigma at the reference is sqrt(4 (1 - 1/2) / 2) = 1
@@ -278,9 +288,9 @@ print(json.dumps(results))
 """
 
 
-def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
-    cases = [("qft", "14"), ("qft", "40"), ("count", "12"), ("count", "24"), ("count", "30"),
-             ("grover", "30"), ("grover", "-1"), ("count", "-1")]
+def _run_capped(cases):
+    """[(exit code, stderr)] of `qsim run --experiment name --bits bits
+    --shots 5` for each (name, bits), in one memory-capped child."""
     argvs = [["run", "--experiment", name, "--bits", bits, "--shots", "5"] for name, bits in cases]
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
@@ -288,13 +298,27 @@ def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    for case, (code, err) in zip(cases, json.loads(proc.stdout)):
+    return json.loads(proc.stdout)
+
+
+def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
+    # count 18 needs 18 + 7 qubits at the default zeta, past the cap of 24
+    cases = [("qft", "14"), ("qft", "40"), ("count", "18"), ("count", "24"), ("count", "30"),
+             ("grover", "30"), ("grover", "-1"), ("count", "-1")]
+    for case, (code, err) in zip(cases, _run_capped(cases)):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)
 
 
+def test_count_runs_past_the_dense_cap_in_a_memory_capped_child():
+    # counting builds no N x N operator, so it runs up to 24 - 7 bits
+    cases = [("count", "12"), ("count", "17")]
+    assert _run_capped(cases) == [[0, ""], [0, ""]]
+
+
 # Edge values for the CLI fuzz below. Register sizes that the dense routes
-# accept stay at or below 4 bits (12 for grover and qrng, which build no
-# dense matrix); 12 is past the dense cap, 21+ past the oracle-table cap.
+# accept stay at or below 4 bits (12 for grover and qrng, and 17 for count,
+# which build no dense matrix); 12 is past the dense cap, 21+ past the
+# oracle-table cap.
 _EDGE_FLOATS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "0.5", "1", "1.5")
 _EDGE_INTS = ("-1", "0", "1", "2", "25", "40")
 _FLAG_VALUES = {
@@ -334,6 +358,8 @@ def fuzz_cli(max_examples=400):
         values = dict(_FLAG_VALUES)
         if experiment == "qrng":  # 21 bits is past the table cap, but a legal qrng register
             values["--bits"] = tuple(bits for bits in values["--bits"] if bits != "21")
+        if experiment == "count":  # the widest count at the default zeta
+            values["--bits"] += ("17",)
         return flags([flag(name, pool) for name, pool in values.items()] + [
             st.lists(st.sampled_from(_LIST_VALUES), min_size=1, max_size=3).map(
                 lambda ps: ["--p", *ps]),
