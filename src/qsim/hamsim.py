@@ -7,18 +7,25 @@ qubits, with the total operator fixed by the convention H = 2 * sum_l H_l.
 The symmetric step U_delta = [prod_l e^{-i H_l d}][prod_l reversed] then
 approximates e^{-i H d}; keep the factor two in mind when assembling
 terms (a single term T yields total Hamiltonian 2T).
+
+A term that is exactly c * P, for real c and a Pauli string P (so P^2 = I),
+has the factor e^{-i c P d} = cos(c d) I - i sin(c d) P, unitary by
+construction and built with no eigensolve; every term of `ising_chain`,
+`commuting_chain` and `qmc_problem` is one. Any other term (the search
+Hamiltonian) takes `linalg.expm_hermitian`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, ResourceError, ValidationError
-from .gates import PAULI_X, PAULI_Z, hadamard_layer
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, hadamard_layer
 from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
 from .qstate import _renormalized, basis_state
 from .rng import Stream
@@ -27,15 +34,47 @@ from .statharness import QmcResult, qmc_estimate
 MAX_TERM_QUBITS = 3
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _pauli_strings(k: int) -> dict:
+    """The 4^k k-qubit Pauli strings, read-only, grouped by the column of
+    their row-0 entry (each string has one nonzero, of modulus 1, a row)."""
+    strings = [np.ones((1, 1), dtype=complex)]
+    for _ in range(k):
+        strings = [linalg.kron(s, p) for s in strings
+                   for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)]
+    by_column = {}
+    for p in strings:
+        p.flags.writeable = False
+        by_column.setdefault(int(np.flatnonzero(p[0])[0]), []).append(p)
+    return by_column
+
+
+def _pauli_form(m: np.ndarray):
+    """(c, P) with m == c * P entry for entry, c real and P a Pauli string;
+    None when m is no such multiple (the zero matrix is 0 * I)."""
+    row = np.flatnonzero(m[0])
+    if len(row) > 1:
+        return None
+    column = int(row[0]) if len(row) else 0
+    for p in _pauli_strings(m.shape[0].bit_length() - 1)[column]:
+        c = m[0, column] * p[0, column].conjugate()  # exact: p[0, column] is +-1 or +-i
+        if c.imag == 0 and (m == c.real * p).all():
+            return c.real, p
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class HamiltonianTerms:
     """Local Hamiltonian: b system qubits and (matrix, targets) terms.
 
-    The total Hamiltonian is H = 2 * sum of embedded terms.
+    The total Hamiltonian is H = 2 * sum of embedded terms. The term
+    matrices are read-only copies, and `paulis[l]` is term l's (c, P) form
+    or None. Instances compare and hash by identity.
     """
 
     qubits: int
     terms: tuple
+    paulis: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.qubits < 1:
@@ -51,11 +90,13 @@ class HamiltonianTerms:
                     f"{MAX_TERM_QUBITS}"
                 )
             _check_targets(self.qubits, targets)
-            m = linalg.require_hermitian(mat)
+            m = linalg.require_hermitian(mat).copy()
             if m.shape[0] != 1 << len(targets):
                 raise ValidationError("term matrix dimension does not match its targets")
+            m.flags.writeable = False
             checked.append((m, targets))
         object.__setattr__(self, "terms", tuple(checked))
+        object.__setattr__(self, "paulis", tuple(_pauli_form(m) for m, _ in checked))
 
     def assemble(self) -> np.ndarray:
         """Dense total Hamiltonian 2 * sum_l embed(H_l); oracle scale only."""
@@ -65,6 +106,13 @@ class HamiltonianTerms:
         for mat, targets in self.terms:
             total += _embed(mat, targets, self.qubits)
         return 2.0 * total
+
+    @functools.cached_property
+    def total(self) -> np.ndarray:
+        """`assemble()`, built on first use and kept read-only."""
+        total = self.assemble()
+        total.flags.writeable = False
+        return total
 
 
 def _embed(mat: np.ndarray, targets, b: int) -> np.ndarray:
@@ -102,7 +150,7 @@ def exact_evolve(h: HamiltonianTerms, t: float, psi0: StateVector) -> StateVecto
     """|psi(t)> = e^{-i H t} |psi(0)> through the dense eigendecomposition."""
     if psi0.qubits != h.qubits:
         raise DomainError("state and Hamiltonian qubit counts differ")
-    return StateVector(h.qubits, _evolve_dense(h.assemble(), t, psi0.amps), _trusted=True)
+    return StateVector(h.qubits, _evolve_dense(h.total, t, psi0.amps), _trusted=True)
 
 
 def _evolve_dense(total: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
@@ -119,8 +167,9 @@ class TrotterStep:
     Factors are the exponentials e^{-i H_l delta} of the local terms,
     applied in listed order and then in reverse, so a single step equals
     [e^{-i H_1 d} ... e^{-i H_L d}][e^{-i H_L d} ... e^{-i H_1 d}] acting
-    on the state. `apply` renormalises a state whose norm has drifted
-    (qstate.NORM_DRIFT), so that long runs stay measurable.
+    on the state. A term c * P gets cos(c d) I - i sin(c d) P, any other
+    term `linalg.expm_hermitian`. `apply` renormalises a state whose norm
+    has drifted (qstate.NORM_DRIFT), so that long runs stay measurable.
     """
 
     __slots__ = ("qubits", "delta", "factors")
@@ -129,8 +178,8 @@ class TrotterStep:
         self.qubits = h.qubits
         self.delta = float(delta)
         exponentials = [
-            (linalg.expm_hermitian(mat, -1j * self.delta), targets)
-            for mat, targets in h.terms
+            (_exponential(mat, pauli, self.delta), targets)
+            for (mat, targets), pauli in zip(h.terms, h.paulis)
         ]
         self.factors = tuple(exponentials + exponentials[::-1])
 
@@ -150,6 +199,15 @@ class TrotterStep:
         for mat, targets in self.factors:
             out = _embed(mat, targets, self.qubits) @ out
         return out
+
+
+def _exponential(mat: np.ndarray, pauli, delta: float) -> np.ndarray:
+    """e^{-i mat delta}; in closed form when `pauli` is mat's (c, P) form."""
+    if pauli is None:
+        return linalg.expm_hermitian(mat, -1j * delta)
+    c, p = pauli
+    theta = c * delta
+    return math.cos(theta) * np.eye(len(p)) - (1j * math.sin(theta)) * p
 
 
 def trotter_evolve(h: HamiltonianTerms, plan: TrotterPlan, psi0: StateVector):
@@ -214,9 +272,11 @@ def grover_hamiltonian_success(b: int, marked: int):
     return float(np.abs(evolved[marked]) ** 2), t_measure
 
 
+@functools.cache
 def qmc_problem():
     """(model, observable) of trotter_qmc: the two-qubit Ising chain with
-    coupling 0.6 and field 0.7, and Z (x) I; the input state is |00>."""
+    coupling 0.6 and field 0.7, and Z (x) I; the input state is |00>.
+    Built on first use, then the same read-only objects on every call."""
     return ising_chain(2, coupling=0.6, field=0.7), Observable(linalg.kron(PAULI_Z, np.eye(2)))
 
 

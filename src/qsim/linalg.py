@@ -9,7 +9,10 @@ wrapper's bit for bit.
 
 `eigh` is the one eigensolver (LAPACK through `np.linalg.eigh`, behind the
 Hermitian check); every caller reaches it as `linalg.eigh`, so patching
-that name swaps the solver everywhere.
+that name swaps the solver for every decomposition made afterwards. What
+was decomposed before stays: `hamsim.qmc_problem` builds its observable
+once per process (Z (x) I, diagonal, which LAPACK and a Jacobi sweep split
+alike). Pauli Trotter terms take no eigensolve at all (`hamsim`).
 """
 
 from __future__ import annotations

@@ -148,14 +148,18 @@ class Observable:
     """Hermitian operator with a cached spectral decomposition.
 
     `spectrum` is a list of (eigenvalue, projector) pairs; eigenvalues
-    closer than EIGENVALUE_MERGE_TOL are merged into one projector.
+    closer than EIGENVALUE_MERGE_TOL are merged into one projector. `mat`
+    and the projectors are read-only, and `mat` is a copy of the input.
     """
 
     __slots__ = ("mat", "spectrum")
 
     def __init__(self, mat):
-        self.mat = linalg.as_complex_matrix(mat)
+        self.mat = linalg.as_complex_matrix(mat).copy()
+        self.mat.flags.writeable = False
         self.spectrum = self._decompose(self.mat)
+        for _, projector in self.spectrum:
+            projector.flags.writeable = False
         self._validate()
 
     @staticmethod
@@ -356,20 +360,24 @@ def measure_sequence(s: StateVector, observables, u) -> np.ndarray:
     """Eigenvalues of `observables` measured in turn, each on the previous
     post-state: row i holds what chained `measure_observable` calls return
     on a stream whose draws are u[i], for a (shots, levels) array `u`. Each
-    branch is computed once and sampled for all its shots at once."""
+    branch is computed once and sampled for all its shots at once; the last
+    observable's post-states are never built."""
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != len(observables):
         raise DomainError(f"need a (shots, {len(observables)}) array of draws, got {u.shape}")
     out = np.empty(u.shape)
-    if observables:
-        projected = _projections(s, observables[0])
-        probs = _born_weights(s, projected)
-        picks = sample_indices(probs, u[:, 0])
+    if not observables:
+        return out
+    obs, rest = observables[0], observables[1:]
+    projected = _projections(s, obs)
+    probs = _born_weights(s, projected)
+    picks = sample_indices(probs, u[:, 0])
+    out[:, 0] = np.array(obs.eigenvalues())[picks]
+    if rest:
         for idx in np.flatnonzero(np.bincount(picks, minlength=len(probs))).tolist():
-            rows = picks == idx
             post = StateVector(s.qubits, projected[idx] / math.sqrt(probs[idx]), _trusted=True)
-            out[rows, 0] = observables[0].spectrum[idx][0]
-            out[rows, 1:] = measure_sequence(post, observables[1:], u[rows, 1:])
+            rows = picks == idx
+            out[rows, 1:] = measure_sequence(post, rest, u[rows, 1:])
     return out
 
 

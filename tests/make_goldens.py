@@ -4,10 +4,11 @@ and the details of every acceptance criterion, pinned byte for byte.
     PYTHONPATH=src python tests/make_goldens.py
 
 writes the goldens under tests/golden/ that do not exist yet. It never
-overwrites one: if an existing golden would change, it names the file,
-exits non-zero and writes nothing. So no golden is regenerated to make a
-change pass; a change that moves one on purpose deletes the file first,
-in a commit of its own that names it and says why in CHANGES.md.
+overwrites one: if an existing golden would change, it prints each
+differing field as `path: old → new`, exits non-zero and writes nothing.
+So no golden is regenerated to make a change pass; a change that moves
+one on purpose deletes the file first, in a commit of its own that names
+it and lists these lines.
 tests/test_golden.py compares the CLI outputs and tests/test_acceptance.py
 compares the criterion details.
 """
@@ -61,6 +62,36 @@ def acceptance_path(cid: int) -> Path:
     return GOLDEN_DIR / "acceptance" / f"{cid:02d}.json"
 
 
+def changed_fields(path: Path, old: bytes, new: bytes) -> list:
+    """`path:line.field: old → new` for each field of a JSON-lines golden
+    that differs, or `path:line: old → new` for a line that is not JSON."""
+    name = path.relative_to(GOLDEN_DIR) if path.is_relative_to(GOLDEN_DIR) else path
+    old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+    out = []
+    for i in range(max(len(old_lines), len(new_lines))):
+        a = old_lines[i] if i < len(old_lines) else None
+        b = new_lines[i] if i < len(new_lines) else None
+        if a == b:
+            continue
+        try:
+            diffs = _differing_values(json.loads(a), json.loads(b), "")
+        except (TypeError, ValueError):  # a missing line, or one that is not JSON
+            diffs = [("", a, b)]
+        out += [f"{name}:{i + 1}{where}: {x} → {y}" for where, x, y in diffs]
+    return out
+
+
+def _differing_values(a, b, where: str) -> list:
+    """(field path, old, new) for every leaf where two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [d for key in {**a, **b}
+                for d in _differing_values(a.get(key), b.get(key), f"{where}.{key}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in _differing_values(x, y, f"{where}[{i}]")]
+    return [] if a == b and type(a) is type(b) else [(where, json.dumps(a), json.dumps(b))]
+
+
 def main():
     from qsim.acceptance import run_acceptance
 
@@ -75,11 +106,11 @@ def main():
             raise SystemExit(f"criterion {result.cid} failed")
         line = details_line(result.cid, result.details) + "\n"
         outputs[acceptance_path(result.cid)] = line.encode()
-    changed = [path for path, data in outputs.items()
-               if path.exists() and path.read_bytes() != data]
-    if changed:
-        names = "\n".join(f"  {path}" for path in changed)
-        raise SystemExit(f"refusing to overwrite goldens that would change:\n{names}")
+    changes = [line for path, data in outputs.items() if path.exists()
+               for line in changed_fields(path, path.read_bytes(), data)]
+    if changes:
+        fields = "\n".join(f"  {line}" for line in changes)
+        raise SystemExit(f"refusing to overwrite goldens that would change:\n{fields}")
     for path, data in outputs.items():
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)

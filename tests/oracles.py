@@ -36,8 +36,16 @@ from qsim.qec import (
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
 from qsim.errors import InternalError, NotFoundError, ValidationError
 from qsim.linalg import require_hermitian
-from qsim.qstate import Observable, StateVector, fidelity, measure_observable, measure_qubits
-from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, _tag_key, sample_index
+from qsim.qstate import (
+    Observable,
+    StateVector,
+    _born_weights,
+    _projections,
+    fidelity,
+    measure_observable,
+    measure_qubits,
+)
+from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, _tag_key, sample_index, sample_indices
 from qsim.statharness import repeat_verified
 
 
@@ -430,6 +438,22 @@ def measure_chain(state, observables, rng) -> list:
         value, state = measure_observable(state, obs, rng)
         values.append(value)
     return values
+
+
+def measure_sequence_recursive(s: StateVector, observables, u) -> np.ndarray:
+    """`qstate.measure_sequence` as it was: every level, the last one too,
+    builds each drawn branch's post-state and recurses into it."""
+    out = np.empty(u.shape)
+    if observables:
+        projected = _projections(s, observables[0])
+        probs = _born_weights(s, projected)
+        picks = sample_indices(probs, u[:, 0])
+        for idx in np.flatnonzero(np.bincount(picks, minlength=len(probs))).tolist():
+            rows = picks == idx
+            post = StateVector(s.qubits, projected[idx] / math.sqrt(probs[idx]), _trusted=True)
+            out[rows, 0] = observables[0].spectrum[idx][0]
+            out[rows, 1:] = measure_sequence_recursive(post, observables[1:], u[rows, 1:])
+    return out
 
 
 def _singlet_pair(alice, bob, rng) -> tuple:

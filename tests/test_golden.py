@@ -58,6 +58,29 @@ def test_make_goldens_writes_only_missing_files(tmp_path, monkeypatch):
     assert not cli_path("chsh").exists()
 
 
+def test_make_goldens_prints_each_changed_field(tmp_path, monkeypatch):
+    committed = cli_path("bell").read_text().splitlines()
+    monkeypatch.setattr(make_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(make_goldens, "CLI_CASES", {"bell": CLI_CASES["bell"]})
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda: [])
+    stale = [json.loads(line) for line in committed]
+    stale[1]["stderr"] = 0.5
+    stale[1]["extra"] = [1]
+    stale[0]["value"] = 3
+    lines = [json.dumps(row) for row in stale] + ["trailing"]
+    cli_path("bell").parent.mkdir(parents=True)
+    cli_path("bell").write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as stop:
+        make_goldens.main()
+    want = json.loads(committed[1])["stderr"]
+    assert str(stop.value).splitlines()[1:] == [
+        "  cli/bell.jsonl:1.value: 3 → 0",
+        f"  cli/bell.jsonl:2.stderr: 0.5 → {want}",
+        "  cli/bell.jsonl:2.extra: [1] → null",
+        f"  cli/bell.jsonl:{len(committed) + 1}: trailing → None",
+    ]
+
+
 # The goldens re-pinned when `linalg.eigh` moved from a cyclic Jacobi
 # iteration to LAPACK; every other golden is byte-identical under both.
 @pytest.mark.parametrize("case", ["trotter", "qmc", "grover-ham", 8, 11])

@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_embedding
+from qsim import hamsim, linalg, qstate
+from qsim.acceptance import run_acceptance
 from qsim.errors import DomainError, ResourceError, ValidationError
-from qsim.gates import PAULI_X, PAULI_Z, hadamard_layer
+from qsim.gates import PAULI_X, PAULI_Y, PAULI_Z, hadamard_layer
 from qsim.hamsim import (
     HamiltonianTerms,
     TrotterStep,
@@ -17,6 +21,7 @@ from qsim.hamsim import (
     exact_evolve,
     grover_hamiltonian,
     ising_chain,
+    qmc_problem,
     trotter_error,
     trotter_evolve,
 )
@@ -36,6 +41,19 @@ from qsim.rng import Stream
 
 def single_term(mat, qubits=1):
     return HamiltonianTerms(qubits, ((np.asarray(mat, dtype=complex), tuple(range(qubits))),))
+
+
+def pauli_string(letters):
+    out = np.ones((1, 1), dtype=complex)
+    for letter in letters:
+        out = np.kron(out, {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[letter])
+    return out
+
+
+# every Pauli string on 1 to 3 qubits: 4 + 16 + 64
+PAULI_STRINGS = ["".join(letters) for k in (1, 2, 3)
+                 for letters in itertools.product("IXYZ", repeat=k)]
+NONZERO = st.floats(-1e6, 1e6, allow_nan=False).filter(lambda c: c != 0.0)
 
 
 class TestExactEvolve:
@@ -130,8 +148,9 @@ class TestTrotterEvolve:
 
     @pytest.mark.parametrize("qubits, steps", [(10, 200), (6, 2000)])
     def test_long_runs_stay_measurable(self, qubits, steps):
-        # unrenormalised, the squared norms drift by 1.6e-12 and 5.0e-12:
-        # past the Born sampler's CDF_RESIDUAL of 1e-12
+        # unrenormalised, the squared norms drift by 1.5e-13 and 4.9e-13, past
+        # NORM_DRIFT (with eigensolved factors 1.6e-12 and 5.0e-12, past the
+        # Born sampler's CDF_RESIDUAL of 1e-12)
         plan = TrotterPlan(2.0, steps)
         final = trotter_evolve(ising_chain(qubits), plan, basis_state(qubits, 0))[-1]
         bits, post, _ = measure_qubits(final, range(qubits), Stream(29, "long-trotter"))
@@ -219,6 +238,129 @@ class TestValidation:
             TrotterPlan(1.0, 0)
         with pytest.raises(DomainError):
             TrotterPlan(-1.0, 3)
+
+
+class TestPauliTerms:
+    def test_there_are_84_strings(self):
+        assert len(PAULI_STRINGS) == len(set(PAULI_STRINGS)) == 84
+
+    @settings(max_examples=30)
+    @given(c=NONZERO)
+    def test_every_scaled_string_is_recognised(self, c):
+        for letters in PAULI_STRINGS:
+            p = pauli_string(letters)
+            (got_c, got_p), = single_term(c * p, len(letters)).paulis
+            assert got_c == c and np.array_equal(got_p, p), letters
+
+    @settings(max_examples=30)
+    @given(index=st.integers(0, 83), c=NONZERO, entry=st.integers(0, 63), imag=st.booleans())
+    def test_one_ulp_off_is_not_a_pauli_term(self, index, c, entry, imag):
+        letters = PAULI_STRINGS[index]
+        m = c * pauli_string(letters)
+        row = entry % len(m)
+        col = int(np.flatnonzero(m[row])[0])
+        x, y = m[row, col].real, m[row, col].imag
+        if imag:
+            y = np.nextafter(y, math.inf)
+        else:
+            x = np.nextafter(x, math.inf)
+        m[row, col] = complex(x, y)
+        assert hamsim._pauli_form(m) is None
+
+    @pytest.mark.parametrize("mat", [
+        1j * PAULI_X, (0.6 + 1e-300j) * PAULI_Z, PAULI_X + PAULI_Z,
+        np.diag([1.0, 0.0]), np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Z, PAULI_Z),
+    ], ids=["imaginary", "complex", "sum", "projector", "two-string-sum"])
+    def test_complex_multiples_and_sums_are_rejected(self, mat):
+        assert hamsim._pauli_form(np.asarray(mat, dtype=complex)) is None
+
+    def test_zero_term_is_zero_times_identity(self):
+        (c, p), = single_term(np.zeros((4, 4)), 2).paulis
+        assert c == 0.0 and np.array_equal(p, np.eye(4))
+
+    @settings(max_examples=60)
+    @given(index=st.integers(0, 83), c=st.floats(0.01, 10.0), sign=st.sampled_from([-1, 1]),
+           angle=st.floats(-1.0, 1.0))
+    def test_factor_matches_expm_hermitian(self, index, c, sign, angle):
+        letters = PAULI_STRINGS[index]
+        m = sign * c * pauli_string(letters)
+        delta = angle / c
+        factor = TrotterStep(single_term(m, len(letters)), delta).factors[0][0]
+        assert np.abs(factor - linalg.expm_hermitian(m, -1j * delta)).max() <= 1e-15
+
+    @settings(max_examples=60)
+    @given(index=st.integers(0, 83), c=st.floats(0.01, 10.0), angle=st.floats(-100.0, 100.0))
+    def test_factor_is_unitary_to_rounding(self, index, c, angle):
+        letters = PAULI_STRINGS[index]
+        h = single_term(c * pauli_string(letters), len(letters))
+        factor = TrotterStep(h, angle / c).factors[0][0]
+        assert np.abs(factor.conj().T @ factor - np.eye(len(factor))).max() <= 5e-16
+
+    def test_pauli_models_take_no_eigensolve(self, monkeypatch):
+        def refuse(mat):
+            raise AssertionError("linalg.eigh was called")
+
+        models = (ising_chain(4), commuting_chain(3), qmc_problem()[0])
+        monkeypatch.setattr(linalg, "eigh", refuse)
+        for model in models:
+            step = TrotterStep(model, 0.1)
+            assert len(step.factors) == 2 * len(model.terms)
+            step.apply(basis_state(model.qubits, 0))
+
+    def test_other_terms_keep_expm_hermitian(self, monkeypatch):
+        calls = []
+        eigh = linalg.eigh
+        monkeypatch.setattr(linalg, "eigh", lambda mat: calls.append(len(mat)) or eigh(mat))
+        h, _ = grover_hamiltonian(3, hadamard_layer(2))
+        assert h.paulis == (None,)
+        TrotterStep(h, 0.1)
+        assert calls == [4]
+
+    def test_criterion_8_runs_drift_below_1e_14(self, monkeypatch):
+        drifts = []
+
+        def renormalized(s):
+            drifts.append(abs(np.vdot(s.amps, s.amps).real - 1.0))
+            return qstate._renormalized(s)
+
+        monkeypatch.setattr(hamsim, "_renormalized", renormalized)
+        assert run_acceptance(ids=[8])[0].passed
+        assert len(drifts) == 7 + 5 + 10 + 20 + 40
+        assert max(drifts) <= 1e-14
+
+
+class TestStoredArrays:
+    def test_terms_are_read_only_copies(self):
+        mat = 0.5 * PAULI_Z.copy()
+        h = single_term(mat)
+        mat[:] = PAULI_X
+        (stored, _), = h.terms
+        assert np.array_equal(stored, 0.5 * PAULI_Z) and h.paulis[0][0] == 0.5
+        with pytest.raises(ValueError):
+            stored[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            h.total[0, 0] = 2.0
+        assert h.total is h.total and h.assemble() is not h.assemble()
+
+    def test_models_compare_and_hash_by_identity(self):
+        a, b = ising_chain(2), ising_chain(2)
+        assert a == a and a != b and len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+    def test_qmc_problem_is_built_once(self):
+        model, obs = qmc_problem()
+        again = qmc_problem()
+        assert again[0] is model and again[1] is obs
+        arrays = [m for m, _ in model.terms] + [p for _, p in model.paulis]
+        arrays += [obs.mat, model.total] + [q for _, q in obs.spectrum]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_both_solvers_split_z_on_the_first_qubit_alike(self):
+        # so the cached qmc observable does not depend on which solver built it
+        z1 = np.kron(PAULI_Z, np.eye(2)).astype(complex)
+        lapack, jacobi = np.linalg.eigh(z1), oracles.jacobi_eigh(z1)
+        for got, want in zip(jacobi, lapack):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_step_unitarity_dense_four_qubits():

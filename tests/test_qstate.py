@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expectation_by_loops, measure_chain
+from oracles import expectation_by_loops, measure_chain, measure_sequence_recursive
 from qsim.errors import (
     ConditioningError,
     DomainError,
@@ -220,6 +220,18 @@ class TestMeasureObservable:
             Observable(mat)
         assert str(err.value) == message
 
+    def test_observable_keeps_a_read_only_copy(self):
+        mat = np.kron(PAULI_Z, np.eye(2)).astype(complex)
+        obs = Observable(mat)
+        mat[:] = np.kron(PAULI_X, np.eye(2))
+        assert expectation(basis_state(2, 0), obs) == 1.0
+        drawn = measure_sequence(basis_state(2, 0), [obs], np.full((5, 1), 0.99))
+        assert drawn.tolist() == [[1.0]] * 5
+        with pytest.raises(ValueError):
+            obs.mat[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            obs.spectrum[0][1][0, 0] = 2.0
+
     def test_projection_idempotence(self):
         obs = Observable(PAULI_X + 0.3 * PAULI_Z)
         rng = Stream(13, "idem")
@@ -297,6 +309,20 @@ class TestMeasureSequence:
         batch = measure_sequence(state, observables, rng.uniforms(np.arange(shots), len(picks)))
         assert batch.tolist() == [measure_chain(state, observables, rng.substream(i))
                                   for i in range(shots)]
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), b=st.sampled_from([1, 2]),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+           shots=st.integers(0, 80))
+    def test_matches_the_recursive_route(self, seed, b, picks, shots):
+        rng = Stream(seed, "seq-rec")
+        spectra = SPECTRA[b]
+        observables = [random_observable(b, spectra[k % len(spectra)], rng.substream(1000 + i))
+                       for i, k in enumerate(picks)]
+        state = random_state(b, rng.substream(2000))
+        u = rng.uniforms(np.arange(shots), len(picks))
+        got = measure_sequence(state, observables, u)
+        assert got.tobytes() == measure_sequence_recursive(state, observables, u).tobytes()
 
     def test_levels_of_zero_probability_are_never_drawn(self):
         # |00> is an eigenstate of Z (x) I, and Z on the first qubit then
