@@ -167,9 +167,9 @@ class TrotterStep:
     Factors are the exponentials e^{-i H_l delta} of the local terms,
     applied in listed order and then in reverse, so a single step equals
     [e^{-i H_1 d} ... e^{-i H_L d}][e^{-i H_L d} ... e^{-i H_1 d}] acting
-    on the state. A term c * P gets cos(c d) I - i sin(c d) P, any other
-    term `linalg.expm_hermitian`. `apply` renormalises a state whose norm
-    has drifted (qstate.NORM_DRIFT), so that long runs stay measurable.
+    on the state (each factor as the module docstring says). `apply`
+    renormalises a state whose norm has drifted (qstate.NORM_DRIFT), so
+    that long runs stay measurable.
     """
 
     __slots__ = ("qubits", "delta", "factors")

@@ -63,8 +63,9 @@ def acceptance_path(cid: int) -> Path:
 
 
 def changed_fields(path: Path, old: bytes, new: bytes) -> list:
-    """`path:line.field: old → new` for each field of a JSON-lines golden
-    that differs, or `path:line: old → new` for a line that is not JSON."""
+    """`path:line.field: old → new` for each differing field of a JSON-lines
+    golden; `path:line: old → new` for a differing line that is not JSON or
+    differs only in its text; `path: ...` when only the line ends differ."""
     name = path.relative_to(GOLDEN_DIR) if path.is_relative_to(GOLDEN_DIR) else path
     old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
     out = []
@@ -76,8 +77,10 @@ def changed_fields(path: Path, old: bytes, new: bytes) -> list:
         try:
             diffs = _differing_values(json.loads(a), json.loads(b), "")
         except (TypeError, ValueError):  # a missing line, or one that is not JSON
-            diffs = [("", a, b)]
-        out += [f"{name}:{i + 1}{where}: {x} → {y}" for where, x, y in diffs]
+            diffs = []
+        out += [f"{name}:{i + 1}{where}: {x} → {y}" for where, x, y in diffs or [("", a, b)]]
+    if not out and old != new:
+        out.append(f"{name}: {len(old)} bytes → {len(new)} bytes, the same lines")
     return out
 
 
@@ -106,7 +109,8 @@ def main():
             raise SystemExit(f"criterion {result.cid} failed")
         line = details_line(result.cid, result.details) + "\n"
         outputs[acceptance_path(result.cid)] = line.encode()
-    changes = [line for path, data in outputs.items() if path.exists()
+    changes = [line for path, data in outputs.items()
+               if path.exists() and path.read_bytes() != data
                for line in changed_fields(path, path.read_bytes(), data)]
     if changes:
         fields = "\n".join(f"  {line}" for line in changes)

@@ -80,6 +80,16 @@ def test_make_goldens_prints_each_changed_field(tmp_path, monkeypatch):
         f"  cli/bell.jsonl:{len(committed) + 1}: trailing → None",
     ]
 
+    # the same values written differently, or only the line ends changed
+    spaced = committed[0].replace(", ", ",  ")
+    cli_path("bell").write_text("\n".join([spaced, *committed[1:]]) + "\n")
+    with pytest.raises(SystemExit) as stop:
+        make_goldens.main()
+    assert str(stop.value).splitlines()[1:] == [f"  cli/bell.jsonl:1: {spaced} → {committed[0]}"]
+    cli_path("bell").write_text("\r\n".join(committed) + "\r\n")
+    with pytest.raises(SystemExit, match=r"cli/bell.jsonl: \d+ bytes → \d+ bytes"):
+        make_goldens.main()
+
 
 # The goldens re-pinned when `linalg.eigh` moved from a cyclic Jacobi
 # iteration to LAPACK; every other golden is byte-identical under both.

@@ -345,7 +345,6 @@ class TestStoredArrays:
     def test_models_compare_and_hash_by_identity(self):
         a, b = ising_chain(2), ising_chain(2)
         assert a == a and a != b and len({a, b, a}) == 2
-        assert hash(a) == hash(a)
 
     def test_qmc_problem_is_built_once(self):
         model, obs = qmc_problem()
