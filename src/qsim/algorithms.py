@@ -151,10 +151,11 @@ EIGENSTATE_TOL = 1e-8
 
 
 def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: int,
-                    rng: Stream) -> list:
+                    rng: Stream) -> np.ndarray:
     """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) `shots`
-    times, shot i drawn from rng.substream(i); the register distribution is
-    the closed form at phi = arg(<psi|u|psi>) / 2 pi, computed once.
+    times, shot i drawn from rng.substream(i), into a float array; the
+    register distribution is the closed form at phi = arg(<psi|u|psi>) / 2 pi,
+    computed once.
 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
@@ -173,16 +174,15 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
         raise ValidationError("input state is not an eigenvector of the unitary")
     draws = rng.shot_uniforms(shots, 1)[:, 0]
     phi = math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0
-    indices = sample_indices(_pe_register_distribution(phi, plan.b), draws).tolist()
-    return [i / float(1 << plan.b) for i in indices]
+    return sample_indices(_pe_register_distribution(phi, plan.b), draws) / float(1 << plan.b)
 
 
 def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> float:
     """Fraction of `shots` estimates of the phase of diag(1, e^{2 pi i phi})
     on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta."""
     u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    estimates = phase_estimates(u, basis_state(1, 1), plan, shots, rng)
-    return sum(1 for e in estimates if phase_distance(e, phi) <= plan.zeta) / shots
+    d = np.abs(phase_estimates(u, basis_state(1, 1), plan, shots, rng) - phi) % 1.0
+    return int(np.count_nonzero(np.minimum(d, 1.0 - d) <= plan.zeta)) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +261,27 @@ def grover_success_rate(f: BooleanOracle, marked: int, shots: int, rng: Stream) 
     return int(np.count_nonzero(grover_search(f, 1, shots, rng) == marked)) / shots
 
 
-def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -> list:
+def quantum_counts(f: BooleanOracle, plan: PhasePlan, shots: int, rng: Stream) -> np.ndarray:
     """Estimate the solution count M by phase-estimating the Grover operator
-    `shots` times, shot i drawn from rng.substream(i). The uniform state has
-    weight 1/2 on each eigenvector of phase +-omega, sin^2(pi omega) = M/N
-    (Brassard, Hoyer, Mosca & Tapp 2002), so the register reads the mean of
-    the kernel at omega and its mirror m -> -m mod 2^b. Estimates above one
-    half are folded down before inverting sin^2(theta/2) = M/N."""
+    `shots` times, shot i drawn from rng.substream(i), into an int64 array.
+    The uniform state has weight 1/2 on each eigenvector of phase +-omega,
+    sin^2(pi omega) = M/N (Brassard, Hoyer, Mosca & Tapp 2002), so the
+    register reads the mean of the kernel at omega and its mirror
+    m -> -m mod 2^b. Estimates above one half are folded down before
+    inverting sin^2(theta/2) = M/N, once for each register value drawn."""
     _check_qubit_count(plan.b + f.b)
     draws = rng.shot_uniforms(shots, 1)[:, 0]
     N = 1 << f.b
     dist = _pe_register_distribution(math.asin(math.sqrt(f.solution_count() / N)) / math.pi, plan.b)
     dist += np.roll(dist[::-1], 1)
     dist *= 0.5
+    values, shot_values = np.unique(sample_indices(dist, draws), return_inverse=True)
     counts = []
-    for i in sample_indices(dist, draws).tolist():
+    for i in values.tolist():
         omega = i / float(1 << plan.b)
         theta = 2.0 * math.pi * min(omega, 1.0 - omega)
         counts.append(min(max(round(N * math.sin(theta / 2.0) ** 2), 0), N))
-    return counts
+    return np.array(counts, dtype=np.int64)[shot_values]
 
 
 # ---------------------------------------------------------------------------

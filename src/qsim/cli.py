@@ -53,31 +53,30 @@ def _row(args, metric, value, stderr=None, reference=None, **params):
 def _run_bell(args):
     axis = entangle.SpinAxis(*args.axis)
     rng = Stream(args.seed, "cli/bell")
-    pairs = entangle.anticorrelation_experiment(axis, args.shots, rng)
-    violations = sum(1 for a, b in pairs if a * b != -1)
-    alice_mean = sum(a for a, _ in pairs) / len(pairs)
+    alice, bob = entangle.anticorrelation_experiment(axis, args.shots, rng).T
+    violations = int((alice * bob != -1).sum())
+    label = ",".join(f"{c:g}" for c in args.axis)
     rows = [
-        _row(args, "anticorrelation_violations", violations, reference=0,
-             axis=",".join(f"{c:g}" for c in args.axis)),
-        _row(args, "alice_mean", alice_mean,
-             stderr=1.0 / math.sqrt(len(pairs)), reference=0.0,
-             axis=",".join(f"{c:g}" for c in args.axis)),
+        _row(args, "anticorrelation_violations", violations, reference=0, axis=label),
+        _row(args, "alice_mean", int(alice.sum()) / args.shots,
+             stderr=1.0 / math.sqrt(args.shots), reference=0.0, axis=label),
     ]
     return rows, violations == 0
 
 
 @experiment("chsh")
 def _run_chsh(args):
-    result = entangle.chsh_experiment(
-        args.shots, Stream(args.seed, "cli/chsh"), collect_rows=args.emit_shots
-    )
+    result = entangle.chsh_experiment(args.shots, Stream(args.seed, "cli/chsh"))
     rows = [_row(args, "chsh_value", result.value, stderr=result.stderr,
                  reference=entangle.TSIRELSON_BOUND)]
     for label, corr in result.correlators.items():
         rows.append(_row(args, f"correlator_{label}", corr, pairs=result.counts[label]))
     if args.emit_shots:
-        for shot, label, a, b in result.rows:
-            rows.append(_row(args, "shot", a * b, shot=shot, setting=label, alice=a, bob=b))
+        labels = tuple(result.counts)
+        for shot, (k, (a, b)) in enumerate(zip(result.settings.tolist(),
+                                               result.outcomes.tolist())):
+            rows.append(_row(args, "shot", a * b, shot=shot, setting=labels[k],
+                             alice=a, bob=b))
     return rows, acceptance.chsh_ok(result)
 
 
@@ -128,8 +127,9 @@ def _run_count(args):
         raise DomainError(f"--m-count must satisfy 0 <= m <= 2^bits, got {args.m_count}")
     f = gates.BooleanOracle.from_solutions(args.bits, list(range(args.m_count)))
     plan = algorithms.PhasePlan(zeta=args.zeta, epsilon=args.epsilon)
-    estimates = algorithms.quantum_counts(f, plan, args.shots, Stream(args.seed, "cli/count"))
-    correct = sum(1 for m in estimates if m == args.m_count)
+    estimates = algorithms.quantum_counts(f, plan, args.shots,
+                                          Stream(args.seed, "cli/count")).tolist()
+    correct = estimates.count(args.m_count)
     rows = [
         _row(args, "count_mode", max(set(estimates), key=estimates.count),
              reference=args.m_count, bits=args.bits, zeta=args.zeta, epsilon=args.epsilon),

@@ -4,6 +4,8 @@ anti-correlation on the singlet, teleportation, and CHSH correlations.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -11,26 +13,11 @@ import numpy as np
 
 from . import qstate
 from .errors import DomainError, ValidationError
-from .gates import (
-    PAULI_X,
-    PAULI_Z,
-    GateOp,
-    bell_circuit,
-    cnot,
-    hadamard,
-    apply_gate,
-    run_circuit,
-)
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, GateOp, bell_circuit, cnot, hadamard
+from .gates import apply_gate, run_circuit
 from .linalg import kron
-from .qstate import (
-    Observable,
-    StateVector,
-    basis_state,
-    measure_observable,  # noqa: F401  (the benchmark tracer rebinds this name)
-    measure_qubits,
-    measure_sequence,
-    tensor,
-)
+from .qstate import Observable, StateVector, basis_state, measure_qubits, measure_sequence
+from .qstate import tensor
 from .rng import Stream, sample_indices
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -53,10 +40,7 @@ class SpinAxis:
 
 def spin_observable(axis: SpinAxis) -> Observable:
     """a_x sigma_x + a_y sigma_y + a_z sigma_z; eigenvalues are +-1."""
-    from .gates import PAULI_Y
-
-    mat = axis.a_x * PAULI_X + axis.a_y * PAULI_Y + axis.a_z * PAULI_Z
-    return Observable(mat)
+    return Observable(axis.a_x * PAULI_X + axis.a_y * PAULI_Y + axis.a_z * PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -82,9 +66,11 @@ class ChshSetting:
                 "24": (self.x2, self.x4), "14": (self.x1, self.x4)}
 
 
+@functools.cache
 def default_chsh_setting() -> ChshSetting:
     """The maximally violating setting: sigma_z, sigma_x for Alice and the
-    two diagonal combinations for Bob."""
+    two diagonal combinations for Bob. Built on first use, then the same
+    read-only observables on every call."""
     s = 1.0 / math.sqrt(2.0)
     return ChshSetting(
         x1=Observable(PAULI_Z),
@@ -101,28 +87,34 @@ def bell_state(x1: int, x2: int) -> StateVector:
     return run_circuit(bell_circuit(), basis_state(2, (x1 << 1) | x2))
 
 
+@functools.cache
 def singlet() -> StateVector:
-    """(|01> - |10>)/sqrt(2), the antisymmetric Bell state."""
-    return bell_state(1, 1)
+    """(|01> - |10>)/sqrt(2), the antisymmetric Bell state; built once, read-only."""
+    state = bell_state(1, 1)
+    state.amps.flags.writeable = False
+    return state
 
 
-def _singlet_outcomes(alice: Observable, bob: Observable, u) -> np.ndarray:
-    """(shots, 2) integer outcomes of Alice's single-qubit observable on the
-    singlet, then Bob's on the collapsed state; a row of `u` per shot."""
-    pair = [Observable(kron(alice.mat, _ID2)), Observable(kron(_ID2, bob.mat))]
+def _embedded(alice: Observable, bob: Observable) -> tuple:
+    """Alice's single-qubit observable on qubit 0 and Bob's on qubit 1."""
+    return Observable(kron(alice.mat, _ID2)), Observable(kron(_ID2, bob.mat))
+
+
+def _singlet_outcomes(pair: tuple, u) -> np.ndarray:
+    """(shots, 2) integer outcomes of an `_embedded` pair on the singlet,
+    Alice's and then Bob's on the collapsed state; a row of `u` per shot."""
     return np.rint(measure_sequence(singlet(), pair, u)).astype(np.int64)
 
 
-def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream):
+def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream) -> np.ndarray:
     """Measure the same spin axis on both qubits of the singlet.
 
     Alice measures first; Bob measures the collapsed state. Shot i draws
-    from `rng.substream(i)`, all shots at once. Returns the list of
-    (alice, bob) outcomes; they are opposite in every shot.
+    from `rng.substream(i)`, all shots at once. Returns the (shots, 2)
+    int64 array of (alice, bob) outcomes; they are opposite in every shot.
     """
     obs = spin_observable(axis)
-    outcomes = _singlet_outcomes(obs, obs, rng.shot_uniforms(shots, 2))
-    return [tuple(row) for row in outcomes.tolist()]
+    return _singlet_outcomes(_embedded(obs, obs), rng.shot_uniforms(shots, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +157,10 @@ def teleport(psi: StateVector, rng: Stream):
 
 def teleport_trials(shots: int, rng: Stream):
     """(minimum fidelity, count of each bit pair) over `shots` teleported random
-    states; shot i draws its input from substream 2i, its measurement from 2i + 1."""
+    states; shot i draws its input from substream 2i, its measurement from 2i + 1.
+    Raises DomainError below one shot."""
+    if shots < 1:
+        raise DomainError("need at least one shot")
     worst = 1.0
     counts = {"00": 0, "01": 0, "10": 0, "11": 0}
     for i in range(shots):
@@ -192,8 +187,7 @@ def teleport_bit_counts(psi: StateVector, shots: int, rng: Stream) -> dict:
 def chsh_quantum_value(state, setting: ChshSetting) -> float:
     """E(X1 X3) + E(X2 X3) + E(X2 X4) - E(X1 X4) with tensor-product
     observables on a two-qubit state."""
-    dim = state.dim if hasattr(state, "dim") else 0
-    if dim != 4:
+    if getattr(state, "dim", 0) != 4:
         raise DomainError("CHSH needs a two-qubit state")
     corr = {
         label: qstate._expect_matrix(state, kron(a.mat, b.mat))
@@ -205,26 +199,33 @@ def chsh_quantum_value(state, setting: ChshSetting) -> float:
 def classical_chsh_maximum() -> float:
     """Exhaustive maximum of x1 x3 + x2 x3 + x2 x4 - x1 x4 over the 16
     deterministic +-1 assignments (the classical bound, exactly 2)."""
-    best = -math.inf
-    for x1 in (-1, 1):
-        for x2 in (-1, 1):
-            for x3 in (-1, 1):
-                for x4 in (-1, 1):
-                    best = max(best, x1 * x3 + x2 * x3 + x2 * x4 - x1 * x4)
-    return float(best)
+    return float(max(x1 * x3 + x2 * x3 + x2 * x4 - x1 * x4
+                     for x1, x2, x3, x4 in itertools.product((-1, 1), repeat=4)))
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _chsh_pairs() -> tuple:
+    """(label, `_embedded` pair) of each term of the default setting, in
+    `ChshSetting.pairs` order; built once, read-only."""
+    return tuple((label, _embedded(*pair))
+                 for label, pair in default_chsh_setting().pairs().items())
+
+
+@dataclass(frozen=True, eq=False)
 class ChshResult:
+    """The estimate and its per-pair correlators and counts; shot i measured
+    pair `settings[i]` (in `counts` order) with (alice, bob) `outcomes[i]`.
+    Instances compare by identity."""
+
     value: float
     stderr: float
     correlators: dict
     counts: dict
-    shots: int
-    rows: tuple
+    settings: np.ndarray
+    outcomes: np.ndarray
 
 
-def chsh_experiment(shots: int, rng: Stream, collect_rows: bool = False) -> ChshResult:
+def chsh_experiment(shots: int, rng: Stream) -> ChshResult:
     """Monte Carlo CHSH on the singlet with the default setting.
 
     Each shot draws one of the four observable pairs uniformly, measures
@@ -232,34 +233,20 @@ def chsh_experiment(shots: int, rng: Stream, collect_rows: bool = False) -> Chsh
     accumulates the per-pair correlators. Shot i takes its three draws
     (pair, Alice, Bob) from `rng.substream(i)`, all shots at once.
     """
-    pairs = default_chsh_setting().pairs()
-    labels = tuple(pairs)
     u = rng.shot_uniforms(shots, 3)
-    picks = (u[:, 0] * 4).astype(np.int64)  # Stream.integer(4) on the first draw
+    settings = (u[:, 0] * 4).astype(np.int64)  # Stream.integer(4) on the first draw
     outcomes = np.empty((shots, 2), dtype=np.int64)
     sums, counts = {}, {}
-    for k, label in enumerate(labels):
-        rows = np.flatnonzero(picks == k)
+    for k, (label, pair) in enumerate(_chsh_pairs()):
+        rows = np.flatnonzero(settings == k)
         if rows.size == 0:
             raise DomainError(f"no shots landed on pair {label}; increase shots")
-        outcomes[rows] = _singlet_outcomes(*pairs[label], u[rows, 1:])
+        outcomes[rows] = _singlet_outcomes(pair, u[rows, 1:])
         sums[label] = int(np.sum(outcomes[rows, 0] * outcomes[rows, 1]))
         counts[label] = rows.size
-    corr = {label: sums[label] / counts[label] for label in labels}
+    corr = {label: sums[label] / counts[label] for label in counts}
     value = corr["13"] + corr["23"] + corr["24"] - corr["14"]
     # products are +-1, so Var = 1 - mean^2 per pair; pairs are independent
-    variance = sum(
-        (1.0 - corr[label] ** 2) / counts[label] for label in labels
-    )
-    rows = ()
-    if collect_rows:
-        rows = tuple((shot, labels[k], a, b) for shot, (k, (a, b))
-                     in enumerate(zip(picks.tolist(), outcomes.tolist())))
-    return ChshResult(
-        value=value,
-        stderr=math.sqrt(variance),
-        correlators=corr,
-        counts=counts,
-        shots=shots,
-        rows=rows,
-    )
+    variance = sum((1.0 - corr[label] ** 2) / counts[label] for label in counts)
+    return ChshResult(value=value, stderr=math.sqrt(variance), correlators=corr, counts=counts,
+                      settings=settings, outcomes=outcomes)

@@ -29,10 +29,11 @@ blocks that the draws land in are cumulated, so a single draw from 2^14
 outcomes cumulates one block of 128 and allocates no full-length array.
 
 A sampler whose shots all measure one fixed distribution takes
-`(..., shots, rng)` and gives shot i row i of `rng.shot_uniforms(shots, k)`.
-A loop keeps one `substream` per shot where a shot's distribution depends
-on its own draws: `entangle.teleport_trials` (random inputs) and the
-repeat-until-verified attempts of `algorithms.order_find`.
+`(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,
+and returns an array with one entry (or row) per shot, which its callers
+reduce with numpy. A loop keeps one `substream` per shot where a shot's
+distribution depends on its own draws: `entangle.teleport_trials` (random
+inputs) and the repeat-until-verified attempts of `algorithms.order_find`.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from .errors import DomainError, NotFoundError
 from .gates import hadamard_layer
 from .pool import shot_map  # noqa: F401  (the benchmark tracer's tests read this binding)
 from .qstate import Observable, expectation, measure_sequence
-from .qstate import measure_observable  # noqa: F401  (the benchmark tracer rebinds this name)
 from .rng import Stream, sample_indices
 
 
@@ -203,12 +202,10 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     """
     theta_prepared = expectation(prepared, obs)
     theta_true = expectation(target, obs)
-    total = 0.0
-    total_sq = 0.0
-    u = rng.shot_uniforms(shots, 1)
-    for x in measure_sequence(prepared, [obs], u)[:, 0].tolist():
-        total += x
-        total_sq += x * x
+    x = measure_sequence(prepared, [obs], rng.shot_uniforms(shots, 1))[:, 0]
+    # left to right, as a loop from 0.0 adds; + 0.0 gives an all-zero sum its sign
+    total = float(np.add.accumulate(x)[-1]) + 0.0
+    total_sq = float(np.add.accumulate(x * x)[-1])
     theta_hat = total / shots
     variance = max(total_sq / shots - theta_hat**2, 0.0)
     return QmcResult(
@@ -221,8 +218,9 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     )
 
 
-def quantum_rng(b: int, shots: int, rng: Stream):
-    """b-bit integers from measuring the uniform superposition.
+def quantum_rng(b: int, shots: int, rng: Stream) -> np.ndarray:
+    """b-bit integers from measuring the uniform superposition, one array
+    entry per shot.
 
     Each shot prepares the Hadamard layer on |0...0> and measures every
     qubit; outcomes are uniform on {0, ..., 2^b - 1}. Shot i samples the
@@ -231,7 +229,7 @@ def quantum_rng(b: int, shots: int, rng: Stream):
     genuine randomness needs hardware.)
     """
     probs = hadamard_layer(b).probabilities()
-    return sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0]).tolist()
+    return sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0])
 
 
 def quantum_rng_chi_square(b: int, shots: int, rng: Stream) -> float:

@@ -7,12 +7,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines, or `qsim acceptance` for the standalone report.
 """
 
+import math
+
 import pytest
 
 from make_goldens import acceptance_path, details_line
 from qsim import acceptance
 from qsim.acceptance import CRITERIA, CriterionResult, run_acceptance
+from qsim.algorithms import GroverPlan
+from qsim.entangle import ChshResult
 from qsim.errors import DomainError
+from qsim.statharness import QmcResult
 
 
 CIDS = sorted(CRITERIA)
@@ -97,3 +102,46 @@ def test_empty_or_unknown_selection_raises(ids, message):
 def test_budgets_are_the_published_gates():
     budgets = {cid: entry[2] for cid, entry in CRITERIA.items() if entry[2] is not None}
     assert budgets == {1: 5.0, 2: 10.0, 7: 60.0}
+
+
+GROVER_64 = GroverPlan.for_counts(64, 1)
+_P64 = GROVER_64.success_probability
+
+
+def _qmc_ok(theta_hat):
+    # theta_prepared 0.5 at n = 3: sigma = sqrt((1 - 0.25) / 3) = 0.5 exactly
+    return acceptance.qmc_ok(QmcResult(theta_hat=theta_hat, theta_true=0.5,
+                                       theta_prepared=0.5, bias=0.0, variance=0.0, n=3))
+
+
+def _chsh_ok(value):
+    # 32 shots a pair: sigma^2 = 4 * 0.5 / 32, so 4 sigma = 1 exactly
+    counts = dict.fromkeys(("13", "23", "24", "14"), 32)
+    return acceptance.chsh_ok(ChshResult(value=value, stderr=0.0, correlators={},
+                                         counts=counts, settings=None, outcomes=None))
+
+
+# (verdict on one value, the last value it passes, the way out of the pass region)
+BOUNDARIES = {
+    "teleport_ok": (acceptance.teleport_ok, 1.0 - 1e-10, -math.inf),
+    "error_ok": (acceptance.error_ok, 1e-9, math.inf),
+    "unit_ok": (acceptance.unit_ok, 1.0 - 1e-9, -math.inf),
+    "coverage_ok": (lambda c: acceptance.coverage_ok(c, 0.1, 2000),
+                    (1.0 - 0.1) - 3.0 * math.sqrt(0.1 * (1.0 - 0.1) / 2000), -math.inf),
+    "grover_ok": (lambda rate: acceptance.grover_ok(rate, GROVER_64, 1000),
+                  1.0 - 1.0 / 64 - 3.0 * math.sqrt(_P64 * (1.0 - _P64) / 1000), -math.inf),
+    "chi_square_ok": (acceptance.chi_square_ok, math.nextafter(37.697, 0.0), math.inf),
+    "qmc_ok": (_qmc_ok, 0.5 + 2.0, math.inf),
+    "chsh_ok": (_chsh_ok, 2.0 * math.sqrt(2.0) - 1.0, -math.inf),
+    "within_4_sigma": (lambda e: acceptance.within_4_sigma(e, 1.0, 0.5), 3.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARIES)
+def test_verdict_passes_at_its_threshold_and_fails_one_step_past(name):
+    """Each verdict's decision rule, pinned at its boundary: the threshold
+    passes (the last value below chi-square's strict critical value) and
+    the next float past it fails."""
+    verdict, edge, outward = BOUNDARIES[name]
+    assert verdict(edge) is True
+    assert verdict(math.nextafter(edge, outward)) is False

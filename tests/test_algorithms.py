@@ -49,6 +49,7 @@ from qsim.entangle import (
     anticorrelation_experiment,
     chsh_experiment,
     teleport_bit_counts,
+    teleport_trials,
 )
 from qsim.errors import DomainError, NotFoundError, ResourceError, ValidationError
 from qsim.gates import (
@@ -337,7 +338,7 @@ class TestPhaseEstimation:
             for b in range(3, 7):
                 estimates = phase_estimates(gate, StateVector(3, psi), plan_with_b(b), 20,
                                             Stream(b, "pad"))
-                assert estimates == [0.0] * 20
+                assert estimates.tolist() == [0.0] * 20
                 np.testing.assert_allclose(
                     _pe_register_distribution(0.0, b),
                     pe_register_distribution(gate.matrix, psi, b), rtol=0, atol=1e-12,
@@ -349,7 +350,7 @@ class TestPhaseEstimation:
         rng = Stream(17, "pe-loop")
         dist = sampled_distribution(lambda: phase_estimates(u, eigenstate, plan, 1, rng))
         expected = per_stream_indices(dist, map(rng.substream, range(300)))
-        estimates = phase_estimates(u, eigenstate, plan, 300, rng)
+        estimates = phase_estimates(u, eigenstate, plan, 300, rng).tolist()
         assert estimates == [i / float(1 << plan.b) for i in expected]
         assert all(type(e) is float for e in estimates)
 
@@ -375,7 +376,7 @@ class TestPhaseEstimation:
     def test_register_cap(self, monkeypatch):
         monkeypatch.setenv("QSIM_MAX_QUBITS", "6")
         u, one = phase_unitary(0.5), basis_state(1, 1)
-        assert phase_estimates(u, one, plan_with_b(5), 3, Stream(8, "cap")) == [0.5] * 3
+        assert phase_estimates(u, one, plan_with_b(5), 3, Stream(8, "cap")).tolist() == [0.5] * 3
         with pytest.raises(ResourceError):
             phase_estimates(u, one, plan_with_b(6), 3, Stream(8, "cap"))
         f = BooleanOracle.from_solutions(3, [1])
@@ -486,7 +487,7 @@ class TestQuantumCount:
     def test_empty_oracle_counts_zero(self):
         f = BooleanOracle(3, fn=lambda x: 0)
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.25)
-        assert quantum_counts(f, plan, 1, Stream(23, "qc0")) == [0]
+        assert quantum_counts(f, plan, 1, Stream(23, "qc0")).tolist() == [0]
 
     def test_sixteen_four(self):
         f = BooleanOracle.from_solutions(4, [0, 3, 9, 14])
@@ -521,14 +522,14 @@ class TestQuantumCount:
         # N x N operator is built
         f = BooleanOracle.from_solutions(DENSE_MAX_QUBITS + 2, range(4))
         estimates = quantum_counts(f, plan_with_b(12), 200, Stream(3, "wide"))
-        assert estimates.count(4) / 200 >= 0.8
+        assert estimates.tolist().count(4) / 200 >= 0.8
 
     def test_counts_match_a_per_stream_sample_index_loop(self):
         f = BooleanOracle.from_solutions(3, [1, 6])
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
         rng = Stream(19, "qc-loop")
         expected = per_stream_counts(f, plan, map(rng.substream, range(200)))
-        assert quantum_counts(f, plan, 200, rng) == expected
+        assert quantum_counts(f, plan, 200, rng).tolist() == expected
 
     def test_estimates_clamped(self):
         f = BooleanOracle.from_solutions(2, [0, 1])
@@ -554,7 +555,17 @@ class TestShotsMatchPerShotStreams:
         dist = sampled_distribution(lambda: phase_estimates(u, eigenstate, plan, 1, rng))
         expected = per_stream_indices(dist, map(rng.substream, range(shots)))
         estimates = phase_estimates(u, eigenstate, plan, shots, rng)
-        assert estimates == [i / float(1 << plan.b) for i in expected]
+        assert estimates.tolist() == [i / float(1 << plan.b) for i in expected]
+
+    @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64),
+           phi=st.floats(-2.0, 2.0, allow_nan=False))
+    def test_phase_coverage(self, seed, tag, shots, phi):
+        plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
+        u, rng = phase_unitary(phi), Stream(seed, tag)
+        dist = sampled_distribution(lambda: phase_estimates(u, basis_state(1, 1), plan, 1, rng))
+        hits = sum(1 for i in per_stream_indices(dist, map(rng.substream, range(shots)))
+                   if phase_distance(i / float(1 << plan.b), phi) <= plan.zeta)
+        assert phase_coverage(phi, plan, shots, rng) == hits / shots
 
     @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64))
     def test_quantum_counts(self, seed, tag, shots):
@@ -562,7 +573,7 @@ class TestShotsMatchPerShotStreams:
         plan = PhasePlan(zeta=2.0**-5, epsilon=0.1)
         rng = Stream(seed, tag)
         expected = per_stream_counts(f, plan, map(rng.substream, range(shots)))
-        assert quantum_counts(f, plan, shots, rng) == expected
+        assert quantum_counts(f, plan, shots, rng).tolist() == expected
 
     @given(seed=SEEDS, tag=TAGS, shots=st.integers(1, 64))
     def test_grover_search(self, seed, tag, shots):
@@ -587,6 +598,7 @@ SAMPLERS = {
         SpinAxis(0.0, 0.0, 1.0), shots, rng),
     "teleport_bit_counts": lambda shots, rng: teleport_bit_counts(
         basis_state(1, 0), shots, rng),
+    "teleport_trials": teleport_trials,
     "chsh_experiment": chsh_experiment,
     "qmc_estimate": lambda shots, rng: qmc_estimate(
         Observable(PAULI_Z), basis_state(1, 0), shots, rng, basis_state(1, 0)),
@@ -715,6 +727,23 @@ class TestOrderFind:
         assert order_find(2, 5, Stream(37, "of1")) == 4
         assert order_find(4, 5, Stream(41, "of2")) == 2
         assert order_find(1, 9, Stream(43, "of3")) == 1
+
+    def test_candidate_is_minimised_to_the_order(self):
+        # phase 1/d with d not dividing r: d is the first denominator in the
+        # window, and its first multiple m with x^m = 1 (mod N) is lcm(d, r) > r,
+        # which the divisor scan must bring down to r
+        cases = 0
+        for n in range(2, 36):
+            for x in range(1, n):
+                if math.gcd(x, n) != 1:
+                    continue
+                window = 0.5 ** (2 * algorithms._modmul_qubits(x, n) + 1)
+                r = order_brute_force(x, n)
+                for d in range(2, n + 1):
+                    if r % d and math.lcm(d, r) <= n:
+                        assert algorithms._order_candidate(1 / d, x, n, window) == r, (n, x, d)
+                        cases += 1
+        assert cases > 100
 
     def test_brute_force_oracle(self):
         assert order_brute_force(2, 5) == 4

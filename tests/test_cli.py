@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsim import acceptance, entangle
+from qsim import acceptance, entangle, linalg
 from qsim.cli import EXPERIMENTS, build_parser, main
 
 
@@ -194,7 +194,7 @@ class TestRun:
         counts = dict.fromkeys(("13", "23", "24", "14"), 100)
         for value, ok in ((2.0, False), (2.6, True)):
             result = entangle.ChshResult(value=value, stderr=0.0, correlators={},
-                                         counts=counts, shots=400, rows=())
+                                         counts=counts, settings=None, outcomes=None)
             assert acceptance.chsh_ok(result) is ok
 
     @pytest.mark.parametrize("argv, named", [
@@ -270,6 +270,20 @@ def test_chsh_emit_shots_rows(capsys):
     first = shot_rows[0]
     assert {"shot", "setting", "alice", "bob"} <= set(first)
     assert first["alice"] in (-1, 1) and first["bob"] in (-1, 1)
+
+
+def test_a_second_chsh_run_makes_no_eigensolve(capsys, monkeypatch):
+    # the default setting, its pair embeddings and the singlet are built once;
+    # bell's axis observable and its embeddings are built on every run
+    chsh = ["run", "--experiment", "chsh", "--shots", "200", "--seed", "5"]
+    first = run_cli(capsys, *chsh)
+    calls = []
+    eigh = linalg.eigh
+    monkeypatch.setattr(linalg, "eigh", lambda mat: calls.append(len(mat)) or eigh(mat))
+    assert run_cli(capsys, *chsh) == first
+    assert calls == []
+    assert run_cli(capsys, "run", "--experiment", "bell", "--shots", "200")[0] == 0
+    assert sorted(calls) == [2, 4, 4]
 
 
 # Runs each argv through qsim.cli.main in one child whose address space is

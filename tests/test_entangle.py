@@ -11,6 +11,7 @@ from oracles import (
     teleport_bits_by_shots,
     teleport_branches,
 )
+from qsim import entangle
 from qsim.entangle import (
     ChshSetting,
     SpinAxis,
@@ -91,8 +92,9 @@ class TestAnticorrelation:
     @given(axis=spin_axes(), shots=st.integers(1, 150), seed=SEEDS)
     def test_matches_per_shot_measurement(self, axis, shots, seed):
         pairs = anticorrelation_experiment(axis, shots, Stream(seed, "anti"))
-        assert all(type(a) is int and type(b) is int for a, b in pairs)
-        assert pairs == anticorrelation_by_shots(axis, shots, Stream(seed, "anti"))
+        assert pairs.dtype == np.int64 and pairs.shape == (shots, 2)
+        assert list(map(tuple, pairs.tolist())) == anticorrelation_by_shots(
+            axis, shots, Stream(seed, "anti"))
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValidationError):
@@ -209,14 +211,23 @@ class TestChshExperiment:
             with pytest.raises(DomainError):
                 chsh_experiment(shots, Stream(seed, "chsh"))
             return
-        result = chsh_experiment(shots, Stream(seed, "chsh"), collect_rows=True)
-        assert result.rows == tuple(rows)
+        result = chsh_experiment(shots, Stream(seed, "chsh"))
+        labels = tuple(result.counts)
+        assert [(shot, labels[k], a, b) for shot, (k, (a, b)) in enumerate(
+            zip(result.settings.tolist(), result.outcomes.tolist()))] == rows
         assert result.correlators == corr
         assert result.counts == {label: sum(r[1] == label for r in rows) for label in corr}
 
     def test_rows_follow_schema(self):
-        result = chsh_experiment(500, Stream(19, "rows"), collect_rows=True)
-        assert len(result.rows) == 500
-        shot, setting, alice, bob = result.rows[0]
-        assert shot == 0 and setting in ("13", "23", "24", "14")
-        assert alice in (-1, 1) and bob in (-1, 1)
+        result = chsh_experiment(500, Stream(19, "rows"))
+        assert tuple(result.counts) == ("13", "23", "24", "14")
+        assert result.settings.shape == (500,) and result.outcomes.shape == (500, 2)
+        assert set(result.settings.tolist()) == {0, 1, 2, 3}
+        assert set(result.outcomes.ravel().tolist()) == {-1, 1}
+
+    def test_setting_embeddings_and_singlet_are_built_once_and_read_only(self):
+        assert default_chsh_setting() is default_chsh_setting()
+        assert entangle._chsh_pairs() is entangle._chsh_pairs()
+        assert singlet() is singlet()
+        with pytest.raises(ValueError):
+            singlet().amps[0] = 1.0
