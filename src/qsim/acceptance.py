@@ -358,13 +358,13 @@ CRITERIA = {
 
 
 def run_acceptance(ids=None):
-    """Run the selected criteria (all by default) and return their results.
+    """Run each selected criterion once (all by default), in id order, and return the results.
 
     A criterion passes when it reported at least one check and every check
     passed; one with a budget also fails past it, under `runtime_s`.
     Raises DomainError on an empty selection or an unknown id.
     """
-    selected = sorted(CRITERIA) if ids is None else sorted(ids)
+    selected = sorted(CRITERIA) if ids is None else sorted(set(ids))
     if not selected:
         raise DomainError("no criteria selected")
     if unknown := [cid for cid in selected if cid not in CRITERIA]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import qstate
 from .errors import DomainError, ValidationError
-from .gates import PAULI_X, PAULI_Y, PAULI_Z, GateOp, bell_circuit, cnot, hadamard
+from .gates import PAULI_X, PAULI_Y, PAULI_Z, Circuit, GateOp, bell_circuit, cnot, hadamard
 from .gates import apply_gate, run_circuit
 from .linalg import kron
 from .qstate import Observable, StateVector, basis_state, measure_qubits, measure_sequence
@@ -121,7 +121,7 @@ def anticorrelation_experiment(axis: SpinAxis, shots: int, rng: Stream) -> np.nd
 # teleportation
 
 _PHI_PLUS = bell_state(0, 0)
-_ALICE_GATES = (cnot(0, 1), hadamard(0))
+_ALICE = Circuit(3, (cnot(0, 1), hadamard(0)))
 _BITS = ("00", "01", "10", "11")
 _CORRECTIONS = {
     "00": None,
@@ -136,10 +136,7 @@ def _alice_ready(psi: StateVector) -> StateVector:
     state whose first two qubits she measures."""
     if psi.qubits != 1:
         raise DomainError("teleport takes a single-qubit state")
-    state = tensor(psi, _PHI_PLUS)
-    for gate in _ALICE_GATES:
-        state = apply_gate(state, gate)
-    return state
+    return run_circuit(_ALICE, tensor(psi, _PHI_PLUS))
 
 
 def teleport(psi: StateVector, rng: Stream):

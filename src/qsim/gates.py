@@ -4,8 +4,8 @@ uniform-superposition layer.
 A GateOp binds a small unitary to explicit target qubits, with optional
 control qubits listed before targets; the active block of a controlled
 gate is the all-controls-one subspace. Circuits are ordered GateOp lists
-applied by a strided kernel over the amplitude array; the full 2^b
-embedding is never materialized outside the dense test oracles.
+applied in place by a strided kernel to one copy of the amplitude array;
+the 2^b embedding is never materialized outside the dense test oracles.
 """
 
 from __future__ import annotations
@@ -219,21 +219,23 @@ def hadamard_layer(b: int) -> StateVector:
 
 def apply_gate(s: StateVector, op: GateOp) -> StateVector:
     _check_targets(s.qubits, op.targets, op.controls)
-    out = _apply_matrix(s.amps, s.qubits, op.matrix, op.targets, op.controls)
+    out = np.array(s.amps, dtype=np.complex128)
+    _apply_matrix(out, s.qubits, op.matrix, op.targets, op.controls)
     return StateVector(s.qubits, out, _trusted=True)
 
 
 def run_circuit(c: Circuit, input_state: StateVector) -> StateVector:
-    """Apply the circuit's gates in order; the result is renormalised if
-    its norm has drifted (qstate.NORM_DRIFT)."""
+    """Apply the circuit's gates in order to one copy of the input; the
+    result is renormalised if its norm has drifted (qstate.NORM_DRIFT)."""
     if input_state.qubits != c.qubits:
         raise DomainError(
             f"circuit expects {c.qubits} qubits, state has {input_state.qubits}"
         )
-    state = input_state
+    amps = np.array(input_state.amps, dtype=np.complex128)
     for op in c.ops:
-        state = apply_gate(state, op)
-    return _renormalized(state)
+        _check_targets(c.qubits, op.targets, op.controls)
+        _apply_matrix(amps, c.qubits, op.matrix, op.targets, op.controls)
+    return _renormalized(StateVector(c.qubits, amps, _trusted=True))
 
 
 def inverse_circuit(c: Circuit) -> Circuit:

@@ -186,9 +186,9 @@ class TrotterStep:
     def apply(self, s: StateVector) -> StateVector:
         if s.qubits != self.qubits:
             raise DomainError("state size does not match the step")
-        amps = s.amps
+        amps = np.array(s.amps, dtype=np.complex128)
         for mat, targets in self.factors:
-            amps = _apply_matrix(amps, self.qubits, mat, targets)
+            _apply_matrix(amps, self.qubits, mat, targets)
         return _renormalized(StateVector(self.qubits, amps, _trusted=True))
 
     def dense(self) -> np.ndarray:

@@ -218,26 +218,25 @@ class MeasurementRecord:
 
 
 def _apply_matrix(amps, b, mat, targets, controls=()):
-    """Apply `mat` to the target qubits of a 2^b amplitude array,
-    conditioned on all control qubits being 1. Returns a new complex128
-    array, whatever the dtype of `amps`.
+    """Apply `mat` to the target qubits of a contiguous complex128 2^b
+    amplitude array, in place, conditioned on all control qubits being 1.
+    Returns `amps`; callers that must keep their input pass a copy.
 
     The controls are fixed to 1 by slicing, the remaining block is
     transposed so that the targets are its last axes, and every row of
     2^k target amplitudes is multiplied by mat^T.
     """
-    out = np.array(amps, dtype=np.complex128)
     sel = [slice(None)] * b
     for c in controls:
         sel[c] = 1
-    block = out.reshape((2,) * b)[tuple(sel)]
+    block = amps.reshape((2,) * b)[tuple(sel)]
     free = [q for q in range(b) if q not in controls]
     order = [i for i, q in enumerate(free) if q not in targets]
     order += [free.index(t) for t in targets]
     active = block.transpose(order)
     rows = active.reshape(-1, 1 << len(targets))
     active[...] = (rows @ mat.T).reshape(active.shape)
-    return out
+    return amps
 
 
 def _renormalized(s: StateVector) -> StateVector:
@@ -288,7 +287,7 @@ def apply_unitary(s: StateVector, u, targets) -> StateVector:
         raise DomainError(
             f"matrix dimension {mat.shape[0]} does not match {len(targets)} target qubits"
         )
-    out = _apply_matrix(s.amps, s.qubits, mat, targets)
+    out = _apply_matrix(np.array(s.amps, dtype=np.complex128), s.qubits, mat, targets)
     return StateVector(s.qubits, out, _trusted=True)
 
 

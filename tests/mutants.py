@@ -1,0 +1,105 @@
+"""One-line mutants of src/qsim, each run against the tier-1 suite.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS names a file, an old text that must occur in it
+exactly once, its replacement, and the guarantee the replacement attacks.
+For each entry the repository is copied to a temporary directory (the
+working tree is never written), the replacement is made there, and
+tier-1 runs with `-x`. The tool prints one table row per mutant: killed,
+with the first failing test, or survived. It exits 1 when an old text
+does not occur exactly once (before running anything) or when a mutant
+survives. Standard library only; pytest does not collect this file.
+
+Mutation testing: DeMillo, Lipton & Sayward 1978, IEEE Computer 11(4).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                               ".benchmarks", "*.egg-info")
+
+# (file under src/qsim, old text, new text, guarantee attacked)
+MUTANTS = [
+    ("gates.py", "out = np.array(s.amps, dtype=np.complex128)", "out = s.amps",
+     "apply_gate leaves its input unchanged"),
+    ("qstate.py", "_apply_matrix(np.array(s.amps, dtype=np.complex128),",
+     "_apply_matrix(s.amps,", "apply_unitary leaves its input unchanged"),
+    ("gates.py", "amps = np.array(input_state.amps, dtype=np.complex128)",
+     "amps = input_state.amps", "run_circuit leaves its input unchanged"),
+    ("hamsim.py", "amps = np.array(s.amps, dtype=np.complex128)", "amps = s.amps",
+     "TrotterStep.apply leaves its input unchanged"),
+    ("acceptance.py", "min_fidelity >= 1.0 - 1e-10", "min_fidelity >= 1.0 - 1e-2",
+     "teleport_ok's fidelity threshold"),
+    ("algorithms.py", "for div in range(1, mult + 1):", "for div in range(mult, mult + 1):",
+     "_order_candidate minimises the candidate over its divisors"),
+    ("rng.py", "threshold = math.ceil(p * 2.0**53) << 11",
+     "threshold = math.floor(p * 2.0**53) << 11", "Stream.below decides u < p exactly"),
+    ("rng.py", "bound = 4.0 * (width + blocks + 2) * _UNIT_ROUNDOFF",
+     "bound = 4.0 * (width + 2) * _UNIT_ROUNDOFF",
+     "the Born filter's error bound E covers the block sums"),
+    ("algorithms.py", "den = np.sin((t - j) * (math.pi / M))",
+     "den = np.sin((t + j) * (math.pi / M))", "the Fejer kernel of phase estimation"),
+]
+
+
+def check_texts(mutants) -> list:
+    """A line for each mutant whose old text does not occur exactly once."""
+    bad = []
+    for name, old, _, _ in mutants:
+        count = (REPO / "src" / "qsim" / name).read_text().count(old)
+        if count != 1:
+            bad.append(f"{name}: {old!r} occurs {count} times")
+    return bad
+
+
+def first_failure(output: str) -> str:
+    """The first FAILED or ERROR test id in pytest's short summary."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ")[1]
+    return "(no test id in the output)"
+
+
+def run_mutant(name: str, old: str, new: str) -> tuple:
+    """(killed, first failing test) of one mutant, run on a copy of the repository."""
+    with tempfile.TemporaryDirectory(prefix="qsim-mutant-") as tmp:
+        tree = Path(tmp) / "repo"
+        shutil.copytree(REPO, tree, ignore=_SKIP)
+        path = tree / "src" / "qsim" / name
+        path.write_text(path.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return False, ""
+    return True, first_failure(done.stdout)
+
+
+def main() -> int:
+    bad = check_texts(MUTANTS)
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 1
+    print("| file | guarantee | verdict | first failing test |")
+    print("|---|---|---|---|")
+    survived = 0
+    for name, old, new, guarantee in MUTANTS:
+        killed, test = run_mutant(name, old, new)
+        survived += not killed
+        print(f"| {name} | {guarantee} | {'killed' if killed else 'SURVIVED'} | {test} |",
+              flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

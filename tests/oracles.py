@@ -39,8 +39,10 @@ from qsim.linalg import require_hermitian
 from qsim.qstate import (
     Observable,
     StateVector,
+    _apply_matrix,
     _born_weights,
     _projections,
+    _renormalized,
     fidelity,
     measure_observable,
     measure_qubits,
@@ -83,6 +85,16 @@ def circuit_unitary(circuit, b: int) -> np.ndarray:
     for op in circuit.ops:
         out = dense_embedding(op.matrix, list(op.targets), list(op.controls), b) @ out
     return out
+
+
+def per_gate_amplitudes(b: int, gates, amps) -> np.ndarray:
+    """The gate-by-gate route that `run_circuit` and `TrotterStep.apply`
+    replaced with one private buffer: each (matrix, targets, controls) gate
+    runs on a fresh complex128 copy of the amplitudes so far, and the last
+    amplitudes are then `_renormalized`."""
+    for mat, targets, controls in gates:
+        amps = _apply_matrix(np.array(amps, dtype=np.complex128), b, mat, targets, controls)
+    return _renormalized(StateVector(b, amps, _trusted=True)).amps
 
 
 def pe_register_distribution(u: np.ndarray, psi: np.ndarray, b: int) -> np.ndarray:

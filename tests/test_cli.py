@@ -239,6 +239,13 @@ class TestAcceptanceCommand:
         assert out.startswith("FAIL  criterion  1")
         assert "chsh" in err
 
+    def test_repeated_criterion_runs_once(self, capsys):
+        code, out, _ = run_cli(capsys, "acceptance", "--criteria", "6,6")
+        assert code == 0
+        assert [line.split("(")[0] for line in out.splitlines()] == [
+            "PASS  criterion  6  grover-search  "
+        ]
+
     def test_unknown_criterion_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "acceptance", "--criteria", "99")
         assert code == 2

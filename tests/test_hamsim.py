@@ -161,7 +161,7 @@ class TestTrotterEvolve:
     def test_step_renormalises_only_past_the_drift_limit(self, drift, renormalised):
         step = TrotterStep(ising_chain(2), 0.1)
         psi = random_state(2, Stream(31, "drift-limit")).amps * np.sqrt(1.0 + drift)
-        raw = psi
+        raw = psi.copy()
         for mat, targets in step.factors:
             raw = _apply_matrix(raw, 2, mat, targets)
         out = step.apply(StateVector(2, psi, _trusted=True)).amps
