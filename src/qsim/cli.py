@@ -13,7 +13,6 @@ acceptance failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -123,7 +122,8 @@ def _run_grover(args):
 
 @experiment("count")
 def _run_count(args):
-    if not 0 <= args.m_count <= 1 << max(args.bits, 0):
+    gates._check_table_bits(args.bits)  # first: 1 << bits of a huge --bits exhausts memory
+    if not 0 <= args.m_count <= 1 << args.bits:
         raise DomainError(f"--m-count must satisfy 0 <= m <= 2^bits, got {args.m_count}")
     f = gates.BooleanOracle.from_solutions(args.bits, list(range(args.m_count)))
     plan = algorithms.PhasePlan(zeta=args.zeta, epsilon=args.epsilon)
@@ -223,6 +223,8 @@ def _emit(rows, fmt, out):
         for row in rows:
             out.write(json.dumps(row) + "\n")
     else:
+        import csv
+
         if not rows:
             return
         header = []
@@ -280,12 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     acc = sub.add_parser("acceptance", help="run the acceptance criteria")
     acc.add_argument("--criteria", type=criterion_ids, default=None,
                      help="comma-separated criterion ids (default: all)")
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
+    parser.commands = sub.choices  # name -> sub-parser, for parse_args' direct route
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one parse: a command's own parser
+    reads the tokens after its name, and leftovers are reported as the
+    top-level parser reports them. An empty argv, `-h` or an unknown
+    command goes through the top-level parser."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         if args.command == "run":
             for flag, value in (("--shots", args.shots), ("--threads", args.threads)):

@@ -5,8 +5,6 @@ the benchmark's tracer and micro-benchmarks still import it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import DomainError
 
 
@@ -18,6 +16,8 @@ def shot_map(fn, shots: int, threads: int = 1) -> list:
         raise DomainError("thread count must be at least 1")
     if threads == 1 or shots <= 1:
         return [fn(i) for i in range(shots)]
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: no experiment uses it
+
     results = [None] * shots
     def work(start: int):
         for i in range(start, shots, threads):

@@ -50,6 +50,23 @@ MUTANTS = [
      "the Born filter's error bound E covers the block sums"),
     ("algorithms.py", "den = np.sin((t - j) * (math.pi / M))",
      "den = np.sin((t + j) * (math.pi / M))", "the Fejer kernel of phase estimation"),
+    ("cli.py", "    if extras:\n", "    if False:\n",
+     "the CLI's direct dispatch reports leftover tokens"),
+    ("cli.py", "command.set_defaults(command=name)", "command.set_defaults()",
+     "each sub-parser names its command"),
+    ("acceptance.py", "return error <= 1e-9", "return error <= 1e-8", "error_ok's threshold"),
+    ("acceptance.py", "return value >= 1.0 - 1e-9", "return value >= 1.0 - 1e-8",
+     "unit_ok's threshold"),
+    ("acceptance.py", "return rate >= 1.0 - 1.0 / plan.N - 3.0 * sigma",
+     "return rate >= 1.0 - 1.0 / plan.N - 4.0 * sigma", "grover_ok's 3 sigma"),
+    ("acceptance.py", "return coverage >= (1.0 - epsilon) - 3.0 * math.sqrt(",
+     "return coverage >= (1.0 - epsilon) - 6.0 * math.sqrt(", "coverage_ok's 3 sigma"),
+    ("acceptance.py", "return stat < CHI2_99_9_DF15", "return stat <= CHI2_99_9_DF15",
+     "chi_square_ok's strict critical value"),
+    ("acceptance.py", "0.0) / result.n)", "0.0) / (result.n - 1))",
+     "qmc_ok's sigma at the reference"),
+    ("acceptance.py", "sum(0.5 / n for n in result.counts.values())",
+     "sum(1.0 / n for n in result.counts.values())", "chsh_ok's sigma at the reference"),
 ]
 
 

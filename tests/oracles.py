@@ -33,6 +33,7 @@ from qsim.qec import (
     recover_bitflip,
     syndrome_measure,
 )
+from qsim.cli import build_parser
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
 from qsim.errors import InternalError, NotFoundError, ValidationError
 from qsim.linalg import require_hermitian
@@ -673,3 +674,9 @@ def words_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
 def uniforms_masked(seed: int, tag, shot_indices, draws: int) -> np.ndarray:
     """`Stream(seed, tag).uniforms(shot_indices, draws)` through `mix_masked`."""
     return (words_masked(seed, tag, shot_indices, draws) >> 11) * (1.0 / (1 << 53))
+
+
+def parse_args_by_top_level(argv):
+    """`cli.parse_args`'s reference route: the top-level parser classifies
+    every token and hands the command's tokens on to its sub-parser."""
+    return build_parser().parse_args(argv)

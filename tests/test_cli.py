@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsim import acceptance, entangle, linalg
+import oracles
+import qsim
+from qsim import acceptance, cli, entangle, linalg
 from qsim.cli import EXPERIMENTS, build_parser, main
 
 
@@ -323,9 +325,10 @@ def _run_capped(cases):
 
 
 def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
-    # count 18 needs 18 + 7 qubits at the default zeta, past the cap of 24
+    # count 18 needs 18 + 7 qubits at the default zeta, past the cap of 24;
+    # count 10^10 must meet the oracle-table cap before anything is 2^bits long
     cases = [("qft", "14"), ("qft", "40"), ("count", "18"), ("count", "24"), ("count", "30"),
-             ("grover", "30"), ("grover", "-1"), ("count", "-1")]
+             ("grover", "30"), ("grover", "-1"), ("count", "-1"), ("count", "10000000000")]
     for case, (code, err) in zip(cases, _run_capped(cases)):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)
 
@@ -433,3 +436,134 @@ def test_cli_fuzz_exits_0_2_or_3_in_a_memory_capped_child():
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-4000:]
     assert json.loads(proc.stdout) == [0, 2, 3]
+
+
+def test_import_leaves_the_thread_pool_and_csv_unloaded():
+    # set-up cost: nothing on the default route uses either module
+    code = ("import sys, qsim.cli\n"
+            "print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(qsim.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# argvs whose help, usage or error text would show a difference between
+# `cli.parse_args` and the top-level route; the last two run an experiment
+DISPATCH_EDGES = [
+    [], ["-h"], ["bogus"], ["run"], ["run", "-h"], ["acceptance", "-h"], ["-h", "run"],
+    ["run", "--", "--experiment", "bell"],
+    ["run", "--experiment", "bell", "--shots", "5", "junk", "--nope"],
+    ["acceptance", "--bogus"], ["acceptance", "--criteria", "4,x"],
+    ["run", "--experiment", "trotter", "--steps", "x"],
+    ["run", "--e", "bell"],  # ambiguous: --emit-shots, --epsilon, --experiment
+    ["run", "--experiment", "nonsense"],
+    ["run", "--exp", "bell"],
+    ["run", "--experiment=qec-sweep", "--shots", "50", "--format", "csv", "--assert"],
+]
+
+
+def _outcome(fn, argv):
+    """(exit code, stdout, stderr, value) of fn(argv); a SystemExit gives
+    the exit code and no value, a return gives the value and exit code 0."""
+    out, err = io.StringIO(), io.StringIO()
+    code, value = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            value = fn(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue(), value
+
+
+def _same_as_the_top_level_route(argv):
+    """Assert that `cli.parse_args` and `cli.main` behave as through the
+    reference route, `build_parser().parse_args`; return "parsed" or the
+    parser's exit code."""
+    fast = _outcome(cli.parse_args, argv)
+    assert fast == _outcome(oracles.parse_args_by_top_level, argv), argv
+    ran = _outcome(main, argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "parse_args", oracles.parse_args_by_top_level)
+        assert ran == _outcome(main, argv), argv
+    if fast[3] is None:
+        return fast[0]
+    assert fast[3].command == argv[0]
+    return "parsed"
+
+
+@pytest.mark.parametrize("argv", DISPATCH_EDGES, ids=lambda argv: "_".join(argv) or "none")
+def test_dispatch_edges_match_the_top_level_route(argv):
+    _same_as_the_top_level_route(argv)
+
+
+# a valid use of each option but --experiment, which the strategy below draws apart
+_VALID_OPTIONS = [
+    ["--seed", "7"], ["--shots", "3"], ["--format", "csv"], ["--threads", "2"], ["--assert"],
+    ["--emit-shots"], ["--axis", "0", "1", "0"], ["--bits", "3"], ["--marked", "2"],
+    ["--m-count", "2"], ["--zeta", "0.25"], ["--epsilon", "0.2"], ["--alpha", "0.1"],
+    ["--phase", "0.25"], ["--p", "0.1", "0.2"], ["--t-final", "0.5"], ["--steps", "3"],
+    ["--x-base", "7"], ["--modulus", "15"], ["--n-runs", "5"], ["--criteria", "4,6"],
+]
+
+
+def _dispatch_argvs():
+    """Token lists over both commands: each option string and its
+    abbreviations (unique and ambiguous), valid and invalid values,
+    `--`, `-h` and junk, loose or paired as `--opt value` or `--opt=value`."""
+    options = set()
+    for command in build_parser().commands.values():
+        for action in command._actions:
+            for string in action.option_strings:
+                options.add(string)
+                if string.startswith("--"):
+                    options.update(string[:n] for n in range(3, len(string)))
+    options = sorted(options)
+    values = sorted(EXPERIMENTS) + [
+        "0", "1", "3", "-1", "0.5", "-0.5", "nan", "1e3", "x", "", "a b", "4", "4,x", "1,4",
+        "jsonl", "csv"]
+    junk = ["run", "acceptance", "bogus", "--", "-h", "--help", "-x", "--nope", "-", "---"]
+    pair = st.tuples(st.sampled_from(options), st.sampled_from(values))
+    valid = st.tuples(st.sampled_from(_VALID_OPTIONS), st.integers(3, 12)).map(
+        lambda use: [use[0][0][:use[1]], *use[0][1:]])  # the option, perhaps abbreviated
+    piece = st.one_of(
+        st.sampled_from(options + values + junk).map(lambda token: [token]),
+        pair.map(list),
+        pair.map(lambda pair: ["=".join(pair)]),
+        st.sampled_from(sorted(EXPERIMENTS)).map(lambda name: ["--experiment", name]),
+        valid,
+    )
+    head = st.sampled_from([[], ["run"], ["acceptance"], ["-h"], ["bogus"]])
+    loose = st.tuples(head, st.lists(piece, max_size=6))
+    # mostly valid: an experiment and valid options, which parse unless one
+    # is abbreviated ambiguously or belongs to the other command
+    run = st.tuples(st.sampled_from(sorted(EXPERIMENTS)).map(
+        lambda name: ["run", "--experiment", name]), st.lists(valid, max_size=4))
+    return st.one_of(loose, run).map(lambda parts: parts[0] + sum(parts[1], []))
+
+
+def test_parse_args_matches_the_top_level_route_on_drawn_argvs(monkeypatch):
+    # The routes differ only in parsing, so every experiment and the
+    # acceptance run are replaced by an echo of the parsed Namespace: main's
+    # stdout then shows any field that differs, and no drawn argv runs a
+    # default-sized experiment.
+    def echo(args):
+        return [{"args": repr(sorted(vars(args).items()))}], True
+
+    for name in EXPERIMENTS:
+        monkeypatch.setitem(EXPERIMENTS, name, echo)
+    monkeypatch.setattr(acceptance, "run_acceptance", lambda ids: [
+        acceptance.CriterionResult(0, repr(ids), True, 0.0)])
+    seen = []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(argv=_dispatch_argvs())
+    def check(argv):
+        seen.append(_same_as_the_top_level_route(argv))
+
+    for argv in DISPATCH_EDGES:
+        check = example(argv=argv)(check)
+    check()
+    assert set(seen) == {"parsed", 0, 2}
