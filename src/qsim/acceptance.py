@@ -57,6 +57,17 @@ def coverage_ok(coverage: float, epsilon: float, shots: int) -> bool:
     return coverage >= (1.0 - epsilon) - 3.0 * math.sqrt(epsilon * (1.0 - epsilon) / shots)
 
 
+def count_ok(accuracy: float, epsilon: float, shots: int) -> bool:
+    """At least 1 - epsilon, less 3 / sqrt(shots)."""
+    return accuracy >= 1.0 - epsilon - 3.0 / math.sqrt(shots)
+
+
+def qec_rate_ok(rate: float, predicted: float, stderr: float, shots: int) -> bool:
+    """Within max(3 stderr, 3 / shots) + 3 sqrt(predicted / shots) of the prediction."""
+    spread = max(3.0 * stderr, 3.0 / shots) + 3.0 * math.sqrt(predicted / shots)
+    return abs(rate - predicted) <= spread
+
+
 def chi_square_ok(stat: float) -> bool:
     """Uniformity of 16 bins at the 0.1% level."""
     return stat < CHI2_99_9_DF15

@@ -180,6 +180,8 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
 def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> float:
     """Fraction of `shots` estimates of the phase of diag(1, e^{2 pi i phi})
     on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta."""
+    if not math.isfinite(phi):
+        raise DomainError(f"phase must be finite, got {phi!r}")
     u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
     d = np.abs(phase_estimates(u, basis_state(1, 1), plan, shots, rng) - phi) % 1.0
     return int(np.count_nonzero(np.minimum(d, 1.0 - d) <= plan.zeta)) / shots

@@ -135,7 +135,7 @@ def _run_count(args):
              reference=args.m_count, bits=args.bits, zeta=args.zeta, epsilon=args.epsilon),
         _row(args, "count_accuracy", correct / args.shots, reference=1.0 - args.epsilon),
     ]
-    return rows, correct / args.shots >= 1.0 - args.epsilon - 3.0 / math.sqrt(args.shots)
+    return rows, acceptance.count_ok(correct / args.shots, args.epsilon, args.shots)
 
 
 @experiment("order-find")
@@ -168,17 +168,10 @@ def _run_grover_ham(args):
 
 @experiment("qec-sweep")
 def _run_qec_sweep(args):
-    rows = []
-    ok = True
-    for entry in qec.qec_sweep(args.p, args.shots, args.seed):
-        entry = dict(entry)
-        entry["experiment"] = args.experiment
-        entry["seed"] = args.seed
-        rows.append(entry)
-        ok &= abs(entry["rate"] - entry["predicted"]) <= max(
-            3.0 * entry["stderr"], 3.0 / args.shots
-        ) + 3.0 * math.sqrt(entry["predicted"] / args.shots)
-    return rows, ok
+    rows = [dict(entry, experiment=args.experiment, seed=args.seed)
+            for entry in qec.qec_sweep(args.p, args.shots, args.seed)]
+    return rows, all(acceptance.qec_rate_ok(row["rate"], row["predicted"], row["stderr"],
+                                            args.shots) for row in rows)
 
 
 @experiment("qrng")

@@ -34,7 +34,7 @@ class SpinAxis:
 
     def __post_init__(self):
         norm = self.a_x**2 + self.a_y**2 + self.a_z**2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValidationError(f"axis norm^2 = {norm!r} is not 1 within 1e-12")
 
 

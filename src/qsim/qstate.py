@@ -101,9 +101,6 @@ class StateVector:
     def dim(self) -> int:
         return 1 << self.qubits
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 

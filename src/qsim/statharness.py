@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotFoundError
-from .gates import hadamard_layer
 from .pool import shot_map  # noqa: F401  (the benchmark tracer's tests read this binding)
-from .qstate import Observable, expectation, measure_sequence
-from .rng import Stream, sample_indices
+from .qstate import Observable, _check_qubit_count, expectation, measure_sequence
+from .rng import Stream
 
 
 def normal_cdf(x: float) -> float:
@@ -219,29 +218,26 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
 
 
 def quantum_rng(b: int, shots: int, rng: Stream) -> np.ndarray:
-    """b-bit integers from measuring the uniform superposition, one array
-    entry per shot.
-
-    Each shot prepares the Hadamard layer on |0...0> and measures every
-    qubit; outcomes are uniform on {0, ..., 2^b - 1}. Shot i samples the
-    Born distribution with the first draw of `rng.substream(i)`, all shots
-    at once. (On a simulator the stream is seeded and reproducible;
-    genuine randomness needs hardware.)
-    """
-    probs = hadamard_layer(b).probabilities()
-    return sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0])
+    """b-bit integers from measuring every qubit of the Hadamard layer on
+    |0...0>, one array entry per shot. The outcome is uniform on
+    {0, ..., 2^b - 1}, so shot i is floor(2^b u), exact in floating point,
+    for the first draw u of `rng.substream(i)`. (On a simulator the stream
+    is seeded and reproducible; genuine randomness needs hardware.)"""
+    b = _check_qubit_count(b)
+    return np.ldexp(rng.shot_uniforms(shots, 1)[:, 0], b).astype(np.int64)
 
 
 def quantum_rng_chi_square(b: int, shots: int, rng: Stream) -> float:
     """Chi-square statistic of `shots` quantum_rng draws over the 2^b values."""
-    counts = np.bincount(quantum_rng(b, shots, rng), minlength=1 << b)
-    return chi_square_uniform(counts.tolist())
+    counts = np.unique(quantum_rng(b, shots, rng), return_counts=True)[1]
+    return chi_square_uniform(counts.tolist(), 1 << b)
 
 
-def chi_square_uniform(counts) -> float:
-    """Chi-square statistic of observed bin counts against uniformity."""
+def chi_square_uniform(counts, bins: int) -> float:
+    """Chi-square statistic of the occupied bins' counts against uniformity
+    over `bins` bins; each bin not listed counts 0, so adds its expected count."""
     total = sum(counts)
-    if total == 0 or not counts:
-        raise DomainError("need non-empty counts")
-    expected = total / len(counts)
-    return sum((c - expected) ** 2 / expected for c in counts)
+    if total == 0 or len(counts) > bins:
+        raise DomainError(f"need non-empty counts of at most {bins} bins")
+    expected = total / bins
+    return sum((c - expected) ** 2 / expected for c in counts) + (bins - len(counts)) * expected

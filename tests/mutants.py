@@ -67,6 +67,26 @@ MUTANTS = [
      "qmc_ok's sigma at the reference"),
     ("acceptance.py", "sum(0.5 / n for n in result.counts.values())",
      "sum(1.0 / n for n in result.counts.values())", "chsh_ok's sigma at the reference"),
+    ("acceptance.py", "return accuracy >= 1.0 - epsilon - 3.0 / math.sqrt(shots)",
+     "return accuracy >= 1.0 - epsilon - 4.0 / math.sqrt(shots)", "count_ok's 3 / sqrt(shots)"),
+    ("acceptance.py", "max(3.0 * stderr, 3.0 / shots)", "max(3.0 * stderr, 4.0 / shots)",
+     "qec_rate_ok's 3 / shots floor"),
+    ("algorithms.py", "part = s_of(r * (L - 1))", "part = s_of(r * L)",
+     "Shor's orbit form of the order-finding register"),
+    ("hamsim.py", "np.eye(len(p)) - (1j * math.sin(theta)) * p",
+     "np.eye(len(p)) + (1j * math.sin(theta)) * p",
+     "the closed-form Pauli factor e^{-i c P delta}"),
+    ("statharness.py", "np.ldexp(rng.shot_uniforms(shots, 1)[:, 0], b).astype(np.int64)",
+     "np.ldexp(rng.shot_uniforms(shots, 1)[:, 0], b).round().astype(np.int64)",
+     "qrng's closed form floor(2^b u)"),
+    ("statharness.py", " + (bins - len(counts)) * expected", "",
+     "the chi-square's empty bins"),
+    ("rng.py", "return _exact_indices(probs, probs >= PROB_FLOOR, u)\n",
+     "return _exact_indices(probs, probs > PROB_FLOOR, u)\n",
+     "the exact route samples an entry at PROB_FLOOR"),
+    ("rng.py", "_exact_indices(probs, probs >= PROB_FLOOR, u[undecided])",
+     "_exact_indices(probs, probs > PROB_FLOOR, u[undecided])",
+     "the filter's undecided draws sample an entry at PROB_FLOOR"),
 ]
 
 

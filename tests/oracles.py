@@ -443,6 +443,14 @@ def qrng_values(b: int, shots: int, rng) -> list:
             for shot in range(shots)]
 
 
+def born_qrng(b: int, shots: int, rng) -> np.ndarray:
+    """`statharness.quantum_rng` by the Born route: the batched sampler over
+    the Hadamard layer's 2^b probabilities, shot i on the first draw of
+    `rng.substream(i)`."""
+    probs = np.abs(hadamard_layer(b).amps) ** 2
+    return sample_indices(probs, rng.shot_uniforms(shots, 1)[:, 0])
+
+
 def measure_chain(state, observables, rng) -> list:
     """Eigenvalues of `observables` measured in turn on one stream, each
     `measure_observable` call on the previous call's post-state."""

@@ -134,6 +134,12 @@ BOUNDARIES = {
     "qmc_ok": (_qmc_ok, 0.5 + 2.0, math.inf),
     "chsh_ok": (_chsh_ok, 2.0 * math.sqrt(2.0) - 1.0, -math.inf),
     "within_4_sigma": (lambda e: acceptance.within_4_sigma(e, 1.0, 0.5), 3.0, math.inf),
+    # 1 - 1/8 - 3/sqrt(64) = 1/2
+    "count_ok": (lambda a: acceptance.count_ok(a, 0.125, 64), 0.5, -math.inf),
+    # predicted 1/4 at 16 shots: max(3 * 1/8, 3/16) + 3 sqrt(1/64) = 3/4 either side
+    "qec_rate_ok": (lambda r: acceptance.qec_rate_ok(r, 0.25, 0.125, 16), 1.0, math.inf),
+    # predicted 0 at 16 shots with no spread: the 3 / shots floor alone
+    "qec_rate_ok_floor": (lambda r: acceptance.qec_rate_ok(r, 0.0, 0.0, 16), 0.1875, math.inf),
 }
 
 

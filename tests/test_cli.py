@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -205,10 +206,15 @@ class TestRun:
         (["order-find", "--modulus", "1"], "modulus"),
         (["qmc", "--t-final", "nan"], "t_final"),
         (["trotter", "--t-final", "inf"], "t_final"),
+        (["phase-est", "--phase", "inf"], "phase"),
+        (["phase-est", "--phase", "nan"], "phase"),
+        (["bell", "--axis", "nan", "0", "1"], "axis"),
     ])
     def test_bad_parameters_exit_2_and_name_the_parameter(self, capsys, argv, named):
-        code, out, err = run_cli(capsys, "run", "--shots", "5", "--experiment", *argv)
-        assert code == 2 and out == ""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--shots", "5", "--experiment", *argv)
+        assert code == 2 and out == "" and caught == []
         assert err.startswith("error: ") and named in err
 
     def test_m_count_range_ends_are_accepted(self, capsys):
@@ -333,6 +339,12 @@ def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)
 
 
+def test_qrng_runs_to_the_qubit_cap_in_a_memory_capped_child():
+    # qrng draws floor(2^b u) for each shot: no 2^b state, probability array or bin table
+    cases = [("qrng", "21"), ("qrng", "24")]
+    assert _run_capped(cases) == [[0, ""], [0, ""]]
+
+
 def test_count_runs_past_the_dense_cap_in_a_memory_capped_child():
     # counting builds no N x N operator, so it runs up to 24 - 7 bits
     cases = [("count", "12"), ("count", "17")]
@@ -340,8 +352,8 @@ def test_count_runs_past_the_dense_cap_in_a_memory_capped_child():
 
 
 # Edge values for the CLI fuzz below. Register sizes that the dense routes
-# accept stay at or below 4 bits (12 for grover and qrng, and 17 for count,
-# which build no dense matrix); 12 is past the dense cap, 21+ past the
+# accept stay at or below 4 bits (12 for grover, 17 for count and 24 for
+# qrng, which build no dense matrix); 12 is past the dense cap, 21+ past the
 # oracle-table cap.
 _EDGE_FLOATS = ("nan", "inf", "-inf", "-1", "-0.5", "0", "0.5", "1", "1.5")
 _EDGE_INTS = ("-1", "0", "1", "2", "25", "40")
@@ -380,8 +392,8 @@ def fuzz_cli(max_examples=400):
 
     def run_flags(experiment):
         values = dict(_FLAG_VALUES)
-        if experiment == "qrng":  # 21 bits is past the table cap, but a legal qrng register
-            values["--bits"] = tuple(bits for bits in values["--bits"] if bits != "21")
+        if experiment == "qrng":  # builds no 2^bits array, so it runs up to the qubit cap
+            values["--bits"] += ("24",)
         if experiment == "count":  # the widest count at the default zeta
             values["--bits"] += ("17",)
         return flags([flag(name, pool) for name, pool in values.items()] + [

@@ -338,6 +338,21 @@ def test_negative_entries_take_the_exact_route(head, u, index):
     assert sample_indices(probs, us)[0] == sample_index(probs, FixedDraw(u))[0] == index
 
 
+@pytest.mark.parametrize("n", [3, LONG], ids=["exact", "filtered"])
+def test_an_entry_at_the_floor_is_drawn_and_one_float_below_never(n):
+    # both draws lie between the first edge, 0.5, and the second, 0.5 + PROB_FLOOR
+    us = np.array([0.5, math.nextafter(0.5, 1.0)])
+    for p, index in ((PROB_FLOOR, 1), (math.nextafter(PROB_FLOOR, 0.0), 2)):
+        probs = np.array([0.5, p] + [(0.5 - p) / (n - 2)] * (n - 2))
+        filtered = rng._filtered_indices(probs, us)
+        if n >= LONG:  # the filter leaves both draws to the exact route
+            assert filtered is not None and not filtered[1].any()
+        else:
+            assert filtered is None
+        assert sample_indices(probs, us).tolist() == [index, index]
+        assert sample_index(probs, FixedDraw(us[1]))[0] == index
+
+
 def test_undecided_residual_check_goes_to_the_exact_route():
     # every block after the first holds one 0.6-ulp entry, so each step of
     # the running sum of the block totals rounds up by a whole ulp, and the

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_binomial_tail, qmc_by_shots, qrng_values, repeat_successes_by_trial
+from oracles import (
+    born_qrng,
+    exact_binomial_tail,
+    qmc_by_shots,
+    qrng_values,
+    repeat_successes_by_trial,
+)
 from qsim.acceptance import _repeat_successes
 from qsim.errors import DomainError, NotFoundError
 from qsim.gates import PAULI_X, PAULI_Z
@@ -20,12 +26,24 @@ from qsim.statharness import (
     point_mass_mixture,
     qmc_estimate,
     quantum_rng,
+    quantum_rng_chi_square,
     repeat_verified,
     trimmed_mean,
     trimmed_success_bound,
 )
 
 CHI2_99_9_DF15 = 37.697
+
+
+class FixedDraws:
+    """Stands in for a Stream whose shot i draws u[i] first."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def shot_uniforms(self, shots, draws):
+        assert shots == self.u.size and draws == 1
+        return self.u[:, None]
 
 
 class TestTrimmedMean:
@@ -262,7 +280,7 @@ class TestQuantumRng:
         counts = [0] * 16
         for v in values:
             counts[v] += 1
-        assert chi_square_uniform(counts) < CHI2_99_9_DF15
+        assert chi_square_uniform(counts, 16) < CHI2_99_9_DF15
 
     def test_reproducible_stream(self):
         a = quantum_rng(3, 500, Stream(31, "det"))
@@ -275,9 +293,66 @@ class TestQuantumRng:
         assert all(type(v) is int for v in values)
         assert values == qrng_values(b, 300, Stream(33, f"oracle{b}"))
 
+    @settings(max_examples=60)
+    @given(b=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_matches_the_born_route_on_random_draws(self, b, seed):
+        got = quantum_rng(b, 500, Stream(seed, "born"))
+        assert np.array_equal(got, born_qrng(b, 500, Stream(seed, "born")))
+
+    @staticmethod
+    def _edge_bins(b):
+        """(edges j, {neighbour: (closed-form bins, Born bins)}) for the draws
+        j/2^b, j = 1..2^b - 1, and the floats just below and above them."""
+        j = np.arange(1, 1 << b)
+        edge = np.ldexp(j.astype(float), -b)
+        draws = {"below": np.nextafter(edge, 0.0), "edge": edge, "above": np.nextafter(edge, 1.0)}
+        routes = (quantum_rng, born_qrng)
+        return j, {name: tuple(route(b, u.size, FixedDraws(u)) for route in routes)
+                   for name, u in draws.items()}
+
+    @pytest.mark.parametrize("b", range(2, 13, 2))
+    def test_matches_the_born_route_on_every_edge_at_even_b(self, b):
+        # fl(2^(-b/2))^2 = 2^-b exactly, so the Born CDF's edges are the j/2^b
+        j, bins = self._edge_bins(b)
+        for name, (closed, born) in bins.items():
+            assert np.array_equal(closed, born), name
+            assert np.array_equal(closed, j - (name == "below")), name
+
+    @pytest.mark.parametrize("b", range(1, 13, 2))
+    def test_odd_b_edges_pin_the_born_route_one_rounding_high(self, b):
+        """At odd b the Born route's probabilities sit one rounding above
+        2^-b, so its CDF edges sit above the j/2^b: the draw on an edge,
+        and the float above it when j's two leading bits are 11, land in
+        bin j - 1 there. The closed form keeps floor(2^b u), the exact law."""
+        j, bins = self._edge_bins(b)
+        leading_11 = np.array([k > 2 and k >> (k.bit_length() - 2) == 3 for k in j.tolist()])
+        want = {"below": (j - 1, j - 1), "edge": (j, j - 1), "above": (j, j - leading_11)}
+        for name, (closed, born) in bins.items():
+            assert np.array_equal(closed, want[name][0]), name
+            assert np.array_equal(born, want[name][1]), name
+
+    @pytest.mark.parametrize("b", [1, 12, 24])
+    def test_unit_interval_ends(self, b):
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        assert quantum_rng(b, 2, FixedDraws(u)).tolist() == [0, (1 << b) - 1]
+
+    def test_chi_square_counts_only_the_occupied_bins(self):
+        # 2 bins of 4 occupied, 8 draws: expected 2, (4 - 2)^2 / 2 twice, plus 2 + 2
+        assert chi_square_uniform([4, 4], 4) == 8.0
+        assert chi_square_uniform([4, 4, 0, 0], 4) == 8.0
+        values = quantum_rng(10, 50, Stream(35, "sparse"))
+        counts = np.bincount(values, minlength=1 << 10).tolist()
+        assert chi_square_uniform(counts, 1 << 10) == pytest.approx(
+            quantum_rng_chi_square(10, 50, Stream(35, "sparse")), rel=1e-12)
+
     def test_chi_square_rejects_empty(self):
         with pytest.raises(DomainError):
-            chi_square_uniform([])
+            chi_square_uniform([], 4)
+
+    @pytest.mark.parametrize("counts, bins", [([0, 0], 4), ([1, 1, 1], 2)])
+    def test_chi_square_rejects_no_draws_or_too_many_bins(self, counts, bins):
+        with pytest.raises(DomainError):
+            chi_square_uniform(counts, bins)
 
 
 class TestGrossErrorModel:
