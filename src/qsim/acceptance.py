@@ -25,6 +25,7 @@ SEED = 20260808
 
 TSIRELSON = entangle.TSIRELSON_BOUND
 CHI2_99_9_DF15 = 37.697  # chi-square critical value, df = 15, right tail 0.001
+Z_99_9 = 3.090232306167813  # standard normal 0.999 quantile
 
 
 def within_4_sigma(estimate, reference, stderr) -> bool:
@@ -68,9 +69,16 @@ def qec_rate_ok(rate: float, predicted: float, stderr: float, shots: int) -> boo
     return abs(rate - predicted) <= spread
 
 
-def chi_square_ok(stat: float) -> bool:
-    """Uniformity of 16 bins at the 0.1% level."""
-    return stat < CHI2_99_9_DF15
+def chi_square_critical(bins: int) -> float:
+    """The chi-square 0.999 quantile at bins - 1 degrees of freedom: tabulated
+    at 16 bins, else Wilson & Hilferty's cube-root normal approximation."""
+    v = 2.0 / (9 * (bins - 1))
+    return CHI2_99_9_DF15 if bins == 16 else (bins - 1) * (1.0 - v + Z_99_9 * math.sqrt(v)) ** 3
+
+
+def chi_square_ok(stat: float, bins: int = 16) -> bool:
+    """Uniformity of `bins` bins at the 0.1% level."""
+    return stat < chi_square_critical(bins)
 
 
 def qmc_ok(result: statharness.QmcResult) -> bool:
@@ -244,7 +252,7 @@ def criterion_9_qec(check, details) -> None:
     rate_checks = {}
     within = []
     for p in (0.01, 0.05, 0.1, 0.2):
-        rate = qec.logical_error_rate("bit-flip-3", p, shots, Stream(SEED, f"acc/qec/{p}"))
+        rate = qec.logical_error_rate(p, shots, Stream(SEED, f"acc/qec/{p}"))
         predicted = qec.predicted_logical_rate(p)
         sigma = math.sqrt(predicted * (1.0 - predicted) / shots)
         rate_checks[p] = (rate, predicted)

@@ -57,10 +57,10 @@ class PhasePlan:
         object.__setattr__(self, "b", register_size(self.zeta, self.epsilon))
 
 
-def phase_distance(a: float, b: float) -> float:
-    """Distance on the phase circle (modulo 1)."""
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+def phase_distance(a, b):
+    """Distance on the phase circle (modulo 1), elementwise."""
+    d = np.abs(a - b) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,8 @@ def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> floa
     if not math.isfinite(phi):
         raise DomainError(f"phase must be finite, got {phi!r}")
     u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    d = np.abs(phase_estimates(u, basis_state(1, 1), plan, shots, rng) - phi) % 1.0
-    return int(np.count_nonzero(np.minimum(d, 1.0 - d) <= plan.zeta)) / shots
+    d = phase_distance(phase_estimates(u, basis_state(1, 1), plan, shots, rng), phi)
+    return int(np.count_nonzero(d <= plan.zeta)) / shots
 
 
 # ---------------------------------------------------------------------------

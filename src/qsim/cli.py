@@ -177,10 +177,13 @@ def _run_qec_sweep(args):
 @experiment("qrng")
 def _run_qrng(args):
     stat = statharness.quantum_rng_chi_square(args.bits, args.shots, Stream(args.seed, "cli/qrng"))
-    tabulated = args.bits == 4  # the critical value is tabulated for 16 bins only
+    bins = 1 << args.bits
+    decided = args.shots >= 5 * bins  # the chi-square law wants 5 expected counts a bin
+    if args.assert_ and not decided:
+        raise DomainError(f"qrng --assert at --bits {args.bits} needs --shots >= {5 * bins}")
     rows = [_row(args, "chi_square", stat, bits=args.bits,
-                 reference=acceptance.CHI2_99_9_DF15 if tabulated else None)]
-    return rows, not tabulated or acceptance.chi_square_ok(stat)
+                 reference=acceptance.chi_square_critical(bins) if decided else None)]
+    return rows, not decided or acceptance.chi_square_ok(stat, bins)
 
 
 @experiment("qmc")

@@ -191,15 +191,6 @@ class TrotterStep:
             _apply_matrix(amps, self.qubits, mat, targets)
         return _renormalized(StateVector(self.qubits, amps, _trusted=True))
 
-    def dense(self) -> np.ndarray:
-        """Dense U_delta for oracle-scale checks."""
-        _check_dense_qubits(self.qubits, "dense step")
-        dim = 1 << self.qubits
-        out = np.eye(dim, dtype=complex)
-        for mat, targets in self.factors:
-            out = _embed(mat, targets, self.qubits) @ out
-        return out
-
 
 def _exponential(mat: np.ndarray, pauli, delta: float) -> np.ndarray:
     """e^{-i mat delta}; in closed form when `pauli` is mat's (c, P) form."""

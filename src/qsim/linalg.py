@@ -1,5 +1,6 @@
 """Dense complex linear algebra: the Hermitian eigensolver, the checks
-that validate every matrix entering the package, and a 2-D `kron`.
+that validate every matrix entering the package, and `kron`, the
+package's one Kronecker product (of vectors or of matrices).
 
 Most matrices the checks and `kron` see are 2x2 to 8x8 gates and local
 terms, where numpy's generic wrappers (`np.max`, `np.all`, `np.kron`) cost
@@ -62,20 +63,17 @@ def require_hermitian(mat, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """`np.kron(a, c)` of two 2-D arrays: the same products, in one
-    broadcast multiply."""
-    r, k = a.shape
-    p, q = c.shape
-    return (a.reshape(r, 1, k, 1) * c.reshape(1, p, 1, q)).reshape(r * p, k * q)
-
-
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence, left factor most significant; the
-    factors may be vectors, so this keeps `np.kron`."""
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
+def kron(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """`np.kron` folded left to right over vectors or over 2-D arrays, the
+    left factor most significant: the same products, one broadcast
+    multiply a factor."""
+    out = first
+    for c in rest:
+        if out.ndim == 1:
+            out = (out.reshape(-1, 1) * c).reshape(-1)
+        else:
+            (r, k), (p, q) = out.shape, c.shape
+            out = (out.reshape(r, 1, k, 1) * c.reshape(1, p, 1, q)).reshape(r * p, k * q)
     return out
 
 

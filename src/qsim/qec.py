@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gates import HADAMARD_MATRIX, apply_gate, pauli_x, pauli_z
-from .linalg import kron_all
+from .linalg import kron
 from .qstate import StateVector, collapse
 from .rng import Stream
 
@@ -117,7 +117,7 @@ def recover_bitflip(s: StateVector, syn: Syndrome) -> StateVector:
     return apply_gate(s, _flip_gate(BIT_FLIP, syn.value - 1))
 
 
-_H3 = kron_all([HADAMARD_MATRIX] * 3)
+_H3 = kron(HADAMARD_MATRIX, HADAMARD_MATRIX, HADAMARD_MATRIX)
 
 
 def encode_phaseflip(q: StateVector) -> StateVector:
@@ -147,24 +147,17 @@ def recover_phaseflip(s: StateVector, syn: Syndrome) -> StateVector:
 
 _BLOCKS = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
-
-def _block_states():
-    plus = np.zeros(8, dtype=complex)
-    minus = np.zeros(8, dtype=complex)
-    plus[0] = plus[7] = 1.0 / math.sqrt(2.0)
-    minus[0] = 1.0 / math.sqrt(2.0)
-    minus[7] = -1.0 / math.sqrt(2.0)
-    return plus, minus
+_PLUS, _MINUS = np.zeros((2, 8), dtype=complex)
+_PLUS[0] = _PLUS[7] = _MINUS[0] = 1.0 / math.sqrt(2.0)
+_MINUS[7] = -1.0 / math.sqrt(2.0)
+_ZERO_L, _ONE_L = kron(_PLUS, _PLUS, _PLUS), kron(_MINUS, _MINUS, _MINUS)
 
 
 def encode_shor9(q: StateVector) -> StateVector:
     """|0> -> product of (|000>+|111>)/sqrt2 blocks, |1> with minus signs."""
     if q.qubits != 1:
         raise DomainError("encode_shor9 takes a single-qubit state")
-    plus, minus = _block_states()
-    zero_l = kron_all([plus, plus, plus])
-    one_l = kron_all([minus, minus, minus])
-    return StateVector(9, q.amps[0] * zero_l + q.amps[1] * one_l, _trusted=True)
+    return StateVector(9, q.amps[0] * _ZERO_L + q.amps[1] * _ONE_L, _trusted=True)
 
 
 # The syndrome label of every nine-qubit index, read from each block's
@@ -213,7 +206,7 @@ def predicted_logical_rate(p: float) -> float:
     return 3.0 * p * p - 2.0 * p**3
 
 
-def logical_error_rate(code: str, p: float, shots: int, rng: Stream) -> float:
+def logical_error_rate(p: float, shots: int, rng: Stream) -> float:
     """Empirical failure rate of the three-qubit bit-flip code.
 
     Shot i encodes |0>, flips each qubit when its draw from
@@ -225,8 +218,6 @@ def logical_error_rate(code: str, p: float, shots: int, rng: Stream) -> float:
     `rng.below` gives a block's flip rows a, b, c, and a shot fails where
     the majority (a & (b | c)) | (b & c) holds.
     """
-    if code != "bit-flip-3":
-        raise DomainError(f"unknown code {code!r}")
     if shots < 1:
         raise DomainError("need at least one shot")
     channel = NoiseChannel(BIT_FLIP, p)
@@ -242,7 +233,7 @@ def qec_sweep(ps, shots: int, seed: int):
     rows = []
     for p in ps:
         rng = Stream(seed, f"qec/sweep/{p}")
-        rate = logical_error_rate("bit-flip-3", p, shots, rng)
+        rate = logical_error_rate(p, shots, rng)
         failures = round(rate * shots)
         stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / shots)
         rows.append(

@@ -272,7 +272,7 @@ def basis_state(b: int, x: int) -> StateVector:
 def tensor(a: StateVector, c: StateVector) -> StateVector:
     """Composite state a (x) c; a's qubits become the most significant."""
     b = _check_qubit_count(a.qubits + c.qubits)
-    return StateVector(b, np.kron(a.amps, c.amps), _trusted=True)
+    return StateVector(b, linalg.kron(a.amps, c.amps), _trusted=True)
 
 
 def apply_unitary(s: StateVector, u, targets) -> StateVector:

@@ -61,8 +61,8 @@ MUTANTS = [
      "return rate >= 1.0 - 1.0 / plan.N - 4.0 * sigma", "grover_ok's 3 sigma"),
     ("acceptance.py", "return coverage >= (1.0 - epsilon) - 3.0 * math.sqrt(",
      "return coverage >= (1.0 - epsilon) - 6.0 * math.sqrt(", "coverage_ok's 3 sigma"),
-    ("acceptance.py", "return stat < CHI2_99_9_DF15", "return stat <= CHI2_99_9_DF15",
-     "chi_square_ok's strict critical value"),
+    ("acceptance.py", "return stat < chi_square_critical(bins)",
+     "return stat <= chi_square_critical(bins)", "chi_square_ok's strict critical value"),
     ("acceptance.py", "0.0) / result.n)", "0.0) / (result.n - 1))",
      "qmc_ok's sigma at the reference"),
     ("acceptance.py", "sum(0.5 / n for n in result.counts.values())",
@@ -87,6 +87,15 @@ MUTANTS = [
     ("rng.py", "_exact_indices(probs, probs >= PROB_FLOOR, u[undecided])",
      "_exact_indices(probs, probs > PROB_FLOOR, u[undecided])",
      "the filter's undecided draws sample an entry at PROB_FLOOR"),
+    ("linalg.py", "out = (out.reshape(-1, 1) * c).reshape(-1)",
+     "out = (c.reshape(-1, 1) * out).reshape(-1)",
+     "kron of vectors puts the left factor first"),
+    ("algorithms.py", "return np.minimum(d, 1.0 - d)", "return d",
+     "phase_distance folds the distance onto the circle"),
+    ("cli.py", "decided = args.shots >= 5 * bins", "decided = args.shots >= 4 * bins",
+     "qrng decides from five expected counts a bin"),
+    ("acceptance.py", "Z_99_9 = 3.090232306167813", "Z_99_9 = 2.5758293035489004",
+     "the Wilson-Hilferty z of the 0.999 chi-square quantile"),
 ]
 
 

@@ -131,6 +131,9 @@ BOUNDARIES = {
     "grover_ok": (lambda rate: acceptance.grover_ok(rate, GROVER_64, 1000),
                   1.0 - 1.0 / 64 - 3.0 * math.sqrt(_P64 * (1.0 - _P64) / 1000), -math.inf),
     "chi_square_ok": (acceptance.chi_square_ok, math.nextafter(37.697, 0.0), math.inf),
+    "chi_square_ok_1024_bins": (lambda stat: acceptance.chi_square_ok(stat, 1024),
+                                math.nextafter(acceptance.chi_square_critical(1024), 0.0),
+                                math.inf),
     "qmc_ok": (_qmc_ok, 0.5 + 2.0, math.inf),
     "chsh_ok": (_chsh_ok, 2.0 * math.sqrt(2.0) - 1.0, -math.inf),
     "within_4_sigma": (lambda e: acceptance.within_4_sigma(e, 1.0, 0.5), 3.0, math.inf),
@@ -151,3 +154,15 @@ def test_verdict_passes_at_its_threshold_and_fails_one_step_past(name):
     verdict, edge, outward = BOUNDARIES[name]
     assert verdict(edge) is True
     assert verdict(math.nextafter(edge, outward)) is False
+
+
+# chi-square 0.999 quantiles from the tables, by degrees of freedom
+CHI2_99_9 = {1: 10.828, 3: 16.266, 7: 24.322, 15: 37.697, 31: 61.098, 1023: 1168.497}
+
+
+@pytest.mark.parametrize("df", CHI2_99_9)
+def test_chi_square_critical_is_never_below_the_tabulated_quantile(df):
+    # Wilson-Hilferty overshoots these quantiles, by at most 3.1% (at df = 1)
+    got, tabulated = acceptance.chi_square_critical(df + 1), CHI2_99_9[df]
+    assert tabulated <= got <= 1.031 * tabulated
+    assert (got == tabulated) == (df == 15)

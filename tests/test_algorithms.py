@@ -603,7 +603,7 @@ SAMPLERS = {
     "qmc_estimate": lambda shots, rng: qmc_estimate(
         Observable(PAULI_Z), basis_state(1, 0), shots, rng, basis_state(1, 0)),
     "quantum_rng": lambda shots, rng: quantum_rng(4, shots, rng),
-    "logical_error_rate": lambda shots, rng: logical_error_rate("bit-flip-3", 0.1, shots, rng),
+    "logical_error_rate": lambda shots, rng: logical_error_rate(0.1, shots, rng),
     "point_mass_mixture": lambda shots, rng: point_mass_mixture(0.3, 0.25, 0.3, 50, shots, rng),
 }
 

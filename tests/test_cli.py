@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-import qsim
+from children import child_env
 from qsim import acceptance, cli, entangle, linalg
 from qsim.cli import EXPERIMENTS, build_parser, main
 
@@ -143,6 +143,7 @@ class TestRun:
             [sys.executable, "-m", "qsim.cli", "run", "--experiment", "nonsense"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 2
 
@@ -275,6 +276,31 @@ class TestAcceptanceCommand:
         assert first.split("(")[0] == second.split("(")[0]  # timing varies, verdict fixed
 
 
+class TestQrngVerdict:
+    """qrng decides at every size once shots >= 5 * 2^bits, the chi-square
+    law's usual condition, against `acceptance.chi_square_critical`."""
+
+    def test_ten_bits_get_a_verdict_at_five_shots_a_bin(self, capsys, monkeypatch):
+        argv = ["run", "--experiment", "qrng", "--bits", "10", "--shots", "5120", "--assert"]
+        code, out, _ = run_cli(capsys, *argv)
+        [row] = parse_rows(out)
+        assert code == 0 and row["value"] < row["reference"]
+        assert row["reference"] == acceptance.chi_square_critical(1024)
+        monkeypatch.setattr(acceptance, "chi_square_critical", lambda bins: row["value"])
+        assert run_cli(capsys, *argv)[0] == 3
+
+    @pytest.mark.parametrize("bits, needed", [(4, 80), (10, 5120)])
+    def test_assert_below_the_shot_rule_exits_2_naming_the_shots_needed(self, capsys,
+                                                                          bits, needed):
+        argv = ["run", "--experiment", "qrng", "--bits", str(bits)]
+        code, out, err = run_cli(capsys, *argv, "--shots", str(needed - 1), "--assert")
+        assert code == 2 and out == "" and f"--shots >= {needed}" in err
+        code, out, _ = run_cli(capsys, *argv, "--shots", str(needed - 1))
+        assert code == 0 and "reference" not in parse_rows(out)[0]
+        code, out, _ = run_cli(capsys, *argv, "--shots", str(needed), "--assert")
+        assert code == 0 and "reference" in parse_rows(out)[0]
+
+
 def test_chsh_emit_shots_rows(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--experiment", "chsh", "--shots", "50", "--emit-shots"
@@ -323,8 +349,7 @@ def _run_capped(cases):
     argvs = [["run", "--experiment", name, "--bits", bits, "--shots", "5"] for name, bits in cases]
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120, env=child_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     return json.loads(proc.stdout)
@@ -443,8 +468,7 @@ def test_cli_fuzz_exits_0_2_or_3_in_a_memory_capped_child():
     )
     proc = subprocess.run(
         [sys.executable, "-c", child, os.path.dirname(__file__)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=120, env=child_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr[-4000:]
     assert json.loads(proc.stdout) == [0, 2, 3]
@@ -454,10 +478,8 @@ def test_import_leaves_the_thread_pool_and_csv_unloaded():
     # set-up cost: nothing on the default route uses either module
     code = ("import sys, qsim.cli\n"
             "print(sorted({'concurrent.futures', 'csv'} & set(sys.modules)))")
-    src = os.path.dirname(os.path.dirname(qsim.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+                          timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

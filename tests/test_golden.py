@@ -12,7 +12,7 @@ import make_goldens
 import oracles
 from make_goldens import CLI_CASES, acceptance_path, cli_path, details_line, run_case
 from qsim import acceptance, linalg
-from qsim.acceptance import run_acceptance
+from qsim.acceptance import CRITERIA, run_acceptance
 
 
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
@@ -122,10 +122,10 @@ def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch):
         _assert_same_up_to_rounding(json.loads(g), json.loads(w), f"{case} line {i + 1}")
 
 
-# These build their 2-D Kronecker products through `linalg.kron`; only the
-# vector products of `kron_all` and `qstate.tensor` keep `np.kron`.
-@pytest.mark.parametrize("case", ["qmc", "trotter", "chsh", 8, 11])
-def test_small_matrix_runs_never_call_np_kron(case, monkeypatch):
+# `linalg.kron` is the package's one Kronecker product, of vectors and of
+# matrices alike, so no golden run reaches `np.kron`.
+@pytest.mark.parametrize("case", sorted(CLI_CASES) + sorted(CRITERIA))
+def test_golden_runs_never_call_np_kron(case, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.kron was called")
 

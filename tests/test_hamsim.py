@@ -102,7 +102,7 @@ class TestTrotterStep:
 
     def test_step_is_unitary(self):
         for delta in (0.3, 0.05):
-            dense = TrotterStep(ising_chain(2), delta).dense()
+            dense = _dense_step(TrotterStep(ising_chain(2), delta))
             np.testing.assert_allclose(
                 dense.conj().T @ dense, np.eye(4), atol=1e-9
             )
@@ -362,7 +362,15 @@ class TestStoredArrays:
             assert got.tobytes() == want.tobytes()
 
 
+def _dense_step(step):
+    """U_delta as a dense matrix: the product of its factors' embeddings."""
+    out = np.eye(1 << step.qubits, dtype=complex)
+    for mat, targets in step.factors:
+        out = dense_embedding(mat, targets, [], step.qubits) @ out
+    return out
+
+
 def test_step_unitarity_dense_four_qubits():
-    dense = TrotterStep(ising_chain(4, coupling=0.45, field=0.6), 0.21).dense()
+    dense = _dense_step(TrotterStep(ising_chain(4, coupling=0.45, field=0.6), 0.21))
     deviation = np.max(np.abs(dense.conj().T @ dense - np.eye(16)))
     assert deviation < 1e-9

@@ -15,7 +15,6 @@ from qsim.linalg import (
     is_hermitian,
     is_unitary,
     kron,
-    kron_all,
     require_hermitian,
     require_unitary,
 )
@@ -86,21 +85,20 @@ def test_structural_checks():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_kron_all_ordering():
-    a = np.array([[0, 1], [1, 0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    np.testing.assert_allclose(kron_all([a, eye]), np.kron(a, eye))
+def test_kron_ordering():
+    # the left factor is the most significant: |0> (x) |1> = |01>, and X (x) I flips qubit 0
+    zero, one = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    x, eye = np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2, dtype=complex)
+    assert np.flatnonzero(kron(zero, one)).tolist() == [1]
+    assert np.flatnonzero(kron(one, zero, one)).tolist() == [5]
+    np.testing.assert_array_equal(kron(x, eye) @ kron(zero, one), kron(one, one))
 
 
 # Entries with both signs of zero, so that a product's sign of zero is compared too.
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e6, 1e6))
 
 
-@st.composite
-def _matrices(draw, max_side=8, square=False):
-    """A real or a complex matrix of up to max_side rows and columns."""
-    rows = draw(st.integers(1, max_side))
-    shape = (rows, rows if square else draw(st.integers(1, max_side)))
+def _real_or_complex(draw, shape):
     real = draw(hnp.arrays(np.float64, shape, elements=_ENTRIES))
     if draw(st.booleans()):
         return real
@@ -110,15 +108,48 @@ def _matrices(draw, max_side=8, square=False):
     return out
 
 
+@st.composite
+def _matrices(draw, max_side=8, square=False):
+    """A real or a complex matrix of up to max_side rows and columns."""
+    rows = draw(st.integers(1, max_side))
+    return _real_or_complex(draw, (rows, rows if square else draw(st.integers(1, max_side))))
+
+
+@st.composite
+def _vectors(draw, max_len=8):
+    """A real or a complex vector of up to max_len entries."""
+    return _real_or_complex(draw, (draw(st.integers(1, max_len)),))
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100)
 @given(a=_matrices(), c=_matrices())
 @example(a=np.array([[-0.0, 0.0], [1.0, -1.0]]),
          c=np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1j]]))
 @example(a=np.array([[complex(-0.0, 0.0)]]), c=np.array([[-0.0, 0.0, 2.0]]))
 def test_kron_is_np_kron_bit_for_bit(a, c):
-    got, want = kron(a, c), np.kron(a, c)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    _assert_same_bytes(kron(a, c), np.kron(a, c))
+
+
+@settings(max_examples=100)
+@given(a=_vectors(), c=_vectors())
+@example(a=np.array([-0.0, 0.0, -1.0]),
+         c=np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1j]))
+@example(a=np.array([complex(-0.0, 0.0), 1.0]), c=np.array([-0.0, 2.0]))
+def test_kron_of_vectors_is_np_kron_bit_for_bit(a, c):
+    _assert_same_bytes(kron(a, c), np.kron(a, c))
+
+
+@settings(max_examples=100)
+@given(factors=st.one_of(st.tuples(_vectors(4), _vectors(4), _vectors(4)),
+                         st.tuples(_matrices(4), _matrices(4), _matrices(4))))
+def test_three_factor_kron_is_the_np_kron_chain_bit_for_bit(factors):
+    a, b, c = factors
+    _assert_same_bytes(kron(a, b, c), np.kron(np.kron(a, b), c))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
