@@ -281,19 +281,72 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in sub.choices.items():
         command.set_defaults(command=name)
     parser.commands = sub.choices  # name -> sub-parser, for parse_args' direct route
+    parser.scans = {name: _Scan(command) for name, command in sub.choices.items()}
     return parser
 
 
+class _Scan:
+    """One pass over a command's tokens, read against the command parser's
+    own store actions. Calling it gives the Namespace that argparse gives
+    when every token is a full option string followed by exactly its
+    values, none starting with "-", each converting with the action's type
+    and lying in its choices, with no option repeated and every required
+    option present; otherwise None, and argparse decides."""
+
+    def __init__(self, command: argparse.ArgumentParser):
+        stores = (argparse._StoreAction, argparse._StoreConstAction)
+        self.options = {string: action for action in command._actions
+                        if isinstance(action, stores) for string in action.option_strings}
+        self.required = [action.dest for action in command._actions if action.required]
+        self.defaults = {}  # as argparse fills them: the first action of a dest wins
+        for action in command._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                self.defaults.setdefault(action.dest, action.default)
+        for dest, default in command._defaults.items():
+            self.defaults.setdefault(dest, default)
+
+    def __call__(self, tokens):
+        values, start = {}, 0
+        while start < len(tokens):
+            action = self.options.get(tokens[start])
+            if action is None or action.dest in values:
+                return None
+            end = start + 1
+            while end < len(tokens) and tokens[end][:1] != "-":
+                end += 1
+            nargs, strings = action.nargs, tokens[start + 1:end]
+            wanted = 1 if nargs is None else nargs  # 0 for a flag, N, or "+" for one or more
+            if not (strings if wanted == "+" else len(strings) == wanted):
+                return None
+            try:
+                parsed = [(action.type or str)(string) for string in strings]
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and any(v not in action.choices for v in parsed):
+                return None
+            values[action.dest] = (action.const if nargs == 0 else
+                                   parsed[0] if nargs is None else parsed)
+            start = end
+        if any(dest not in values for dest in self.required):
+            return None
+        return argparse.Namespace(**{**self.defaults, **values})
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)` in one parse: a command's own parser
-    reads the tokens after its name, and leftovers are reported as the
-    top-level parser reports them. An empty argv, `-h` or an unknown
-    command goes through the top-level parser."""
+    """`build_parser().parse_args(argv)`: a well-formed command argv is
+    decided by one scan over its parser's own actions (`_Scan`), and
+    argparse decides help, errors and every other spelling, the command's
+    parser reading the tokens after its name and leftovers reported as the
+    top-level parser reports them (an empty argv, `-h` or an unknown
+    command goes through the top-level parser)."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = parser.scans[argv[0]](argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -54,6 +54,15 @@ MUTANTS = [
      "the CLI's direct dispatch reports leftover tokens"),
     ("cli.py", "command.set_defaults(command=name)", "command.set_defaults()",
      "each sub-parser names its command"),
+    ("cli.py", "if action.choices is not None and any(", "if False and any(",
+     "the CLI's scan defers a value outside the action's choices"),
+    ("cli.py", 'tokens[end][:1] != "-"', "tokens[end] not in self.options",
+     "the CLI's scan defers a value that starts with -"),
+    ("cli.py", "for dest in self.required", "for dest in ()",
+     "the CLI's scan defers an argv missing a required option"),
+    ("cli.py", "parsed[0] if nargs is None else parsed",
+     'parsed[0] if nargs in (None, "+") else parsed',
+     "the CLI's scan reads every value of a nargs='+' option"),
     ("acceptance.py", "return error <= 1e-9", "return error <= 1e-8", "error_ok's threshold"),
     ("acceptance.py", "return value >= 1.0 - 1e-9", "return value >= 1.0 - 1e-8",
      "unit_ok's threshold"),
@@ -76,6 +85,8 @@ MUTANTS = [
     ("hamsim.py", "np.eye(len(p)) - (1j * math.sin(theta)) * p",
      "np.eye(len(p)) + (1j * math.sin(theta)) * p",
      "the closed-form Pauli factor e^{-i c P delta}"),
+    ("acceptance.py", "amplitude_error <= 1e-9", "amplitude_error <= 2.0",
+     "criterion 11 checks trotter_qmc's prepared amplitudes"),
     ("statharness.py", "np.ldexp(rng.shot_uniforms(shots, 1)[:, 0], b).astype(np.int64)",
      "np.ldexp(rng.shot_uniforms(shots, 1)[:, 0], b).round().astype(np.int64)",
      "qrng's closed form floor(2^b u)"),

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from make_goldens import acceptance_path, details_line
-from qsim import acceptance
+from qsim import acceptance, hamsim
 from qsim.acceptance import CRITERIA, CriterionResult, run_acceptance
 from qsim.algorithms import GroverPlan
 from qsim.entangle import ChshResult
@@ -97,6 +97,18 @@ def test_budget_is_a_check_on_the_whole_criterion(monkeypatch, budget, passed):
 def test_empty_or_unknown_selection_raises(ids, message):
     with pytest.raises(DomainError, match=message):
         run_acceptance(ids=ids)
+
+
+def test_criterion_11_sees_a_sign_flip_in_the_trotter_factors(monkeypatch):
+    """e^{+i H d} for e^{-i H d}: the expectations of the time-reversal
+    symmetric qmc problem do not move, so only the amplitude check fails."""
+    exponential = hamsim._exponential
+    monkeypatch.setattr(hamsim, "_exponential",
+                        lambda mat, pauli, delta: exponential(mat, pauli, -delta))
+    result = run_acceptance(ids=[11])[0]
+    assert not result.passed
+    assert result.details["bias_identity_error"] <= 1e-9
+    assert result.details["prepared_amplitude_error"] > 0.5
 
 
 def test_budgets_are_the_published_gates():

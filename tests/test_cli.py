@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from children import child_env
+from make_goldens import CLI_CASES
 from qsim import acceptance, cli, entangle, linalg
 from qsim.cli import EXPERIMENTS, build_parser, main
 
@@ -485,7 +487,11 @@ def test_import_leaves_the_thread_pool_and_csv_unloaded():
 
 
 # argvs whose help, usage or error text would show a difference between
-# `cli.parse_args` and the top-level route; the last two run an experiment
+# `cli.parse_args` and the top-level route, and argvs the scan must hand to
+# argparse: negative values, wrong arity, a value after a flag, a repeated
+# option, a bad choice and a missing --experiment. None is decided by the
+# scan; the ones that parse run an experiment.
+_RUN = ["run", "--experiment"]
 DISPATCH_EDGES = [
     [], ["-h"], ["bogus"], ["run"], ["run", "-h"], ["acceptance", "-h"], ["-h", "run"],
     ["run", "--", "--experiment", "bell"],
@@ -496,6 +502,16 @@ DISPATCH_EDGES = [
     ["run", "--experiment", "nonsense"],
     ["run", "--exp", "bell"],
     ["run", "--experiment=qec-sweep", "--shots", "50", "--format", "csv", "--assert"],
+    [*_RUN, "bell", "--shots", "5", "--seed", "-1"],
+    [*_RUN, "trotter", "--t-final", "-0.5"],
+    [*_RUN, "qec-sweep", "--shots", "5", "--p", "0.1", "-inf"],
+    [*_RUN, "bell", "--shots", "5", "--axis", "0", "1"],
+    [*_RUN, "bell", "--shots", "5", "--axis", "0", "1", "0", "1"],
+    [*_RUN, "qec-sweep", "--shots", "5", "--p"],
+    [*_RUN, "bell", "--shots", "5", "--assert", "x"],
+    [*_RUN, "bell", "--shots", "3", "--shots", "4"],
+    [*_RUN, "bell", "--shots", "5", "--format", "CSV"],
+    ["run", "--shots", "5", "--seed", "7"],
 ]
 
 
@@ -512,25 +528,67 @@ def _outcome(fn, argv):
     return code, out.getvalue(), err.getvalue(), value
 
 
+def _scan(argv):
+    """The scan's own Namespace for argv, or None where it defers to argparse."""
+    scan = build_parser().scans.get(argv[0]) if argv else None
+    return None if scan is None else scan(argv[1:])
+
+
+def _typed(args):
+    """A Namespace's fields as text, which tells 3 from 3.0 and a list from a tuple."""
+    return repr(sorted(vars(args).items()))
+
+
 def _same_as_the_top_level_route(argv):
     """Assert that `cli.parse_args` and `cli.main` behave as through the
-    reference route, `build_parser().parse_args`; return "parsed" or the
-    parser's exit code."""
+    reference route, `build_parser().parse_args`, a parsed Namespace equal
+    field for field with its types; return ("parsed" or the parser's exit
+    code, whether the scan decided)."""
     fast = _outcome(cli.parse_args, argv)
-    assert fast == _outcome(oracles.parse_args_by_top_level, argv), argv
+    reference = _outcome(oracles.parse_args_by_top_level, argv)
+    assert fast == reference, argv
     ran = _outcome(main, argv)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "parse_args", oracles.parse_args_by_top_level)
         assert ran == _outcome(main, argv), argv
+    scanned = _scan(argv)
+    if scanned is not None:
+        assert reference[0] == 0 and _typed(scanned) == _typed(reference[3]), argv
     if fast[3] is None:
-        return fast[0]
-    assert fast[3].command == argv[0]
-    return "parsed"
+        return fast[0], scanned is not None
+    assert fast[3].command == argv[0] and _typed(fast[3]) == _typed(reference[3])
+    return "parsed", scanned is not None
 
 
 @pytest.mark.parametrize("argv", DISPATCH_EDGES, ids=lambda argv: "_".join(argv) or "none")
 def test_dispatch_edges_match_the_top_level_route(argv):
-    _same_as_the_top_level_route(argv)
+    assert _same_as_the_top_level_route(argv)[1] is False  # argparse decides every edge
+
+
+# every golden CLI case and the shape of each benchmark workload's items
+WELL_FORMED = [*CLI_CASES.values(),
+               [*_RUN, "qec-sweep", "--p", "0.01", "--shots", "2500", "--threads", "1",
+                "--seed", "7", "--assert"],
+               [*_RUN, "order-find", "--x-base", "2", "--modulus", "15", "--seed", "7",
+                "--assert"],
+               [*_RUN, "phase-est", "--zeta", "0.0625", "--epsilon", "0.1", "--phase",
+                "0.333333", "--shots", "20", "--seed", "7", "--assert"],
+               [*_RUN, "qmc", "--shots", "100", "--steps", "2", "--seed", "7", "--assert"],
+               [*_RUN, "bell", "--axis", "0", "1", "0", "--p", "0.1", "0.2", "--format", "csv"],
+               ["acceptance", "--criteria", "4,6"], ["acceptance"]]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_the_scan_decides_well_formed_argvs(argv, monkeypatch):
+    reference = oracles.parse_args_by_top_level(argv)
+    scanned = _scan(argv)
+    assert scanned is not None and _typed(scanned) == _typed(reference)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert _typed(cli.parse_args(argv)) == _typed(reference)
 
 
 # a valid use of each option but --experiment, which the strategy below draws apart
@@ -600,4 +658,6 @@ def test_parse_args_matches_the_top_level_route_on_drawn_argvs(monkeypatch):
     for argv in DISPATCH_EDGES:
         check = example(argv=argv)(check)
     check()
-    assert set(seen) == {"parsed", 0, 2}
+    assert {outcome for outcome, _ in seen} == {"parsed", 0, 2}
+    # both routes decide drawn argvs: the scan the well-formed ones, argparse the rest
+    assert {scanned for _, scanned in seen} == {True, False}
