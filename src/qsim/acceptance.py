@@ -350,7 +350,7 @@ def criterion_11_qmc(check, details) -> None:
                                     qstate.basis_state(2, 0))[-1].amps
     amplitude_error = float(np.abs(evolved - prepared).max())
     check("prepared_amplitude_error", amplitude_error <= 1e-9, amplitude_error)
-    exact =linalg.expm_hermitian(model.assemble(), -1j * t_final) @ psi0
+    exact = linalg.expm_hermitian(model.assemble(), -1j * t_final) @ psi0
     bias = np.vdot(prepared, obs.mat @ prepared).real - np.vdot(exact, obs.mat @ exact).real
     bias_error = float(abs(result.bias - bias))
     check("bias_identity_error", bias_error <= 1e-9, bias_error)
