@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algorithms, entangle, gates, hamsim, linalg, qec, qstate, statharness
 from .errors import DomainError, NotFoundError
-from .rng import Stream
+from .rng import Stream, sample_index
 
 SEED = 20260808
 
@@ -173,7 +173,7 @@ def criterion_5_phase_estimation(check, details) -> None:
                 out = gates.run_circuit(algorithms.phase_estimation_circuit(phi, b),
                                         qstate.basis_state(b + 1, 1))
                 dist = qstate.marginal(out, range(b))
-            idx, _ = algorithms.sample_index(dist, rng.substream((b << 10) | k))
+            idx, _ = sample_index(dist, rng.substream((b << 10) | k))
             if (np.max(np.abs(dist - closed)) > 1e-12 or idx / (1 << b) != phi
                     or dist[idx] < 1.0 - 1e-9):
                 exact_failures += 1

@@ -32,7 +32,7 @@ from .gates import (
 )
 from .qstate import StateVector, _check_dense_qubits, _check_qubit_count, basis_state
 from .qstate import fidelity, random_state
-from .rng import Stream, sample_index, sample_indices
+from .rng import BornTable, Stream, sample_indices
 
 
 def register_size(zeta: float, epsilon: float) -> int:
@@ -391,7 +391,25 @@ def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
     half /= den
     half[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
     dist[M // 2 + 1 :] = half[-2:0:-1]
+    dist.flags.writeable = False
     return dist
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_table(r: int, b: int) -> BornTable:
+    """The `BornTable` of `_orbit_register_distribution(r, b)`, built on
+    first use and kept for the next order-finding call with the same orbit
+    length and register size. The law depends on (r, b) alone, so every
+    pair x, N with that orbit draws from one table.
+
+    Bounded: a table holds its 2^b-entry array (512 KiB at b = 16) and
+    its block limits (2 KiB), so 16 slots hold at most 8.1 MiB. Every
+    coprime pair with N <= 64 needs 68 tables, 18.9 MiB if all were kept; the
+    benchmark's pairs (N = 15, 21) need 7 (0.6 MiB) and criterion 7's
+    (N <= 21) 25 (1.4 MiB). In the order criterion 7 makes its 139 calls,
+    16 slots miss only on the first call at each of the 25.
+    """
+    return BornTable(_orbit_register_distribution(r, b))
 
 
 def order_find(x: int, N: int, rng: Stream) -> int:
@@ -403,7 +421,9 @@ def order_find(x: int, N: int, rng: Stream) -> int:
     `_orbit_register_distribution`, from the length r of the orbit of 1
     under y -> x y mod N; phase estimation on the dense modular
     multiplication gate (`tests/oracles.py`'s `modmul_unitary`) is the
-    route it stands for. Each run measures a phase estimate,
+    route it stands for. Its Born table comes from `_orbit_table`, built
+    once per (r, b), and attempt i draws from it with the first uniform of
+    rng.substream(i). Each run measures a phase estimate,
     recovers a candidate denominator, and verifies x^r = 1 (mod N);
     repetition is driven by the verified repetition strategy. Raises
     NotFoundError when none of ORDER_MAX_RUNS runs verifies.
@@ -417,11 +437,11 @@ def order_find(x: int, N: int, rng: Stream) -> int:
     r, y = 1, x
     while y != 1:
         r, y = r + 1, y * x % N
-    dist = _orbit_register_distribution(r, b)
+    table = _orbit_table(r, b)
     scale = float(1 << b)
 
     def run(attempt: int):
-        idx, _ = sample_index(dist, rng.substream(attempt))
+        idx = int(table.sample([rng.substream(attempt).uniform()])[0])
         return _order_candidate(idx / scale, x, N, window)
 
     def verify(candidate):

@@ -27,6 +27,10 @@ its result: a Kahan-compensated cumulative array, searched. In front of it
 sits a certified filter: one pass sums the block totals, and only the
 blocks that the draws land in are cumulated, so a single draw from 2^14
 outcomes cumulates one block of 128 and allocates no full-length array.
+The filter's per-array half is a `BornTable`: `sample_indices(probs, u)`
+is `BornTable(probs).sample(u)`, and a caller that draws from one fixed
+array again and again keeps the table, so each later draw costs only the
+per-draw half (order finding keeps one per orbit length and register size).
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,
@@ -247,9 +251,12 @@ def _block_edges(block_probs: np.ndarray, starts: np.ndarray, ends: np.ndarray) 
     return edges.T
 
 
-def _filtered_indices(probs: np.ndarray, u: np.ndarray):
-    """(picks, decided): picks[i] is the exact route's index wherever
-    decided[i]. None when the residual check is not settled.
+class BornTable:
+    """A probability array prepared for Born draws: `sample(u)` returns
+    `sample_indices(probs, u)`. The filter's per-array half (the sign test,
+    the block totals, the residual check and the bound E) runs once, here;
+    each `sample` call runs only the per-draw half. The table keeps `probs`
+    itself, not a copy, so a caller that keeps a table must not change it.
 
     This is the floating-point filter of adaptive-precision predicates
     (Shewchuk 1997): a fast answer with a rigorous error bound, and the
@@ -303,34 +310,60 @@ def _filtered_indices(probs: np.ndarray, u: np.ndarray):
     when u lies between the last edge of its own block j and e_j, which
     are less than 2G < E apart. Nor is a draw below or past every edge.
     """
-    n = probs.shape[0]
-    if n < _FILTER_MIN_OUTCOMES or not probs.min() >= 0.0:
-        return None
-    grid = _grid(probs)
-    blocks, width = grid.shape
-    bound = 4.0 * (width + blocks + 2) * _UNIT_ROUNDOFF
-    limits = np.zeros(blocks + 1)  # block j runs from limits[j] to limits[j + 1]
-    np.add.accumulate(np.add.reduce(grid, axis=1), out=limits[1:])
-    # NaN and inf fail this test, so they fall to the exact route
-    if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:
-        return None
-    if u.size < blocks:
-        hit = np.zeros(blocks, dtype=bool)
-        hit[limits[1:-1].searchsorted(u, side="right")] = True
-        rows = hit.nonzero()[0]
-        edges = _block_edges(grid[rows], limits[rows], limits[rows + 1])
-    else:  # one pass over every block costs less than a block search per draw
-        rows = np.arange(blocks)
-        edges = _block_edges(grid, limits[:-1], limits[1:])
-    flat = edges.reshape(-1)
-    # flat[below] is the lower edge, flat[below + 1] the pick's edge
-    below = flat.searchsorted(u, side="right") - 1
-    lower, upper = flat.take(below, mode="clip"), flat.take(below + 1, mode="clip")
-    decided = np.minimum(u - lower, upper - u) > bound
-    # column 0 of a row holds the block start, so the pick, one column after
-    # `below`, has `below`'s column as its offset in its block
-    row, col = np.divmod(below, width + 1)
-    return rows.take(row, mode="clip") * width + col, decided
+
+    __slots__ = ("probs", "_grid", "_limits", "_bound")
+
+    def __init__(self, probs):
+        self.probs = probs = np.asarray(probs, dtype=np.float64)
+        self._grid = None  # every draw takes the exact route
+        if probs.shape[0] < _FILTER_MIN_OUTCOMES or not probs.min() >= 0.0:
+            return
+        grid = _grid(probs)
+        blocks, width = grid.shape
+        bound = 4.0 * (width + blocks + 2) * _UNIT_ROUNDOFF
+        limits = np.zeros(blocks + 1)  # block j runs from limits[j] to limits[j + 1]
+        np.add.accumulate(np.add.reduce(grid, axis=1), out=limits[1:])
+        # NaN and inf fail this test, so they fall to the exact route
+        if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:
+            return
+        grid.flags.writeable = limits.flags.writeable = False
+        self._grid, self._limits, self._bound = grid, limits, bound
+
+    def _filtered(self, u: np.ndarray):
+        """(picks, decided): picks[i] is the exact route's index wherever
+        decided[i]; the per-draw half of the filter."""
+        grid, limits, bound = self._grid, self._limits, self._bound
+        blocks, width = grid.shape
+        if u.size < blocks:
+            hit = np.zeros(blocks, dtype=bool)
+            hit[limits[1:-1].searchsorted(u, side="right")] = True
+            rows = hit.nonzero()[0]
+            edges = _block_edges(grid[rows], limits[rows], limits[rows + 1])
+        else:  # one pass over every block costs less than a block search per draw
+            rows = np.arange(blocks)
+            edges = _block_edges(grid, limits[:-1], limits[1:])
+        flat = edges.reshape(-1)
+        # flat[below] is the lower edge, flat[below + 1] the pick's edge
+        below = flat.searchsorted(u, side="right") - 1
+        lower, upper = flat.take(below, mode="clip"), flat.take(below + 1, mode="clip")
+        decided = np.minimum(u - lower, upper - u) > bound
+        # column 0 of a row holds the block start, so the pick, one column after
+        # `below`, has `below`'s column as its offset in its block
+        row, col = np.divmod(below, width + 1)
+        return rows.take(row, mode="clip") * width + col, decided
+
+    def sample(self, u) -> np.ndarray:
+        """One index per uniform in `u`, as `sample_indices` defines it:
+        the filter decides what it can, the exact route the rest."""
+        u = np.asarray(u, dtype=np.float64)
+        probs = self.probs
+        if self._grid is None:
+            return _exact_indices(probs, probs >= PROB_FLOOR, u)
+        picks, decided = self._filtered(u)
+        if np.count_nonzero(decided) < decided.size:
+            undecided = ~decided
+            picks[undecided] = _exact_indices(probs, probs >= PROB_FLOOR, u[undecided])
+        return picks
 
 
 def _exact_indices(probs: np.ndarray, valid: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -356,21 +389,12 @@ def sample_indices(probs, u) -> np.ndarray:
     InternalError when the array misses 1 by more than CDF_RESIDUAL or no
     entry reaches the floor.
 
-    Large non-negative arrays are decided by `_filtered_indices`: a draw
+    Large non-negative arrays are decided by `BornTable`'s filter: a draw
     more than its bound E from the approximate edges on both sides has the
     same bucket in the Kahan CDF. Undecided draws, and every other array,
     take the exact route, so the result is always the exact route's.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    filtered = _filtered_indices(probs, u)
-    if filtered is None:
-        return _exact_indices(probs, probs >= PROB_FLOOR, u)
-    picks, decided = filtered
-    if np.count_nonzero(decided) < decided.size:
-        undecided = ~decided
-        picks[undecided] = _exact_indices(probs, probs >= PROB_FLOOR, u[undecided])
-    return picks
+    return BornTable(probs).sample(u)
 
 
 def sample_index(probs, rng: Stream):

@@ -107,6 +107,11 @@ MUTANTS = [
      "qrng decides from five expected counts a bin"),
     ("acceptance.py", "Z_99_9 = 3.090232306167813", "Z_99_9 = 2.5758293035489004",
      "the Wilson-Hilferty z of the 0.999 chi-square quantile"),
+    ("algorithms.py", "table = _orbit_table(r, b)",
+     "table = _orbit_table.__dict__.setdefault(r, _orbit_table(r, b))",
+     "the order-finding cache is keyed by r and b, not by r alone"),
+    ("rng.py", "if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:", "if False:",
+     "a prepared Born table makes its residual check"),
 ]
 
 

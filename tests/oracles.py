@@ -13,7 +13,13 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from qsim.algorithms import _modmul_qubits, inverse_qft
+from qsim.algorithms import (
+    ORDER_MAX_RUNS,
+    _modmul_qubits,
+    _orbit_register_distribution,
+    _order_candidate,
+    inverse_qft,
+)
 from qsim.gates import (
     HADAMARD_MATRIX,
     PAULI_X,
@@ -273,6 +279,33 @@ def orbit_register_distribution(r: int, b: int) -> np.ndarray:
     dist /= den
     dist[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
     return np.concatenate((dist, dist[-2:0:-1]))
+
+
+def order_find_per_call(x: int, N: int, rng) -> tuple:
+    """Order finding as it was before its Born tables were kept: the
+    register distribution is rebuilt, and `sample_index` called, on every
+    attempt. Returns (the verified order, or None when every attempt
+    fails; the phase that each attempt measured)."""
+    k = _modmul_qubits(x, N)
+    b = 2 * k + 4
+    window = 0.5 ** (2 * k + 1)
+    r, y = 1, x
+    while y != 1:
+        r, y = r + 1, y * x % N
+    phases = []
+
+    def run(attempt: int):
+        idx, _ = sample_index(_orbit_register_distribution(r, b), rng.substream(attempt))
+        phases.append(idx / float(1 << b))
+        return _order_candidate(phases[-1], x, N, window)
+
+    def verify(candidate):
+        return candidate is not None and pow(x, candidate, N) == 1
+
+    try:
+        return repeat_verified(run, verify, ORDER_MAX_RUNS).estimate, phases
+    except NotFoundError:
+        return None, phases
 
 
 def per_stream_indices(probs, rngs) -> list:

@@ -10,6 +10,7 @@ from oracles import (
     fejer_longdouble,
     grover_operator_matrix,
     modmul_unitary,
+    order_find_per_call,
     orbit_register_distribution,
     pe_register_distribution,
     pe_register_full_columns,
@@ -699,6 +700,47 @@ class TestOrderFind:
             for r in range(1, 65):
                 got = _orbit_register_distribution(r, b)
                 assert got.tobytes() == orbit_register_distribution(r, b).tobytes(), (r, b)
+
+    @pytest.mark.parametrize("seed", [SEED, 5, 2026])
+    def test_cached_tables_draw_what_the_per_call_route_draws(self, seed, monkeypatch):
+        # every attempt's phase, on every coprime pair with N <= 64: first
+        # from a cleared cache, then again from the table the first call kept
+        phases = []
+        candidate = algorithms._order_candidate
+        monkeypatch.setattr(algorithms, "_order_candidate",
+                            lambda phi, *args: phases.append(phi) or candidate(phi, *args))
+        for n in range(2, 65):
+            for x in range(1, n):
+                if math.gcd(x, n) != 1:
+                    continue
+                want = order_find_per_call(x, n, Stream(seed, f"of-table/{n}/{x}"))
+                algorithms._orbit_table.cache_clear()
+                for cache in ("cold", "warm"):
+                    phases.clear()
+                    try:
+                        found = order_find(x, n, Stream(seed, f"of-table/{n}/{x}"))
+                    except NotFoundError:
+                        found = None
+                    assert (found, phases) == want, (n, x, cache)
+
+    def test_a_second_pair_with_the_same_orbit_builds_no_table(self, monkeypatch):
+        # after one pair at (r, b) = (4, 12), a second one reuses its table
+        algorithms._orbit_table.cache_clear()
+        assert order_find(7, 15, Stream(59, "once")) == 4
+
+        def rebuilt(r, b):
+            raise AssertionError(f"order finding rebuilt the (r, b) = ({r}, {b}) register")
+
+        monkeypatch.setattr(algorithms, "_orbit_register_distribution", rebuilt)
+        assert order_find(2, 15, Stream(59, "once")) == 4
+        table = algorithms._orbit_table(4, 12)
+        for array in (table.probs, table._grid, table._limits):
+            assert not array.flags.writeable
+        monkeypatch.undo()
+        for r in range(1, 18):
+            algorithms._orbit_table(r, 8)
+        info = algorithms._orbit_table.cache_info()
+        assert info.maxsize == 16 and info.currsize <= 16
 
     def test_builds_no_dense_gate(self, monkeypatch):
         def dense(*args):

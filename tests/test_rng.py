@@ -344,11 +344,11 @@ def test_an_entry_at_the_floor_is_drawn_and_one_float_below_never(n):
     us = np.array([0.5, math.nextafter(0.5, 1.0)])
     for p, index in ((PROB_FLOOR, 1), (math.nextafter(PROB_FLOOR, 0.0), 2)):
         probs = np.array([0.5, p] + [(0.5 - p) / (n - 2)] * (n - 2))
-        filtered = rng._filtered_indices(probs, us)
+        table = rng.BornTable(probs)
         if n >= LONG:  # the filter leaves both draws to the exact route
-            assert filtered is not None and not filtered[1].any()
+            assert table._grid is not None and not table._filtered(us)[1].any()
         else:
-            assert filtered is None
+            assert table._grid is None
         assert sample_indices(probs, us).tolist() == [index, index]
         assert sample_index(probs, FixedDraw(us[1]))[0] == index
 
@@ -499,6 +499,50 @@ def test_warm_sample_index_peaks_below_32_kib():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 1024
+
+
+@st.composite
+def kept_tables(draw):
+    """Arrays for one reused `BornTable`: long ones the filter takes, and
+    ones it refuses (fewer than 128 entries, a negative entry, a NaN, and,
+    among the long ones, totals that miss 1)."""
+    kind = draw(st.sampled_from(["long", "short", "negative", "nan"]))
+    if kind == "short":
+        return np.array(draw(floored_distributions()))
+    probs = draw(long_distributions())
+    i = draw(st.integers(0, probs.size - 2))
+    if kind == "negative":  # the total is kept, up to rounding
+        probs[i + 1] += 2.0 * probs[i]
+        probs[i] = -probs[i]
+    elif kind == "nan":
+        probs[i] = math.nan
+    return probs
+
+
+@settings(max_examples=60)
+@given(probs=kept_tables(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
+def test_a_kept_table_samples_what_a_fresh_array_samples(probs, us):
+    table = rng.BornTable(probs)
+    kept = probs.copy()
+    # draws within E / 2 of a block start and of Kahan edges, which the
+    # filter leaves undecided; then its decided draws, alone and in batches
+    bound = 4.0 * (sum(rng._grid(probs).shape) + 2) * 2.0**-53
+    starts = block_bounds(probs)[1:-1][::7]
+    edges = np.array(kahan_cumsum(probs))[:: max(1, probs.size // 40)]
+    near = np.concatenate((starts + bound / 2, edges - bound / 2, edges + bound / 2))
+    uniform = np.random.default_rng(probs.size).random(3 * probs.size // 64)
+    batches = [us, near.tolist(), uniform.tolist()] + [[u] for u in us + near[:6].tolist()]
+    # the Kahan route once, over every draw: each draw's index is its own
+    want = outcome(kahan_sample_indices, probs, sum(batches, []))
+    first = outcome(table.sample, us)
+    at = 0
+    for batch in batches:
+        got = outcome(table.sample, batch)
+        assert got == outcome(sample_indices, probs.copy(), batch)
+        assert got == (want if isinstance(want, str) else want[at : at + len(batch)])
+        at += len(batch)
+    assert outcome(table.sample, us) == first
+    assert probs.tobytes() == kept.tobytes()
 
 
 def test_filter_decides_off_edge_draws_and_defers_edge_draws(monkeypatch):
