@@ -6,7 +6,8 @@ through `check(label, ok, value)` and writes further values into
 `details`; `run_acceptance` times it and decides. The CLI `acceptance`
 command prints one line per criterion; the pytest suite asserts each one.
 A criterion with a `qsim run` twin calls the same library function, and
-the threshold functions below serve both.
+the threshold functions below serve both; criterion 9 alone holds each QEC
+rate within 3 sigma, a band inside `qec_rate_ok`'s, and so checks more strictly.
 """
 
 from __future__ import annotations

@@ -69,9 +69,11 @@ def phase_distance(a, b):
 
 def qft(n: int) -> Circuit:
     """QFT circuit from the product representation: Hadamards, controlled
-    phase rotations, and the closing swap network. O(n^2) gates."""
+    phase rotations, and the closing swap network. O(n^2) gates, none
+    built for a register past the qubit cap."""
     if n < 1:
         raise DomainError("QFT needs at least one qubit")
+    _check_qubit_count(n)
     ops = []
     for i in range(n):
         ops.append(hadamard(i))
@@ -103,6 +105,7 @@ def dft_matrix(n: int) -> np.ndarray:
 def qft_check(n: int, rng: Stream) -> tuple[float, float]:
     """(largest amplitude error of the QFT circuit against the dense DFT,
     fidelity of a random state from rng after the QFT and its inverse)."""
+    _check_dense_qubits(n, "the dense DFT")  # before the O(n^2) gates of a huge n
     circuit = qft(n)
     dense = dft_matrix(n)
     worst = 0.0
@@ -293,6 +296,11 @@ ORDER_MAX_MODULUS = 64
 ORDER_MAX_RUNS = 25
 
 
+def _check_order_modulus(N: int) -> None:
+    if N > ORDER_MAX_MODULUS:
+        raise ResourceError(f"order finding is dense desk scale: N <= {ORDER_MAX_MODULUS}")
+
+
 def _modmul_qubits(x: int, N: int) -> int:
     """Check that y -> x y mod N is a permutation; its qubit count ceil(log2 N)."""
     if N < 2:
@@ -428,8 +436,7 @@ def order_find(x: int, N: int, rng: Stream) -> int:
     repetition is driven by the verified repetition strategy. Raises
     NotFoundError when none of ORDER_MAX_RUNS runs verifies.
     """
-    if N > ORDER_MAX_MODULUS:
-        raise ResourceError(f"order finding is dense desk scale: N <= {ORDER_MAX_MODULUS}")
+    _check_order_modulus(N)
     k = _modmul_qubits(x, N)
     b = 2 * k + 4
     _check_qubit_count(b + k)
@@ -452,7 +459,10 @@ def order_find(x: int, N: int, rng: Stream) -> int:
 
 
 def order_trial(x: int, N: int, rng: Stream):
-    """(order_find's answer, or None if its budget ran out; the true order)."""
+    """(order_find's answer, or None if its budget ran out; the true order).
+    The modulus cap comes after the reference's checks, before its N-step scan."""
+    if math.gcd(x, N) == 1:
+        _check_order_modulus(N)
     reference = order_brute_force(x, N)
     try:
         return order_find(x, N, rng), reference

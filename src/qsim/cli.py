@@ -278,10 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     acc = sub.add_parser("acceptance", help="run the acceptance criteria")
     acc.add_argument("--criteria", type=criterion_ids, default=None,
                      help="comma-separated criterion ids (default: all)")
-    for name, command in sub.choices.items():
-        command.set_defaults(command=name)
-    parser.commands = sub.choices  # name -> sub-parser, for parse_args' direct route
-    parser.scans = {name: _Scan(command) for name, command in sub.choices.items()}
+    parser.scans = {name: _Scan(name, command) for name, command in sub.choices.items()}
     return parser
 
 
@@ -291,19 +288,18 @@ class _Scan:
     when every token is a full option string followed by exactly its
     values, none starting with "-", each converting with the action's type
     and lying in its choices, with no option repeated and every required
-    option present; otherwise None, and argparse decides."""
+    option present; otherwise None, and argparse decides. The Namespace
+    names the command, as the top-level parser's subparsers action does."""
 
-    def __init__(self, command: argparse.ArgumentParser):
+    def __init__(self, name: str, command: argparse.ArgumentParser):
         stores = (argparse._StoreAction, argparse._StoreConstAction)
         self.options = {string: action for action in command._actions
                         if isinstance(action, stores) for string in action.option_strings}
         self.required = [action.dest for action in command._actions if action.required]
-        self.defaults = {}  # as argparse fills them: the first action of a dest wins
-        for action in command._actions:
+        self.defaults = {"command": name}
+        for action in command._actions:  # as argparse fills them: the first action of a dest wins
             if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
                 self.defaults.setdefault(action.dest, action.default)
-        for dest, default in command._defaults.items():
-            self.defaults.setdefault(dest, default)
 
     def __call__(self, tokens):
         values, start = {}, 0
@@ -334,23 +330,12 @@ class _Scan:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """`build_parser().parse_args(argv)`: a well-formed command argv is
-    decided by one scan over its parser's own actions (`_Scan`), and
-    argparse decides help, errors and every other spelling, the command's
-    parser reading the tokens after its name and leftovers reported as the
-    top-level parser reports them (an empty argv, `-h` or an unknown
-    command goes through the top-level parser)."""
+    decided by one scan over its parser's own actions (`_Scan`), and the
+    top-level parser decides help, errors and every other spelling."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = parser.scans[argv[0]](argv[1:])
-    if args is not None:
-        return args
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = parser.scans[argv[0]](argv[1:]) if argv and argv[0] in parser.scans else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
@@ -376,7 +361,7 @@ def main(argv=None) -> int:
             print(f"acceptance failed: {failed}", file=sys.stderr)
             return 3
         return 0
-    except QsimError as exc:
+    except (QsimError, MemoryError) as exc:  # a size the host cannot hold is a parameter error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -358,21 +358,22 @@ class BornTable:
         u = np.asarray(u, dtype=np.float64)
         probs = self.probs
         if self._grid is None:
-            return _exact_indices(probs, probs >= PROB_FLOOR, u)
+            return _exact_indices(probs, u)
         picks, decided = self._filtered(u)
         if np.count_nonzero(decided) < decided.size:
             undecided = ~decided
-            picks[undecided] = _exact_indices(probs, probs >= PROB_FLOOR, u[undecided])
+            picks[undecided] = _exact_indices(probs, u[undecided])
         return picks
 
 
-def _exact_indices(probs: np.ndarray, valid: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _exact_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The exact route: search the running maximum of the Kahan CDF over
     the non-floored entries. That maximum at i is the largest cumulative
     value of an entry at or below i that is not floored, so the search
     finds the first such entry with u < cdf[i]; the last such entry's edge
     is raised to +inf, so a u in the residual gap past it takes that entry."""
     cdf = np.array(_checked_cdf(probs))
+    valid = probs >= PROB_FLOOR
     at = valid.nonzero()[0]
     if at.size == 0:
         raise InternalError(_NO_OUTCOME)

@@ -1,8 +1,10 @@
 """One-line mutants of src/qsim, each run against the tier-1 suite.
 
-    python tests/mutants.py
+    python tests/mutants.py [FILE ...]
 
-Each entry of MUTANTS names a file, an old text that must occur in it
+With FILE arguments (file names under src/qsim, such as cli.py) only the
+mutants of those files run; a name that no mutant has exits 1. Each
+entry of MUTANTS names a file, an old text that must occur in it
 exactly once, its replacement, and the guarantee the replacement attacks.
 For each entry the repository is copied to a temporary directory (the
 working tree is never written), the replacement is made there, and
@@ -50,10 +52,11 @@ MUTANTS = [
      "the Born filter's error bound E covers the block sums"),
     ("algorithms.py", "den = np.sin((t - j) * (math.pi / M))",
      "den = np.sin((t + j) * (math.pi / M))", "the Fejer kernel of phase estimation"),
-    ("cli.py", "    if extras:\n", "    if False:\n",
-     "the CLI's direct dispatch reports leftover tokens"),
-    ("cli.py", "command.set_defaults(command=name)", "command.set_defaults()",
-     "each sub-parser names its command"),
+    ("cli.py", "return parser.parse_args(argv) if args is None else args",
+     "return parser.parse_known_args(argv)[0] if args is None else args",
+     "the CLI's argparse route reports leftover tokens"),
+    ("cli.py", 'self.defaults = {"command": name}', "self.defaults = {}",
+     "the CLI's scan names its command"),
     ("cli.py", "if action.choices is not None and any(", "if False and any(",
      "the CLI's scan defers a value outside the action's choices"),
     ("cli.py", 'tokens[end][:1] != "-"', "tokens[end] not in self.options",
@@ -92,12 +95,8 @@ MUTANTS = [
      "qrng's closed form floor(2^b u)"),
     ("statharness.py", " + (bins - len(counts)) * expected", "",
      "the chi-square's empty bins"),
-    ("rng.py", "return _exact_indices(probs, probs >= PROB_FLOOR, u)\n",
-     "return _exact_indices(probs, probs > PROB_FLOOR, u)\n",
+    ("rng.py", "valid = probs >= PROB_FLOOR", "valid = probs > PROB_FLOOR",
      "the exact route samples an entry at PROB_FLOOR"),
-    ("rng.py", "_exact_indices(probs, probs >= PROB_FLOOR, u[undecided])",
-     "_exact_indices(probs, probs > PROB_FLOOR, u[undecided])",
-     "the filter's undecided draws sample an entry at PROB_FLOOR"),
     ("linalg.py", "out = (out.reshape(-1, 1) * c).reshape(-1)",
      "out = (c.reshape(-1, 1) * out).reshape(-1)",
      "kron of vectors puts the left factor first"),
@@ -112,6 +111,15 @@ MUTANTS = [
      "the order-finding cache is keyed by r and b, not by r alone"),
     ("rng.py", "if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:", "if False:",
      "a prepared Born table makes its residual check"),
+    ("algorithms.py", "    _check_qubit_count(n)\n    ops = []", "    ops = []",
+     "qft checks the qubit cap before it builds a gate"),
+    ("algorithms.py", '    _check_dense_qubits(n, "the dense DFT")  #', "    #",
+     "qft_check checks the dense cap before it builds the circuit"),
+    ("algorithms.py", "        _check_order_modulus(N)\n    reference",
+     "        pass\n    reference",
+     "order_trial checks the modulus cap before the brute-force scan"),
+    ("cli.py", "except (QsimError, MemoryError) as exc:", "except QsimError as exc:",
+     "the CLI exits 2 when an allocation fails"),
 ]
 
 
@@ -147,15 +155,20 @@ def run_mutant(name: str, old: str, new: str) -> tuple:
     return True, first_failure(done.stdout)
 
 
-def main() -> int:
-    bad = check_texts(MUTANTS)
+def main(files) -> int:
+    unknown = sorted(set(files) - {name for name, _, _, _ in MUTANTS})
+    if unknown:
+        print(f"no mutant of {', '.join(unknown)} under src/qsim", file=sys.stderr)
+        return 1
+    mutants = [m for m in MUTANTS if not files or m[0] in files]
+    bad = check_texts(mutants)
     if bad:
         print("\n".join(bad), file=sys.stderr)
         return 1
     print("| file | guarantee | verdict | first failing test |")
     print("|---|---|---|---|")
     survived = 0
-    for name, old, new, guarantee in MUTANTS:
+    for name, old, new, guarantee in mutants:
         killed, test = run_mutant(name, old, new)
         survived += not killed
         print(f"| {name} | {guarantee} | {'killed' if killed else 'SURVIVED'} | {test} |",
@@ -164,4 +177,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

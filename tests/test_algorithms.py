@@ -764,6 +764,9 @@ class TestOrderFind:
             order_find(6, 9, Stream(61, "gcd"))
         with pytest.raises(DomainError, match="1 <= x < N"):
             order_find(9, 9, Stream(61, "range"))
+        # order_trial: the reference's own checks, then the cap, then its scan
+        with pytest.raises(DomainError, match=r"gcd\(6, 1000000008\) != 1$"):
+            order_trial(6, 1_000_000_008, Stream(61, "trial-gcd"))
 
     def test_worked_examples(self):
         assert order_find(2, 5, Stream(37, "of1")) == 4
@@ -873,3 +876,30 @@ class TestGroverEmpiricalPairs:
         p = math.sin((2 * plan.R + 1) * plan.theta / 2) ** 2
         sigma = math.sqrt(p * (1 - p) / runs) if p < 1 else 0.0
         assert hits / runs >= (1 - m / n) - 3 * sigma
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: qft(0), DomainError, "at least one qubit"),
+    (lambda: algorithms._modmul_qubits(1, 1), DomainError, "modulus must be at least 2"),
+], ids=["qft-0", "modmul-N-1"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def test_caps_are_checked_before_the_work(monkeypatch):
+    # qft(400) builds about 80,000 gates, qft(1100) overflows its angles, and
+    # the brute-force order scan of N = 10^9 + 7 takes minutes
+    def no_work(*args):
+        raise AssertionError("work began before the cap check")
+
+    monkeypatch.setattr(algorithms, "hadamard", no_work)
+    with pytest.raises(ResourceError, match="exceeds the configured cap"):
+        qft(1100)
+    monkeypatch.setattr(algorithms, "qft", no_work)
+    with pytest.raises(ResourceError, match="the dense DFT"):
+        qft_check(400, Stream(3, "qft-cap"))
+    monkeypatch.setattr(algorithms, "order_brute_force", no_work)
+    with pytest.raises(ResourceError, match="N <= 64"):
+        order_trial(5, 1_000_000_007, Stream(3, "order-cap"))

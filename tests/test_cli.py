@@ -345,13 +345,16 @@ print(json.dumps(results))
 """
 
 
-def _run_capped(cases):
+def _run_capped(cases, shots="5"):
     """[(exit code, stderr)] of `qsim run --experiment name --bits bits
-    --shots 5` for each (name, bits), in one memory-capped child."""
-    argvs = [["run", "--experiment", name, "--bits", bits, "--shots", "5"] for name, bits in cases]
+    --shots shots` for each (name, bits), in one memory-capped child. Each
+    case takes well under a second, so a case that hangs, such as work
+    begun before a cap check, fails at the 30-second timeout."""
+    argvs = [["run", "--experiment", name, "--bits", bits, "--shots", shots]
+             for name, bits in cases]
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
-        capture_output=True, text=True, timeout=120, env=child_env(OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=30, env=child_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     return json.loads(proc.stdout)
@@ -359,11 +362,19 @@ def _run_capped(cases):
 
 def test_dense_sizes_past_the_caps_exit_2_in_a_memory_capped_child():
     # count 18 needs 18 + 7 qubits at the default zeta, past the cap of 24;
-    # count 10^10 must meet the oracle-table cap before anything is 2^bits long
-    cases = [("qft", "14"), ("qft", "40"), ("count", "18"), ("count", "24"), ("count", "30"),
-             ("grover", "30"), ("grover", "-1"), ("count", "-1"), ("count", "10000000000")]
+    # count 10^10 must meet the oracle-table cap before anything is 2^bits long;
+    # qft 1100 must meet the dense cap before its angles overflow a float
+    cases = [("qft", "14"), ("qft", "40"), ("qft", "1100"), ("count", "18"), ("count", "24"),
+             ("count", "30"), ("grover", "30"), ("grover", "-1"), ("count", "-1"),
+             ("count", "10000000000")]
     for case, (code, err) in zip(cases, _run_capped(cases)):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err, (case, err)
+
+
+def test_a_shot_count_past_memory_exits_2_in_a_memory_capped_child():
+    # 10^11 shots ask numpy for hundreds of GiB at once
+    [(code, err)] = _run_capped([("grover", "4")], shots="100000000000")
+    assert code == 2 and err.startswith("error: Unable to allocate"), err
 
 
 def test_qrng_runs_to_the_qubit_cap_in_a_memory_capped_child():
@@ -606,7 +617,9 @@ def _dispatch_argvs():
     abbreviations (unique and ambiguous), valid and invalid values,
     `--`, `-h` and junk, loose or paired as `--opt value` or `--opt=value`."""
     options = set()
-    for command in build_parser().commands.values():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for command in subparsers.choices.values():
         for action in command._actions:
             for string in action.option_strings:
                 options.add(string)

@@ -231,3 +231,17 @@ class TestChshExperiment:
         assert singlet() is singlet()
         with pytest.raises(ValueError):
             singlet().amps[0] = 1.0
+
+
+# validation raises that no other in-process test reaches
+_Z = Observable(PAULI_Z)
+_ZZ = Observable(np.kron(PAULI_Z, PAULI_Z))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: ChshSetting(_ZZ, _Z, _Z, _Z), ValidationError, "x1 must be a single-qubit"),
+    (lambda: ChshSetting(_Z, _Z, _Z, _ZZ), ValidationError, "x4 must be a single-qubit"),
+], ids=["alice-two-qubit", "bob-two-qubit"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -319,3 +319,16 @@ class TestGateOpValidation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             GateOp("bad", np.eye(4, dtype=complex), [0])
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: BooleanOracle(0, table=[0]), DomainError, "at least one input bit"),
+    (lambda: BooleanOracle(2, table=[0, 1, 2, 0]), ValidationError, "zero/one entries"),
+    (lambda: BooleanOracle(2, table=[0, 1]), ValidationError, "zero/one entries"),
+    (lambda: BooleanOracle(2), DomainError, "either a callable or a table"),
+    (lambda: BooleanOracle(2, table=[0, 1, 0, 0])(4), DomainError, "input 4 out of range"),
+], ids=["no-bits", "bad-entry", "short-table", "no-function", "input-out-of-range"])
+def test_bad_oracle_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -374,3 +374,24 @@ def test_step_unitarity_dense_four_qubits():
     dense = _dense_step(TrotterStep(ising_chain(4, coupling=0.45, field=0.6), 0.21))
     deviation = np.max(np.abs(dense.conj().T @ dense - np.eye(16)))
     assert deviation < 1e-9
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: HamiltonianTerms(0, ((PAULI_Z, (0,)),)), DomainError, "at least one qubit"),
+    (lambda: HamiltonianTerms(1, ()), ValidationError, "at least one Hamiltonian term"),
+    (lambda: HamiltonianTerms(2, ((PAULI_Z, (0, 1)),)), ValidationError,
+     "dimension does not match its targets"),
+    (lambda: exact_evolve(ising_chain(2), 1.0, basis_state(3, 0)), DomainError,
+     "qubit counts differ"),
+    (lambda: TrotterStep(ising_chain(2), 0.1).apply(basis_state(3, 0)), DomainError,
+     "state size does not match"),
+    (lambda: grover_hamiltonian(4, hadamard_layer(2)), DomainError, "index 4 out of range"),
+    (lambda: grover_hamiltonian(0, StateVector(1, [1j, 0])), DomainError, "must be real"),
+    (lambda: ising_chain(1), DomainError, "at least two qubits"),
+    (lambda: commuting_chain(1), DomainError, "at least two qubits"),
+], ids=["no-qubits", "no-terms", "term-size", "evolve-size", "step-size", "index-range",
+        "complex-overlap", "ising-1", "commuting-1"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

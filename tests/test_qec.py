@@ -390,3 +390,16 @@ class TestLogicalRate:
         assert rows[0]["rate"] == 0.0 and rows[0]["failures"] == 0
         for row in rows:
             assert set(row) == {"p", "shots", "failures", "rate", "predicted", "stderr"}
+
+
+# validation raises that no other in-process test reaches: a wrong-size state
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: encode_bitflip(basis_state(2, 0)), "single-qubit state"),
+    (lambda: syndrome_measure(basis_state(2, 0), Stream(1, "size")), "three-qubit state"),
+    (lambda: syndrome_measure_phase(basis_state(2, 0), Stream(1, "size")), "three-qubit state"),
+    (lambda: qec.encode_shor9(basis_state(2, 0)), "single-qubit state"),
+    (lambda: qec.shor9_correct(basis_state(2, 0), Stream(1, "size")), "nine-qubit state"),
+], ids=["encode-bitflip", "syndrome", "syndrome-phase", "encode-shor9", "shor9-correct"])
+def test_wrong_size_state_raises(call, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        call()

@@ -22,10 +22,12 @@ from qsim.qstate import (
     basis_state,
     density_from_ensemble,
     expectation,
+    fidelity,
     measure_observable,
     measure_qubits,
     measure_sequence,
     posterior_density,
+    qubit_cap,
     random_density,
     random_state,
     states_equal,
@@ -471,3 +473,34 @@ class TestEntropy:
             for i in range(10):
                 s = von_neumann_entropy(random_density(b, rng.substream(10 * b + i)))
                 assert 0.0 <= s <= b
+
+
+def _qubit_cap_from(raw):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("QSIM_MAX_QUBITS", raw)
+        return qubit_cap()
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: _qubit_cap_from("x"), DomainError, "must be an integer"),
+    (lambda: _qubit_cap_from("0"), DomainError, "must be >= 1"),
+    (lambda: StateVector(1, [1, 0, 0]), ValidationError, "expected 2 amplitudes"),
+    (lambda: DensityMatrix(1, np.eye(4) / 4), ValidationError, "expected a 2-dim matrix"),
+    (lambda: DensityMatrix(1, np.eye(2)), ValidationError, "trace"),
+    (lambda: DensityMatrix(1, np.diag([1.5, -0.5])), ValidationError, "negative eigenvalue"),
+    (lambda: apply_unitary(basis_state(2, 0), PAULI_X, [0, 1]), DomainError,
+     "does not match 2 target qubits"),
+    (lambda: density_from_ensemble([basis_state(1, 0)], [0.5, 0.5]), ValidationError,
+     "equally many"),
+    (lambda: density_from_ensemble([basis_state(1, 0), basis_state(2, 0)], [0.5, 0.5]),
+     ValidationError, "equal qubit counts"),
+    (lambda: posterior_density(DensityMatrix(1, np.diag([1.0, 0.0])), np.eye(4)), DomainError,
+     "projector dimension"),
+    (lambda: fidelity(basis_state(1, 0), basis_state(2, 0)), DomainError, "equal qubit count"),
+], ids=["cap-not-int", "cap-0", "amplitude-count", "density-size", "density-trace",
+        "density-negative", "unitary-size", "ensemble-lengths", "ensemble-qubits",
+        "projector-size", "fidelity-sizes"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

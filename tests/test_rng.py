@@ -581,3 +581,12 @@ def test_numpy_row_cumsum_is_sequential(shape):
 
 def test_property_tests_are_derandomized_by_default():
     assert settings().derandomize and settings().deadline is None
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Stream(1, "integer").integer(0), DomainError, "n >= 1"),
+], ids=["integer-0"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -400,3 +400,18 @@ def test_batched_repetition_matches_the_per_trial_loop(seed, eps, budget, trials
 def test_point_mass_mixture_checks_epsilon():
     with pytest.raises(DomainError):
         point_mass_mixture(1.0, 0.0, 1.0, 3, 2, Stream(1, "eps"))
+
+
+# validation raises that no other in-process test reaches
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: repeat_verified(lambda i: i, lambda c: True, 0), DomainError,
+     "max_runs must be at least 1"),
+    (lambda: trimmed_success_bound(0, 0.1, 0.2), DomainError, "n must be at least 1"),
+    (lambda: trimmed_success_bound(5, -0.1, 0.2), DomainError, "epsilon must lie in"),
+    (lambda: trimmed_success_bound(5, 1.0, 0.2), DomainError, "epsilon must lie in"),
+    (lambda: trimmed_success_bound(5, 0.1, 0.0), DomainError, "alpha must lie in"),
+    (lambda: trimmed_success_bound(5, 0.1, 0.5), DomainError, "alpha must lie in"),
+], ids=["max-runs-0", "n-0", "epsilon-negative", "epsilon-1", "alpha-0", "alpha-half"])
+def test_bad_input_raises(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
