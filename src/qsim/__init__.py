@@ -20,7 +20,6 @@ from .errors import (
 )
 from .qstate import (
     DensityMatrix,
-    MeasurementRecord,
     Observable,
     StateVector,
     apply_unitary,

@@ -190,7 +190,7 @@ def criterion_5_phase_estimation(check, details) -> None:
 def criterion_6_grover(check, details) -> None:
     """Certain success at (4,1); empirical success at (64,1); geometry."""
     f4 = gates.BooleanOracle.from_solutions(2, [3])
-    amp = algorithms.grover_solution_amplitude(f4, 1, algorithms.grover_iterations(4, 1))
+    amp = algorithms.grover_solution_amplitude(f4, 1, algorithms.GroverPlan.for_counts(4, 1).R)
     error = abs(amp * amp - 1.0)
     check("n4_success_prob_error", error_ok(error), error)
 

@@ -78,7 +78,7 @@ def qft(n: int) -> Circuit:
     for i in range(n):
         ops.append(hadamard(i))
         for m in range(i + 1, n):
-            angle = 2.0 * math.pi / (1 << (m - i + 1))
+            angle = math.ldexp(math.pi, i - m)  # 2 pi / 2^(m - i + 1), no int to overflow
             ops.append(controlled(phase_gate(angle, i), m))
     for i in range(n // 2):
         ops.append(swap_gate(i, n - 1 - i))
@@ -87,10 +87,6 @@ def qft(n: int) -> Circuit:
 
 def inverse_qft(n: int) -> Circuit:
     return inverse_circuit(qft(n))
-
-
-def apply_qft(s: StateVector) -> StateVector:
-    return run_circuit(qft(s.qubits), s)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -113,7 +109,7 @@ def qft_check(n: int, rng: Stream) -> tuple[float, float]:
         out = run_circuit(circuit, basis_state(n, j))
         worst = max(worst, float(np.max(np.abs(out.amps - dense[:, j]))))
     s = random_state(n, rng)
-    return worst, fidelity(run_circuit(inverse_qft(n), apply_qft(s)), s)
+    return worst, fidelity(run_circuit(inverse_qft(n), run_circuit(circuit, s)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +213,6 @@ class GroverPlan:
     def success_probability(self) -> float:
         """sin^2((2R + 1) theta / 2), the solution mass after R iterations."""
         return math.sin((2 * self.R + 1) * self.theta / 2.0) ** 2
-
-
-def grover_iterations(N: int, M: int) -> int:
-    """R = round(arccos(sqrt(M/N)) / theta), at most (pi/4) sqrt(N/M) + 1."""
-    return GroverPlan.for_counts(N, M).R
 
 
 def _grover_amps(f: BooleanOracle, r: int) -> np.ndarray:

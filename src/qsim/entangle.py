@@ -146,7 +146,7 @@ def teleport(psi: StateVector, rng: Stream):
     first, measurement of Alice's two qubits, then the classical correction
     on Bob's qubit. Returns (bob_state, classical_bits).
     """
-    bits, post, _ = measure_qubits(_alice_ready(psi), [0, 1], rng)
+    bits, post = measure_qubits(_alice_ready(psi), [0, 1], rng)
     bob = StateVector(1, post.amps.reshape(4, 2)[int(bits, 2)].copy(), _trusted=True)
     correction = _CORRECTIONS[bits]
     return (bob if correction is None else apply_gate(bob, correction)), bits

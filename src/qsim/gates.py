@@ -69,9 +69,6 @@ class GateOp:
                 f"{len(self.targets)} target qubits"
             )
 
-    def qubits_touched(self):
-        return self.controls + self.targets
-
     def dagger(self) -> "GateOp":
         return GateOp(
             self.name + "†", self.matrix.conj().T, self.targets, self.controls
@@ -91,14 +88,11 @@ class Circuit:
 
     def __post_init__(self):
         for op in self.ops:
-            for q in op.qubits_touched():
+            for q in op.controls + op.targets:
                 if not 0 <= q < self.qubits:
                     raise DomainError(
                         f"gate {op.name!r} touches qubit {q}, register has {self.qubits}"
                     )
-
-    def __len__(self):
-        return len(self.ops)
 
 
 class BooleanOracle:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,17 +198,6 @@ class Observable:
         return f"Observable(dim={self.dim}, levels={len(self.spectrum)})"
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One sampled measurement: outcome, its Born probability, and the
-    (shot, seed) pair of the stream that produced it."""
-
-    outcome: object
-    probability: float
-    shot: int
-    seed: int
-
-
 # ---------------------------------------------------------------------------
 # gate application kernel
 
@@ -307,8 +295,7 @@ def measure_qubits(s: StateVector, subset, rng: Stream):
     """Projective measurement of a qubit subset in the computational basis.
 
     Samples an outcome bitstring by the Born rule over the subset's
-    marginal, collapses the state, and returns
-    (bits, post_state, MeasurementRecord).
+    marginal, collapses the state, and returns (bits, post_state).
     """
     subset = list(subset)
     idx, prob = sample_index(marginal(s, subset), rng)
@@ -321,8 +308,7 @@ def measure_qubits(s: StateVector, subset, rng: Stream):
     post = np.zeros_like(psi)
     post[tuple(sel)] = psi[tuple(sel)]
     post = post.reshape(-1) / math.sqrt(prob)
-    record = MeasurementRecord(outcome=bits, probability=float(prob), shot=rng.shot, seed=rng.seed)
-    return bits, StateVector(b, post, _trusted=True), record
+    return bits, StateVector(b, post, _trusted=True)
 
 
 def _projections(s: StateVector, obs: Observable) -> list:

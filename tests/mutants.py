@@ -120,6 +120,9 @@ MUTANTS = [
      "order_trial checks the modulus cap before the brute-force scan"),
     ("cli.py", "except (QsimError, MemoryError) as exc:", "except QsimError as exc:",
      "the CLI exits 2 when an allocation fails"),
+    ("algorithms.py", "angle = math.ldexp(math.pi, i - m)",
+     "angle = 2.0 * math.pi / (1 << (m - i + 1))", "qft's angles past 1,024 qubits"),
+    ("statharness.py", "if n > TAIL_MAX_RUNS:", "if False:", "the binomial tail's run cap"),
 ]
 
 

@@ -20,9 +20,7 @@ from oracles import (
 from qsim.algorithms import (
     GroverPlan,
     PhasePlan,
-    apply_qft,
     dft_matrix,
-    grover_iterations,
     grover_search,
     grover_solution_amplitude,
     grover_success_rate,
@@ -137,7 +135,7 @@ class TestQft:
         )
 
     def test_zero_maps_to_uniform(self):
-        out = apply_qft(basis_state(4, 0))
+        out = run_circuit(qft(4), basis_state(4, 0))
         np.testing.assert_allclose(out.amps, np.full(16, 0.25), atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -153,8 +151,44 @@ class TestQft:
 
     def test_roundtrip_identity(self):
         s = random_state(5, Stream(1, "qft"))
-        back = run_circuit(inverse_qft(5), apply_qft(s))
+        back = run_circuit(inverse_qft(5), run_circuit(qft(5), s))
         assert fidelity(back, s) >= 1 - 1e-9
+
+    class Stop(Exception):
+        pass
+
+    @classmethod
+    def _record_angles(cls, monkeypatch, stop_after=None):
+        """The angles qft passes to phase_gate, in order; raises Stop once
+        `stop_after` of them are recorded."""
+        angles = []
+        build = algorithms.phase_gate
+
+        def phase_gate(angle, target):
+            angles.append(angle)
+            if len(angles) == stop_after:
+                raise cls.Stop
+            return build(angle, target)
+
+        monkeypatch.setattr(algorithms, "phase_gate", phase_gate)
+        return angles
+
+    def test_angles_are_the_former_expression_up_to_64_qubits(self, monkeypatch):
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "64")
+        angles = self._record_angles(monkeypatch)
+        qft(64)
+        assert angles == [2.0 * math.pi / (1 << (m - i + 1))
+                          for i in range(64) for m in range(i + 1, 64)]
+
+    def test_angles_past_1024_qubits(self, monkeypatch):
+        # 2 pi / (1 << 1025) cannot convert the int to a float; qubit 0's
+        # 1,024th rotation (m = 1024) is the first to need that power
+        monkeypatch.setenv("QSIM_MAX_QUBITS", "1100")
+        angles = self._record_angles(monkeypatch, stop_after=1024)
+        with pytest.raises(self.Stop):
+            qft(1030)
+        assert angles == [math.ldexp(math.pi, -m) for m in range(1, 1025)]
+        assert 0.0 < angles[-1] < angles[-2]
 
 
 def test_dense_oracles_are_capped_before_they_allocate(monkeypatch):
@@ -413,17 +447,17 @@ class TestPhaseEstimation:
 
 class TestGrover:
     def test_iteration_counts(self):
-        assert grover_iterations(4, 1) == 1
-        assert grover_iterations(4, 2) in (0, 1)  # theta = pi/2 boundary
-        big = grover_iterations(1 << 20, 1)
+        assert GroverPlan.for_counts(4, 1).R == 1
+        assert GroverPlan.for_counts(4, 2).R in (0, 1)  # theta = pi/2 boundary
+        big = GroverPlan.for_counts(1 << 20, 1).R
         assert big == 804
         assert big <= (math.pi / 4) * math.sqrt(1 << 20) + 1
 
     def test_m_out_of_range(self):
         with pytest.raises(DomainError):
-            grover_iterations(8, 5)
+            GroverPlan.for_counts(8, 5)
         with pytest.raises(DomainError):
-            grover_iterations(8, 0)
+            GroverPlan.for_counts(8, 0)
 
     def test_n4_certain_success(self):
         f = BooleanOracle.from_solutions(2, [1])

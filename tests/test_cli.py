@@ -346,12 +346,16 @@ print(json.dumps(results))
 
 
 def _run_capped(cases, shots="5"):
-    """[(exit code, stderr)] of `qsim run --experiment name --bits bits
-    --shots shots` for each (name, bits), in one memory-capped child. Each
-    case takes well under a second, so a case that hangs, such as work
-    begun before a cap check, fails at the 30-second timeout."""
-    argvs = [["run", "--experiment", name, "--bits", bits, "--shots", shots]
-             for name, bits in cases]
+    """`_run_argvs_capped` of `qsim run --experiment name --bits bits
+    --shots shots` for each (name, bits)."""
+    return _run_argvs_capped([["run", "--experiment", name, "--bits", bits, "--shots", shots]
+                              for name, bits in cases])
+
+
+def _run_argvs_capped(argvs):
+    """[(exit code, stderr)] of `qsim` on each argv, in one memory-capped
+    child. Each argv takes well under a second, so one that hangs, such as
+    work begun before a cap check, fails at the 30-second timeout."""
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_CHILD, json.dumps(argvs)],
         capture_output=True, text=True, timeout=30, env=child_env(OPENBLAS_NUM_THREADS="1"),
@@ -375,6 +379,17 @@ def test_a_shot_count_past_memory_exits_2_in_a_memory_capped_child():
     # 10^11 shots ask numpy for hundreds of GiB at once
     [(code, err)] = _run_capped([("grover", "4")], shots="100000000000")
     assert code == 2 and err.startswith("error: Unable to allocate"), err
+
+
+def test_stats_bound_stops_at_its_run_cap_in_a_memory_capped_child():
+    # the exact binomial tail keeps one term per run: 10^9 runs would take
+    # minutes and gigabytes before the cap
+    argvs = [["run", "--experiment", "stats-bound", "--n-runs", n]
+             for n in ("1000000", "1000001", "1000000000")]
+    at_cap, *past = _run_argvs_capped(argvs)
+    assert at_cap == [0, ""]
+    for code, err in past:
+        assert code == 2 and err.startswith("error: ") and "cap of 1000000" in err, err
 
 
 def test_qrng_runs_to_the_qubit_cap_in_a_memory_capped_child():

@@ -252,7 +252,7 @@ class TestRunCircuit:
         # 8,000 of them drift by 1.3e-12, past the sampler's CDF_RESIDUAL
         circuit = Circuit(6, tuple(hadamard(q % 6) for q in range(8000)))
         out = run_circuit(circuit, basis_state(6, 0))
-        bits, _, _ = measure_qubits(out, range(6), Stream(37, "long-circuit"))
+        bits, _ = measure_qubits(out, range(6), Stream(37, "long-circuit"))
         assert len(bits) == 6
         assert abs(np.vdot(out.amps, out.amps).real - 1.0) <= NORM_DRIFT
 

@@ -153,7 +153,7 @@ class TestTrotterEvolve:
         # Born sampler's CDF_RESIDUAL of 1e-12)
         plan = TrotterPlan(2.0, steps)
         final = trotter_evolve(ising_chain(qubits), plan, basis_state(qubits, 0))[-1]
-        bits, post, _ = measure_qubits(final, range(qubits), Stream(29, "long-trotter"))
+        bits, post = measure_qubits(final, range(qubits), Stream(29, "long-trotter"))
         assert len(bits) == qubits and abs(post.norm() - 1.0) < 1e-12
         assert abs(np.vdot(final.amps, final.amps).real - 1.0) <= NORM_DRIFT
 

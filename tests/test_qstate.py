@@ -14,15 +14,18 @@ from qsim.errors import (
     ValidationError,
 )
 from qsim.gates import HADAMARD_MATRIX, PAULI_X, PAULI_Y, PAULI_Z
+from qsim.qec import syndrome_measure
 from qsim.qstate import (
     DensityMatrix,
     Observable,
     StateVector,
     apply_unitary,
     basis_state,
+    collapse,
     density_from_ensemble,
     expectation,
     fidelity,
+    marginal,
     measure_observable,
     measure_qubits,
     measure_sequence,
@@ -147,9 +150,9 @@ class TestMeasureQubits:
         s = StateVector(2, amps)
         seen = set()
         for i in range(50):
-            bits, post, record = measure_qubits(s, [0], Stream(7, "m").substream(i))
+            bits, post = measure_qubits(s, [0], Stream(7, "m").substream(i))
             seen.add(bits)
-            assert record.probability == pytest.approx(0.5, abs=1e-12)
+            assert marginal(s, [0])[int(bits, 2)] == pytest.approx(0.5, abs=1e-12)
             if bits == "0":
                 np.testing.assert_allclose(
                     post.amps, [0.5 / SQ2, 0.5j / SQ2, 0, 0], atol=1e-12
@@ -161,8 +164,8 @@ class TestMeasureQubits:
         assert seen == {"0", "1"}
 
     def test_measuring_zero_state(self):
-        bits, post, record = measure_qubits(basis_state(1, 0), [0], Stream(1, "z"))
-        assert bits == "0" and record.probability == 1.0
+        bits, post = measure_qubits(basis_state(1, 0), [0], Stream(1, "z"))
+        assert bits == "0" and marginal(basis_state(1, 0), [0])[0] == 1.0
         assert states_equal(post, basis_state(1, 0))
 
     def test_bell_marginal_frequency(self):
@@ -171,20 +174,41 @@ class TestMeasureQubits:
         rng = Stream(11, "bellfreq")
         zeros = 0
         for i in range(shots):
-            bits, _, _ = measure_qubits(bell, [0], rng.substream(i))
+            bits, _ = measure_qubits(bell, [0], rng.substream(i))
             zeros += bits == "0"
         assert abs(zeros / shots - 0.5) <= 3.0 * math.sqrt(0.25 / shots)
 
     def test_subset_order_controls_bit_order(self):
         s = basis_state(2, 1)  # |01>
-        bits, _, _ = measure_qubits(s, [0, 1], Stream(1, "o"))
+        bits, _ = measure_qubits(s, [0, 1], Stream(1, "o"))
         assert bits == "01"
-        bits, _, _ = measure_qubits(s, [1, 0], Stream(1, "o"))
+        bits, _ = measure_qubits(s, [1, 0], Stream(1, "o"))
         assert bits == "10"
 
     def test_empty_subset_rejected(self):
         with pytest.raises(DomainError):
             measure_qubits(basis_state(1, 0), [], Stream(1, "e"))
+
+
+def _collapse_on_qubit_0(s, rng):
+    first = np.arange(s.dim) >> (s.qubits - 1)
+    return collapse(s, ("0", "1"), [np.where(first == a, s.amps, 0) for a in (0, 1)], rng)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda s, rng: measure_qubits(s, [2, 0], rng),
+    lambda s, rng: measure_observable(s, Observable(np.diag([2.0, -1.0] * 4)), rng),
+    _collapse_on_qubit_0,
+    syndrome_measure,
+], ids=["measure_qubits", "measure_observable", "collapse", "syndrome_measure"])
+def test_every_measurement_returns_its_outcome_and_post_state(measure):
+    # a projective measurement repeated on its post-state gives the same pair
+    for i in range(20):
+        s = random_state(3, Stream(5, "contract").substream(i))
+        outcome, post = measure(s, Stream(6, "contract").substream(i))
+        assert isinstance(post, StateVector) and abs(post.norm() - 1.0) < 1e-12
+        again, same = measure(post, Stream(7, "contract").substream(i))
+        assert again == outcome and states_equal(same, post)
 
 
 class TestMeasureObservable:

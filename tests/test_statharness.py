@@ -13,12 +13,13 @@ from oracles import (
     repeat_successes_by_trial,
 )
 from qsim.acceptance import _repeat_successes
-from qsim.errors import DomainError, NotFoundError
+from qsim.errors import DomainError, NotFoundError, ResourceError
 from qsim.gates import PAULI_X, PAULI_Z
 from qsim.hamsim import TrotterPlan, exact_evolve, ising_chain, qmc_problem, trotter_evolve
 from qsim.qstate import Observable, basis_state, expectation, random_state
 from qsim.rng import Stream
 from qsim.statharness import (
+    TAIL_MAX_RUNS,
     GrossErrorModel,
     binomial_tail,
     chi_square_uniform,
@@ -411,7 +412,9 @@ def test_point_mass_mixture_checks_epsilon():
     (lambda: trimmed_success_bound(5, 1.0, 0.2), DomainError, "epsilon must lie in"),
     (lambda: trimmed_success_bound(5, 0.1, 0.0), DomainError, "alpha must lie in"),
     (lambda: trimmed_success_bound(5, 0.1, 0.5), DomainError, "alpha must lie in"),
-], ids=["max-runs-0", "n-0", "epsilon-negative", "epsilon-1", "alpha-0", "alpha-half"])
+    (lambda: binomial_tail(TAIL_MAX_RUNS + 1, 1, 0.5), ResourceError, "cap of 1000000"),
+], ids=["max-runs-0", "n-0", "epsilon-negative", "epsilon-1", "alpha-0", "alpha-half",
+        "runs-past-cap"])
 def test_bad_input_raises(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
