@@ -154,7 +154,7 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
     """Estimate the eigenphase phi of u (eigenvalue e^{2 pi i phi}) `shots`
     times, shot i drawn from rng.substream(i), into a float array; the
     register distribution is the closed form at phi = arg(<psi|u|psi>) / 2 pi,
-    computed once.
+    drawn through `_pe_draws`.
 
     Exactly b-bit phases are recovered deterministically; otherwise
     |estimate - phi| <= zeta (mod 1) with probability at least 1 - epsilon.
@@ -171,18 +171,43 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
     lam = complex(np.vdot(eigenstate.amps, applied))
     if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
         raise ValidationError("input state is not an eigenvector of the unitary")
-    draws = rng.shot_uniforms(shots, 1)[:, 0]
+    return _pe_draws(lam, plan.b, shots, rng)
+
+
+@functools.lru_cache(maxsize=2)
+def _pe_table(phi: float, b: int) -> BornTable:
+    """The `BornTable` of `_pe_register_distribution(phi, b)`, read-only,
+    built on first use and kept for the next call with the same phase and
+    register size; the law does not depend on the seed.
+
+    Bounded: a table holds its 2^b-entry array and its block limits. At the
+    default cap of 24 qubits b is at most 23: 64 MiB and 16 KiB a table,
+    so the two slots hold at most 128.03 MiB. The benchmark's register
+    (b = 7) takes 1 KiB, and criterion 5's coverage run one more slot.
+    """
+    dist = _pe_register_distribution(phi, b)
+    dist.flags.writeable = False
+    return BornTable(dist)
+
+
+def _pe_draws(lam: complex, b: int, shots: int, rng: Stream) -> np.ndarray:
+    """`shots` b-bit phase estimates on an eigenstate of eigenvalue lam,
+    shot i drawn from rng.substream(i), from the kept table at
+    phi = atan2(lam) / 2 pi mod 1."""
     phi = math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0
-    return sample_indices(_pe_register_distribution(phi, plan.b), draws) / float(1 << plan.b)
+    draws = rng.shot_uniforms(shots, 1)[:, 0]
+    return _pe_table(phi, b).sample(draws) / float(1 << b)
 
 
 def phase_coverage(phi: float, plan: PhasePlan, shots: int, rng: Stream) -> float:
     """Fraction of `shots` estimates of the phase of diag(1, e^{2 pi i phi})
-    on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta."""
+    on |1>, shot i drawn from rng.substream(i), that lie within plan.zeta.
+    |1> has eigenvalue e^{2 pi i phi}, so the estimates are `_pe_draws` of it."""
     if not math.isfinite(phi):
         raise DomainError(f"phase must be finite, got {phi!r}")
-    u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
-    d = phase_distance(phase_estimates(u, basis_state(1, 1), plan, shots, rng), phi)
+    _check_qubit_count(plan.b + 1)
+    lam = complex(np.exp(2j * math.pi * phi))
+    d = phase_distance(_pe_draws(lam, plan.b, shots, rng), phi)
     return int(np.count_nonzero(d <= plan.zeta)) / shots
 
 

@@ -361,8 +361,12 @@ def main(argv=None) -> int:
             print(f"acceptance failed: {failed}", file=sys.stderr)
             return 3
         return 0
-    except (QsimError, MemoryError) as exc:  # a size the host cannot hold is a parameter error
+    except QsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size the host cannot hold is a parameter error
+        # numpy names the allocation; a MemoryError raised by Python code has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -271,12 +271,30 @@ def qmc_problem():
     return ising_chain(2, coupling=0.6, field=0.7), Observable(linalg.kron(PAULI_Z, np.eye(2)))
 
 
-def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
-    """qmc_estimate of Z (x) I after a `steps`-step Trotterized evolution of |00>."""
-    model, obs = qmc_problem()
+@functools.lru_cache(maxsize=16, typed=True)
+def _qmc_states(t_final: float, steps: int) -> tuple:
+    """(prepared, target) of trotter_qmc: |00> after `steps` Trotter steps
+    to t_final, and after the exact evolution. Built on first use and kept
+    read-only for the next call with the same (t_final, steps); the states
+    do not depend on the seed. Typed, so a float step count still raises
+    where a cached int one would answer. Bounded: an entry is two
+    4-amplitude states (128 bytes of amplitudes), so 16 slots hold well
+    under 16 KiB."""
+    model, _ = qmc_problem()
     psi0 = basis_state(2, 0)
     prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
-    return qmc_estimate(obs, prepared, shots, rng, exact_evolve(model, t_final, psi0))
+    target = exact_evolve(model, t_final, psi0)
+    for s in (prepared, target):
+        s.amps.flags.writeable = False
+    return prepared, target
+
+
+def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
+    """qmc_estimate of Z (x) I after a `steps`-step Trotterized evolution of
+    |00>; the states come from `_qmc_states`, the shots from `rng`."""
+    _, obs = qmc_problem()
+    prepared, target = _qmc_states(t_final, steps)
+    return qmc_estimate(obs, prepared, shots, rng, target)
 
 
 def ising_chain(qubits: int, coupling: float = 0.5, field: float = 0.4) -> HamiltonianTerms:

@@ -30,7 +30,8 @@ outcomes cumulates one block of 128 and allocates no full-length array.
 The filter's per-array half is a `BornTable`: `sample_indices(probs, u)`
 is `BornTable(probs).sample(u)`, and a caller that draws from one fixed
 array again and again keeps the table, so each later draw costs only the
-per-draw half (order finding keeps one per orbit length and register size).
+per-draw half (order finding keeps one per orbit length and register
+size, phase estimation one per phase and register size).
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,

@@ -109,6 +109,25 @@ MUTANTS = [
     ("algorithms.py", "table = _orbit_table(r, b)",
      "table = _orbit_table.__dict__.setdefault(r, _orbit_table(r, b))",
      "the order-finding cache is keyed by r and b, not by r alone"),
+    ("hamsim.py", "prepared, target = _qmc_states(t_final, steps)",
+     "prepared, target = _qmc_states.__dict__.setdefault(t_final, _qmc_states(t_final, steps))",
+     "the qmc cache is keyed by t_final and steps, not by t_final alone"),
+    ("hamsim.py", "prepared, target = _qmc_states(t_final, steps)",
+     "prepared, target = _qmc_states.__dict__.setdefault(steps, _qmc_states(t_final, steps))",
+     "the qmc cache is keyed by t_final and steps, not by steps alone"),
+    ("hamsim.py", "@functools.lru_cache(maxsize=16, typed=True)", "@functools.lru_cache(maxsize=16)",
+     "the qmc cache keeps a float step count apart from an int one"),
+    ("hamsim.py", "        s.amps.flags.writeable = False", "        pass",
+     "the kept qmc states are read-only"),
+    ("algorithms.py", "return _pe_table(phi, b).sample(draws)",
+     "return _pe_table.__dict__.setdefault(phi, _pe_table(phi, b)).sample(draws)",
+     "the phase-estimation cache is keyed by phi and b, not by phi alone"),
+    ("algorithms.py", "return _pe_table(phi, b).sample(draws)",
+     "return _pe_table.__dict__.setdefault(b, _pe_table(phi, b)).sample(draws)",
+     "the phase-estimation cache is keyed by phi and b, not by b alone"),
+    ("algorithms.py", "    dist = _pe_register_distribution(phi, b)\n    dist.flags.writeable = False",
+     "    dist = _pe_register_distribution(phi, b)",
+     "the kept phase-estimation table is read-only"),
     ("rng.py", "if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:", "if False:",
      "a prepared Born table makes its residual check"),
     ("algorithms.py", "    _check_qubit_count(n)\n    ops = []", "    ops = []",
@@ -118,8 +137,10 @@ MUTANTS = [
     ("algorithms.py", "        _check_order_modulus(N)\n    reference",
      "        pass\n    reference",
      "order_trial checks the modulus cap before the brute-force scan"),
-    ("cli.py", "except (QsimError, MemoryError) as exc:", "except QsimError as exc:",
+    ("cli.py", "except MemoryError as exc:", "except ArithmeticError as exc:",
      "the CLI exits 2 when an allocation fails"),
+    ("cli.py", "str(exc) or 'out of memory'", "str(exc)",
+     "the CLI names an allocation failure that has no message"),
     ("algorithms.py", "angle = math.ldexp(math.pi, i - m)",
      "angle = 2.0 * math.pi / (1 << (m - i + 1))", "qft's angles past 1,024 qubits"),
     ("statharness.py", "if n > TAIL_MAX_RUNS:", "if False:", "the binomial tail's run cap"),

@@ -14,11 +14,14 @@ from math import comb
 
 import numpy as np
 from qsim.algorithms import (
+    EIGENSTATE_TOL,
     ORDER_MAX_RUNS,
     _modmul_qubits,
     _orbit_register_distribution,
     _order_candidate,
+    _pe_register_distribution,
     inverse_qft,
+    phase_distance,
 )
 from qsim.gates import (
     HADAMARD_MATRIX,
@@ -41,7 +44,7 @@ from qsim.qec import (
 )
 from qsim.cli import build_parser
 from qsim.entangle import default_chsh_setting, singlet, spin_observable, teleport
-from qsim.errors import InternalError, NotFoundError, ValidationError
+from qsim.errors import DomainError, InternalError, NotFoundError, ValidationError
 from qsim.linalg import require_hermitian
 from qsim.qstate import (
     Observable,
@@ -55,7 +58,9 @@ from qsim.qstate import (
     measure_qubits,
 )
 from qsim.rng import CDF_RESIDUAL, PROB_FLOOR, _checked_cdf, _tag_key, sample_index, sample_indices
-from qsim.statharness import repeat_verified
+from qsim.hamsim import TrotterPlan, exact_evolve, qmc_problem, trotter_evolve
+from qsim.qstate import _check_qubit_count, basis_state
+from qsim.statharness import qmc_estimate, repeat_verified
 
 
 def dense_embedding(matrix: np.ndarray, targets, controls, b: int) -> np.ndarray:
@@ -306,6 +311,43 @@ def order_find_per_call(x: int, N: int, rng) -> tuple:
         return repeat_verified(run, verify, ORDER_MAX_RUNS).estimate, phases
     except NotFoundError:
         return None, phases
+
+
+def phase_estimates_per_call(u: GateOp, eigenstate: StateVector, plan, shots: int,
+                             rng) -> np.ndarray:
+    """`algorithms.phase_estimates` as it was before its Born tables were
+    kept: the eigenphase read off <psi|u|psi>, the register distribution
+    rebuilt and sampled on every call."""
+    if u.controls:
+        raise DomainError("phase estimation takes an uncontrolled unitary")
+    k = len(u.targets)
+    if eigenstate.qubits != k:
+        raise DomainError("eigenstate and unitary sizes differ")
+    _check_qubit_count(plan.b + k)
+    applied = u.matrix @ eigenstate.amps
+    lam = complex(np.vdot(eigenstate.amps, applied))
+    if np.linalg.norm(applied - lam * eigenstate.amps) > EIGENSTATE_TOL:
+        raise ValidationError("input state is not an eigenvector of the unitary")
+    draws = rng.shot_uniforms(shots, 1)[:, 0]
+    phi = math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0
+    return sample_indices(_pe_register_distribution(phi, plan.b), draws) / float(1 << plan.b)
+
+
+def phase_coverage_by_gate(phi: float, plan, shots: int, rng) -> float:
+    """`algorithms.phase_coverage` through the gate: a GateOp
+    diag(1, e^{2 pi i phi}) and |1>, through `phase_estimates_per_call`."""
+    u = GateOp("u", np.diag([1.0, np.exp(2j * math.pi * phi)]), [0])
+    d = phase_distance(phase_estimates_per_call(u, basis_state(1, 1), plan, shots, rng), phi)
+    return int(np.count_nonzero(d <= plan.zeta)) / shots
+
+
+def trotter_qmc_per_call(t_final: float, steps: int, shots: int, rng):
+    """`hamsim.trotter_qmc` as it was before its states were kept: both
+    evolutions of |00> run on every call."""
+    model, obs = qmc_problem()
+    psi0 = basis_state(2, 0)
+    prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
+    return qmc_estimate(obs, prepared, shots, rng, exact_evolve(model, t_final, psi0))
 
 
 def per_stream_indices(probs, rngs) -> list:

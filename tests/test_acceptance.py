@@ -99,7 +99,7 @@ def test_empty_or_unknown_selection_raises(ids, message):
         run_acceptance(ids=ids)
 
 
-def test_criterion_11_sees_a_sign_flip_in_the_trotter_factors(monkeypatch):
+def test_criterion_11_sees_a_sign_flip_in_the_trotter_factors(monkeypatch, cold_laws):
     """e^{+i H d} for e^{-i H d}: the expectations of the time-reversal
     symmetric qmc problem do not move, so only the amplitude check fails."""
     exponential = hamsim._exponential

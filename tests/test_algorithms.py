@@ -16,6 +16,8 @@ from oracles import (
     pe_register_full_columns,
     pe_register_out_of_place,
     per_stream_indices,
+    phase_coverage_by_gate,
+    phase_estimates_per_call,
 )
 from qsim.algorithms import (
     GroverPlan,
@@ -40,7 +42,7 @@ from qsim.algorithms import (
     _orbit_register_distribution,
     _pe_register_distribution,
 )
-from qsim import algorithms
+from qsim import algorithms, linalg
 from qsim import rng as qrng
 from qsim.acceptance import SEED, run_acceptance
 from qsim.entangle import (
@@ -87,15 +89,23 @@ def plan_with_b(b: int) -> PhasePlan:
 
 
 def sampled_distribution(call):
-    """The register distribution that `call` hands to the Born sampler."""
+    """The register distribution that `call` hands to the Born sampler,
+    directly or through phase estimation's kept table."""
     seen = []
+    pe_table = algorithms._pe_table
 
     def spy(probs, u):
         seen.append(np.array(probs))
         return sample_indices(probs, u)
 
+    def table_spy(phi, b):
+        table = pe_table(phi, b)
+        seen.append(np.array(table.probs))
+        return table
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(algorithms, "sample_indices", spy)
+        m.setattr(algorithms, "_pe_table", table_spy)
         call()
     [dist] = seen
     return dist
@@ -616,6 +626,86 @@ class TestShotsMatchPerShotStreams:
         rng = Stream(seed, tag)
         expected = per_stream_indices(_grover_probs(f, 2), map(rng.substream, range(shots)))
         assert grover_search(f, 2, shots, rng).tolist() == expected
+
+
+# negative, past 1, k / 2^b, subnormal and one ulp below 1
+PHASES = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.builds(lambda k, e: math.ldexp(k, -e), st.integers(-(1 << 10), 1 << 10), st.integers(0, 10)),
+    st.sampled_from([5e-324, -5e-324, 2.0**-1022, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 1e15]),
+)
+
+
+def counted_estimates(phi, plan, shots, rng):
+    """(phase_coverage's result, the estimates it counted)."""
+    seen = []
+    distance = algorithms.phase_distance
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algorithms, "phase_distance", lambda a, b: seen.append(a) or distance(a, b))
+        coverage = phase_coverage(phi, plan, shots, rng)
+    [estimates] = seen
+    return coverage, estimates.tolist()
+
+
+class TestKeptPhaseTable:
+    """phase_coverage and phase_estimates draw from one table kept per
+    (phi, b); from an empty cache or a kept table, they draw what the
+    per-call gate route draws."""
+
+    @given(phi=PHASES, b=st.integers(3, 9), seed=SEEDS, shots=st.integers(1, 64))
+    @settings(max_examples=80)
+    def test_cold_and_warm_calls_match_the_gate_route(self, phi, b, seed, shots):
+        plan, u = plan_with_b(b), phase_unitary(phi)
+        estimates = phase_estimates_per_call(u, basis_state(1, 1), plan, shots,
+                                             Stream(seed, "kept")).tolist()
+        coverage = phase_coverage_by_gate(phi, plan, shots, Stream(seed, "kept"))
+        algorithms._pe_table.cache_clear()
+        for cache in ("cold", "warm"):
+            got = counted_estimates(phi, plan, shots, Stream(seed, "kept"))
+            assert got == (coverage, estimates), cache
+            got = phase_estimates(u, basis_state(1, 1), plan, shots, Stream(seed, "kept"))
+            assert got.tolist() == estimates, cache
+
+    def test_the_table_is_kept_per_phase_and_register_size(self):
+        algorithms._pe_table.cache_clear()
+        for phi in (1 / 3, 0.7):
+            for b in (4, 6):
+                plan = plan_with_b(b)
+                want = phase_estimates_per_call(phase_unitary(phi), basis_state(1, 1), plan, 9,
+                                                Stream(3, "key")).tolist()
+                for _ in range(2):
+                    assert counted_estimates(phi, plan, 9, Stream(3, "key"))[1] == want, (phi, b)
+
+    def test_a_warm_call_builds_no_gate_and_no_table(self, monkeypatch):
+        plan = PhasePlan(zeta=0.0625, epsilon=0.1)
+        first = phase_coverage(0.333333, plan, 20, Stream(3, "warm"))
+
+        def refuse(*args):
+            raise AssertionError("a warm phase_coverage call rebuilt its law")
+
+        monkeypatch.setattr(algorithms, "_pe_register_distribution", refuse)
+        monkeypatch.setattr(linalg, "require_unitary", refuse)
+        assert phase_coverage(0.333333, plan, 20, Stream(3, "warm")) == first
+
+    def test_kept_tables_are_read_only_and_few(self):
+        table = algorithms._pe_table(0.25, 8)  # 256 outcomes: the filter's arrays too
+        for array in (table.probs, table._grid, table._limits):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        for b in range(3, 8):
+            algorithms._pe_table(0.25, b)
+        info = algorithms._pe_table.cache_info()
+        assert info.maxsize == 2 and info.currsize <= 2
+
+    def test_checks_come_before_the_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the table was built before the checks")
+
+        monkeypatch.setattr(algorithms, "_pe_table", refuse)
+        with pytest.raises(DomainError, match="finite"):
+            phase_coverage(math.nan, PLAN, 1, Stream(3, "checks"))
+        with pytest.raises(ResourceError):
+            phase_coverage(0.5, PhasePlan(zeta=2.0**-30, epsilon=0.1), 1, Stream(3, "checks"))
 
 
 PLAN = PhasePlan(zeta=2.0**-5, epsilon=0.1)

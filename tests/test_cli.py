@@ -381,6 +381,16 @@ def test_a_shot_count_past_memory_exits_2_in_a_memory_capped_child():
     assert code == 2 and err.startswith("error: Unable to allocate"), err
 
 
+def test_an_allocation_failure_without_a_message_exits_2_naming_it(capsys, monkeypatch):
+    # a MemoryError raised by Python code carries no message of its own
+    def fail(args):
+        raise MemoryError()
+
+    monkeypatch.setitem(EXPERIMENTS, "qmc", fail)
+    code, out, err = run_cli(capsys, "run", "--experiment", "qmc", "--shots", "5")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_stats_bound_stops_at_its_run_cap_in_a_memory_capped_child():
     # the exact binomial tail keeps one term per run: 10^9 runs would take
     # minutes and gigabytes before the cap

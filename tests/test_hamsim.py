@@ -24,6 +24,7 @@ from qsim.hamsim import (
     qmc_problem,
     trotter_error,
     trotter_evolve,
+    trotter_qmc,
 )
 from qsim.qstate import (
     NORM_DRIFT,
@@ -360,6 +361,56 @@ class TestStoredArrays:
         lapack, jacobi = np.linalg.eigh(z1), oracles.jacobi_eigh(z1)
         for got, want in zip(jacobi, lapack):
             assert got.tobytes() == want.tobytes()
+
+
+# +0.0, -0.0 and ints among the floats
+T_FINALS = st.one_of(st.sampled_from([0.0, -0.0, 0, 1, 3]), st.floats(0.0, 4.0),
+                     st.integers(0, 4))
+
+
+class TestKeptQmcStates:
+    """trotter_qmc keeps its prepared and target states per (t_final,
+    steps); from an empty cache or kept states, it returns what the
+    per-call route returns, signed zeros included."""
+
+    @given(t_final=T_FINALS, steps=st.integers(1, 4), shots=st.integers(1, 300),
+           seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=80)
+    def test_cold_and_warm_calls_match_the_per_call_route(self, t_final, steps, shots, seed):
+        want = oracles.trotter_qmc_per_call(t_final, steps, shots, Stream(seed, "kept"))
+        hamsim._qmc_states.cache_clear()
+        for cache in ("cold", "warm"):
+            got = trotter_qmc(t_final, steps, shots, Stream(seed, "kept"))
+            assert repr(got) == repr(want), cache
+
+    def test_the_states_are_kept_per_time_and_step_count(self):
+        hamsim._qmc_states.cache_clear()
+        for t_final in (0.5, 1.0):
+            for steps in (1, 2):
+                want = oracles.trotter_qmc_per_call(t_final, steps, 50, Stream(4, "key"))
+                for _ in range(2):
+                    got = trotter_qmc(t_final, steps, 50, Stream(4, "key"))
+                    assert repr(got) == repr(want), (t_final, steps)
+
+    def test_a_kept_int_step_count_answers_no_float_one(self):
+        trotter_qmc(1.0, 2, 5, Stream(4, "typed"))
+        with pytest.raises(TypeError):
+            trotter_qmc(1.0, 2.0, 5, Stream(4, "typed"))
+
+    def test_a_warm_call_runs_no_evolution(self, monkeypatch):
+        first = trotter_qmc(1.0, 2, 100, Stream(5, "warm"))
+
+        def refuse(*args):
+            raise AssertionError("a warm trotter_qmc call rebuilt its states")
+
+        monkeypatch.setattr(linalg, "eigh", refuse)
+        monkeypatch.setattr(hamsim, "TrotterStep", refuse)
+        assert repr(trotter_qmc(1.0, 2, 100, Stream(5, "warm"))) == repr(first)
+
+    def test_kept_states_are_read_only(self):
+        for state in hamsim._qmc_states(1.0, 2):
+            with pytest.raises(ValueError):
+                state.amps[0] = 0.0
 
 
 def _dense_step(step):
