@@ -183,7 +183,7 @@ def _pe_table(phi: float, b: int) -> BornTable:
     Bounded: a table holds its 2^b-entry array and its block limits. At the
     default cap of 24 qubits b is at most 23: 64 MiB and 16 KiB a table,
     so the two slots hold at most 128.03 MiB. The benchmark's register
-    (b = 7) takes 1 KiB, and criterion 5's coverage run one more slot.
+    (b = 7) takes 2 KiB with its exact edges, criterion 5's run one more slot.
     """
     dist = _pe_register_distribution(phi, b)
     dist.flags.writeable = False

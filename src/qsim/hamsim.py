@@ -29,7 +29,7 @@ from .gates import PAULI_X, PAULI_Y, PAULI_Z, hadamard_layer
 from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
 from .qstate import _renormalized, basis_state
 from .rng import Stream
-from .statharness import QmcResult, qmc_estimate
+from .statharness import QmcResult, qmc_draws, qmc_law
 
 MAX_TERM_QUBITS = 3
 
@@ -272,29 +272,25 @@ def qmc_problem():
 
 
 @functools.lru_cache(maxsize=16, typed=True)
-def _qmc_states(t_final: float, steps: int) -> tuple:
-    """(prepared, target) of trotter_qmc: |00> after `steps` Trotter steps
-    to t_final, and after the exact evolution. Built on first use and kept
-    read-only for the next call with the same (t_final, steps); the states
-    do not depend on the seed. Typed, so a float step count still raises
-    where a cached int one would answer. Bounded: an entry is two
-    4-amplitude states (128 bytes of amplitudes), so 16 slots hold well
-    under 16 KiB."""
-    model, _ = qmc_problem()
+def _qmc_law(t_final: float, steps: int) -> tuple:
+    """The `qmc_law` of trotter_qmc: |00> prepared by `steps` Trotter steps
+    to t_final, against its exact evolution. Built on first use and kept
+    read-only for the next call with the same (t_final, steps); the law does
+    not depend on the seed. Typed, so a float step count still raises where
+    a cached int one would answer. Bounded: an entry is two floats, two
+    2-entry arrays and a table, under 1 KiB, so 16 slots hold under 16 KiB."""
+    model, obs = qmc_problem()
     psi0 = basis_state(2, 0)
     prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
-    target = exact_evolve(model, t_final, psi0)
-    for s in (prepared, target):
-        s.amps.flags.writeable = False
-    return prepared, target
+    law = qmc_law(obs, prepared, exact_evolve(model, t_final, psi0))
+    law[2].flags.writeable = law[3].probs.flags.writeable = False
+    return law
 
 
 def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:
     """qmc_estimate of Z (x) I after a `steps`-step Trotterized evolution of
-    |00>; the states come from `_qmc_states`, the shots from `rng`."""
-    _, obs = qmc_problem()
-    prepared, target = _qmc_states(t_final, steps)
-    return qmc_estimate(obs, prepared, shots, rng, target)
+    |00>; the law comes from `_qmc_law`, the shots from `rng`."""
+    return qmc_draws(_qmc_law(t_final, steps), shots, rng)
 
 
 def ising_chain(qubits: int, coupling: float = 0.5, field: float = 0.4) -> HamiltonianTerms:

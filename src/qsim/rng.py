@@ -27,11 +27,11 @@ its result: a Kahan-compensated cumulative array, searched. In front of it
 sits a certified filter: one pass sums the block totals, and only the
 blocks that the draws land in are cumulated, so a single draw from 2^14
 outcomes cumulates one block of 128 and allocates no full-length array.
-The filter's per-array half is a `BornTable`: `sample_indices(probs, u)`
+Either route's per-array half is a `BornTable`: `sample_indices(probs, u)`
 is `BornTable(probs).sample(u)`, and a caller that draws from one fixed
 array again and again keeps the table, so each later draw costs only the
-per-draw half (order finding keeps one per orbit length and register
-size, phase estimation one per phase and register size).
+per-draw half (at most 128 outcomes: one search over the kept exact edges).
+Order finding, phase estimation and qmc each keep tables per parameter set.
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,
@@ -206,7 +206,7 @@ def kahan_cumsum(values) -> list:
 def _checked_cdf(probs) -> list:
     """Compensated cumulative array of `probs`; raises InternalError when
     its final value misses 1 by more than CDF_RESIDUAL (or is not a number)."""
-    cdf = kahan_cumsum(probs)
+    cdf = kahan_cumsum(probs) or [0.0]  # an empty array sums to 0
     residual = abs(cdf[-1] - 1.0)
     if not residual <= CDF_RESIDUAL:
         raise InternalError(
@@ -218,10 +218,10 @@ def _checked_cdf(probs) -> list:
 
 _NO_OUTCOME = "no outcome with probability above the floor"
 _UNIT_ROUNDOFF = 2.0**-53
-# Arrays with fewer outcomes go straight to the exact route: below this
-# size the Python Kahan loop costs less than the filter's fixed numpy work
-# (the two cost about 35-40 us each at 128 outcomes on a 2-vCPU x86 VM).
-_FILTER_MIN_OUTCOMES = 128
+# Arrays of at most 128 outcomes take the exact route. Per call, exact against
+# filter at 1 / 20 / 100 draws (timeit, 2-vCPU x86 VM): 128 outcomes 20.7 / 20.5 /
+# 21.3 vs 22.9 / 21.5 / 23.0 us, 256 outcomes 37.1 / 36.8 / 44.3 vs 23.6 / 23.2 / 29.8.
+_FILTER_MIN_OUTCOMES = 129
 
 
 def _grid(probs: np.ndarray) -> np.ndarray:
@@ -256,8 +256,11 @@ class BornTable:
     """A probability array prepared for Born draws: `sample(u)` returns
     `sample_indices(probs, u)`. The filter's per-array half (the sign test,
     the block totals, the residual check and the bound E) runs once, here;
-    each `sample` call runs only the per-draw half. The table keeps `probs`
-    itself, not a copy, so a caller that keeps a table must not change it.
+    each `sample` call runs only the per-draw half. A table the filter
+    refuses keeps the exact edges its first `sample` builds (their errors
+    arise on every call); a filter table keeps none beside its grid. It
+    keeps `probs` itself, not a copy, which its keeper must not change.
+    Raises DomainError unless `probs` is 1-D.
 
     This is the floating-point filter of adaptive-precision predicates
     (Shewchuk 1997): a fast answer with a rigorous error bound, and the
@@ -312,11 +315,13 @@ class BornTable:
     are less than 2G < E apart. Nor is a draw below or past every edge.
     """
 
-    __slots__ = ("probs", "_grid", "_limits", "_bound")
+    __slots__ = ("probs", "_grid", "_limits", "_bound", "_edges")
 
     def __init__(self, probs):
         self.probs = probs = np.asarray(probs, dtype=np.float64)
-        self._grid = None  # every draw takes the exact route
+        if probs.ndim != 1:
+            raise DomainError(f"need a 1-D probability array, got shape {probs.shape}")
+        self._grid = self._edges = None  # every draw takes the exact route
         if probs.shape[0] < _FILTER_MIN_OUTCOMES or not probs.min() >= 0.0:
             return
         grid = _grid(probs)
@@ -357,22 +362,23 @@ class BornTable:
         """One index per uniform in `u`, as `sample_indices` defines it:
         the filter decides what it can, the exact route the rest."""
         u = np.asarray(u, dtype=np.float64)
-        probs = self.probs
         if self._grid is None:
-            return _exact_indices(probs, u)
+            if self._edges is None:
+                self._edges = _exact_edges(self.probs)
+            return self._edges.searchsorted(u, side="right")
         picks, decided = self._filtered(u)
         if np.count_nonzero(decided) < decided.size:
             undecided = ~decided
-            picks[undecided] = _exact_indices(probs, u[undecided])
+            picks[undecided] = _exact_edges(self.probs).searchsorted(u[undecided], side="right")
         return picks
 
 
-def _exact_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The exact route: search the running maximum of the Kahan CDF over
-    the non-floored entries. That maximum at i is the largest cumulative
-    value of an entry at or below i that is not floored, so the search
-    finds the first such entry with u < cdf[i]; the last such entry's edge
-    is raised to +inf, so a u in the residual gap past it takes that entry."""
+def _exact_edges(probs: np.ndarray) -> np.ndarray:
+    """The exact route's edges, read-only: the running maximum of the Kahan
+    CDF over the non-floored entries, the largest cumulative value at or
+    below i of an entry that is not floored. A search (side="right") finds
+    the first such entry with u < cdf[i]; the last one's edge is raised to
+    +inf, so a u in the residual gap past it takes that entry."""
     cdf = np.array(_checked_cdf(probs))
     valid = probs >= PROB_FLOOR
     at = valid.nonzero()[0]
@@ -380,7 +386,8 @@ def _exact_indices(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise InternalError(_NO_OUTCOME)
     cdf[~valid] = -np.inf
     cdf[at[-1]] = np.inf
-    return np.maximum.accumulate(cdf).searchsorted(u, side="right")
+    np.maximum.accumulate(cdf, out=cdf).flags.writeable = False
+    return cdf
 
 
 def sample_indices(probs, u) -> np.ndarray:

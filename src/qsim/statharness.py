@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DomainError, NotFoundError, ResourceError
 from .pool import shot_map  # noqa: F401  (the benchmark tracer's tests read this binding)
-from .qstate import Observable, _check_qubit_count, expectation, measure_sequence
-from .rng import Stream
+from .qstate import Observable, _born_weights, _check_qubit_count, _projections, expectation
+from .rng import BornTable, Stream
 
 
 # binomial_tail keeps one log term per run; at this cap `qsim run --experiment
@@ -203,9 +203,21 @@ def qmc_estimate(obs: Observable, prepared, shots: int, rng: Stream, target) -> 
     expectations, the sampling part from the measured eigenvalues. Shot i
     measures with the first draw of `rng.substream(i)`, all shots at once.
     """
-    theta_prepared = expectation(prepared, obs)
-    theta_true = expectation(target, obs)
-    x = measure_sequence(prepared, [obs], rng.shot_uniforms(shots, 1))[:, 0]
+    return qmc_draws(qmc_law(obs, prepared, target), shots, rng)
+
+
+def qmc_law(obs: Observable, prepared, target) -> tuple:
+    """The seed-free half of `qmc_estimate`: (theta_prepared, theta_true,
+    obs's eigenvalue array, the `BornTable` of their weights on `prepared`)."""
+    theta_prepared, theta_true = expectation(prepared, obs), expectation(target, obs)
+    weights = _born_weights(prepared, _projections(prepared, obs))
+    return theta_prepared, theta_true, np.array(obs.eigenvalues()), BornTable(weights)
+
+
+def qmc_draws(law: tuple, shots: int, rng: Stream) -> QmcResult:
+    """`qmc_estimate` from its `qmc_law`: the seed-keyed half."""
+    theta_prepared, theta_true, values, table = law
+    x = values[table.sample(rng.shot_uniforms(shots, 1)[:, 0])]
     # left to right, as a loop from 0.0 adds; + 0.0 gives an all-zero sum its sign
     total = float(np.add.accumulate(x)[-1]) + 0.0
     total_sq = float(np.add.accumulate(x * x)[-1])

@@ -109,16 +109,23 @@ MUTANTS = [
     ("algorithms.py", "table = _orbit_table(r, b)",
      "table = _orbit_table.__dict__.setdefault(r, _orbit_table(r, b))",
      "the order-finding cache is keyed by r and b, not by r alone"),
-    ("hamsim.py", "prepared, target = _qmc_states(t_final, steps)",
-     "prepared, target = _qmc_states.__dict__.setdefault(t_final, _qmc_states(t_final, steps))",
-     "the qmc cache is keyed by t_final and steps, not by t_final alone"),
-    ("hamsim.py", "prepared, target = _qmc_states(t_final, steps)",
-     "prepared, target = _qmc_states.__dict__.setdefault(steps, _qmc_states(t_final, steps))",
-     "the qmc cache is keyed by t_final and steps, not by steps alone"),
+    ("hamsim.py", "return qmc_draws(_qmc_law(t_final, steps), shots, rng)",
+     "return qmc_draws(_qmc_law.__dict__.setdefault(t_final, _qmc_law(t_final, steps)), shots, rng)",
+     "the qmc law cache is keyed by t_final and steps, not by t_final alone"),
+    ("hamsim.py", "return qmc_draws(_qmc_law(t_final, steps), shots, rng)",
+     "return qmc_draws(_qmc_law.__dict__.setdefault(steps, _qmc_law(t_final, steps)), shots, rng)",
+     "the qmc law cache is keyed by t_final and steps, not by steps alone"),
     ("hamsim.py", "@functools.lru_cache(maxsize=16, typed=True)", "@functools.lru_cache(maxsize=16)",
-     "the qmc cache keeps a float step count apart from an int one"),
-    ("hamsim.py", "        s.amps.flags.writeable = False", "        pass",
-     "the kept qmc states are read-only"),
+     "the qmc law cache keeps a float step count apart from an int one"),
+    ("hamsim.py", "    law[2].flags.writeable = law[3].probs.flags.writeable = False", "    pass",
+     "the kept qmc law is read-only"),
+    ("rng.py", 'return self._edges.searchsorted(u, side="right")',
+     'return self._edges.searchsorted(u, side="left")',
+     "a kept exact table searches its edges with side='right'"),
+    ("rng.py", "    cdf[~valid] = -np.inf\n", "",
+     "the exact edges skip floored entries"),
+    ("rng.py", "np.maximum.accumulate(cdf, out=cdf).flags.writeable = False",
+     "np.maximum.accumulate(cdf, out=cdf)", "a table's kept exact edges are read-only"),
     ("algorithms.py", "return _pe_table(phi, b).sample(draws)",
      "return _pe_table.__dict__.setdefault(phi, _pe_table(phi, b)).sample(draws)",
      "the phase-estimation cache is keyed by phi and b, not by phi alone"),

@@ -687,6 +687,14 @@ class TestKeptPhaseTable:
         monkeypatch.setattr(linalg, "require_unitary", refuse)
         assert phase_coverage(0.333333, plan, 20, Stream(3, "warm")) == first
 
+    def test_a_warm_call_makes_only_its_draws(self, refuse_seed_free_work):
+        # b = 7: a table of 128 outcomes, which draws by one search over its kept edges
+        plan = PhasePlan(zeta=0.0625, epsilon=0.1)
+        assert plan.b == 7
+        first = phase_coverage(0.333333, plan, 20, Stream(4, "draws"))
+        refuse_seed_free_work()
+        assert repr(phase_coverage(0.333333, plan, 20, Stream(4, "draws"))) == repr(first)
+
     def test_kept_tables_are_read_only_and_few(self):
         table = algorithms._pe_table(0.25, 8)  # 256 outcomes: the filter's arrays too
         for array in (table.probs, table._grid, table._limits):

@@ -2,14 +2,18 @@
 byte (see make_goldens.py; the criterion details are compared in
 test_acceptance.py)."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import make_goldens
 import oracles
+import qsim
+from conftest import KEPT_LAWS
 from make_goldens import CLI_CASES, acceptance_path, cli_path, details_line, run_case
 from qsim import acceptance, linalg
 from qsim.acceptance import CRITERIA, run_acceptance
@@ -122,6 +126,39 @@ def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch, cold_laws):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_same_up_to_rounding(json.loads(g), json.loads(w), f"{case} line {i + 1}")
+
+
+# Caches that `cold_laws` leaves full: each builds a constant that no test's
+# patch changes (the parser; fixed settings, states and Pauli strings; the
+# exact sin^2 and flip-gate tables; the qmc model, whose observable is
+# diagonal, so every eigensolver gives it the same projectors).
+CONSTANT_BUILDERS = {
+    ("cli", "build_parser"), ("entangle", "default_chsh_setting"), ("entangle", "singlet"),
+    ("entangle", "_chsh_pairs"), ("hamsim", "_pauli_strings"), ("hamsim", "qmc_problem"),
+    ("algorithms", "_sin2_table"), ("qec", "_flip_gate"),
+}
+
+
+def _cache_sites():
+    """(module, function) of every function of src/qsim decorated with
+    functools' `cache` or `lru_cache`, called or not, however imported."""
+    sites = set()
+    for path in Path(qsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", "")
+                if name in ("cache", "lru_cache"):
+                    sites.add((path.stem, node.name))
+    return sites
+
+
+def test_every_cache_is_a_kept_law_or_a_constant():
+    sites = _cache_sites()
+    assert sites - set(KEPT_LAWS) - CONSTANT_BUILDERS == set(), "cold_laws must empty it"
+    assert set(KEPT_LAWS) | CONSTANT_BUILDERS <= sites  # no stale name on either list
 
 
 # `linalg.kron` is the package's one Kronecker product, of vectors and of

@@ -369,22 +369,23 @@ T_FINALS = st.one_of(st.sampled_from([0.0, -0.0, 0, 1, 3]), st.floats(0.0, 4.0),
 
 
 class TestKeptQmcStates:
-    """trotter_qmc keeps its prepared and target states per (t_final,
-    steps); from an empty cache or kept states, it returns what the
-    per-call route returns, signed zeros included."""
+    """trotter_qmc keeps its law (both expectations, the eigenvalues and
+    the Born table of the prepared state) per (t_final, steps); from an
+    empty cache or a kept law, it returns what the per-call route returns,
+    signed zeros included."""
 
     @given(t_final=T_FINALS, steps=st.integers(1, 4), shots=st.integers(1, 300),
            seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=80)
     def test_cold_and_warm_calls_match_the_per_call_route(self, t_final, steps, shots, seed):
         want = oracles.trotter_qmc_per_call(t_final, steps, shots, Stream(seed, "kept"))
-        hamsim._qmc_states.cache_clear()
+        hamsim._qmc_law.cache_clear()
         for cache in ("cold", "warm"):
             got = trotter_qmc(t_final, steps, shots, Stream(seed, "kept"))
             assert repr(got) == repr(want), cache
 
     def test_the_states_are_kept_per_time_and_step_count(self):
-        hamsim._qmc_states.cache_clear()
+        hamsim._qmc_law.cache_clear()
         for t_final in (0.5, 1.0):
             for steps in (1, 2):
                 want = oracles.trotter_qmc_per_call(t_final, steps, 50, Stream(4, "key"))
@@ -407,10 +408,17 @@ class TestKeptQmcStates:
         monkeypatch.setattr(hamsim, "TrotterStep", refuse)
         assert repr(trotter_qmc(1.0, 2, 100, Stream(5, "warm"))) == repr(first)
 
-    def test_kept_states_are_read_only(self):
-        for state in hamsim._qmc_states(1.0, 2):
+    def test_a_warm_call_makes_only_its_draws(self, refuse_seed_free_work):
+        first = trotter_qmc(1.0, 2, 100, Stream(6, "draws"))
+        refuse_seed_free_work()
+        assert repr(trotter_qmc(1.0, 2, 100, Stream(6, "draws"))) == repr(first)
+
+    def test_the_kept_law_is_read_only(self):
+        trotter_qmc(1.0, 2, 5, Stream(4, "read-only"))
+        table = hamsim._qmc_law(1.0, 2)[3]
+        for array in (hamsim._qmc_law(1.0, 2)[2], table.probs, table._edges):
             with pytest.raises(ValueError):
-                state.amps[0] = 0.0
+                array[0] = 0.0
 
 
 def _dense_step(step):

@@ -303,6 +303,22 @@ def test_sample_indices_rejects_unnormalized_like_sample_index():
     assert str(batched.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("probs, error, message", [
+    ([], InternalError, r"sums to 0\.0; residual 1\.000e\+00 exceeds"),
+    (np.float64(0.5), DomainError, r"1-D probability array, got shape \(\)"),
+    ([[0.5, 0.5]], DomainError, r"1-D probability array, got shape \(1, 2\)"),
+], ids=["empty", "0-d", "2-d"])
+@pytest.mark.parametrize("sampler", [
+    lambda probs: sample_indices(probs, [0.5]),
+    lambda probs: sample_index(probs, FixedDraw(0.5)),
+    lambda probs: rng.BornTable(np.asarray(probs, dtype=np.float64)).sample([0.5]),
+], ids=["sample_indices", "sample_index", "table"])
+def test_an_empty_or_non_vector_array_raises_a_documented_error(probs, error, message, sampler):
+    # an empty array sums to 0, so misses 1 by the whole residual
+    with pytest.raises(error, match=message):
+        sampler(probs)
+
+
 LONG = rng._FILTER_MIN_OUTCOMES
 
 
@@ -504,7 +520,7 @@ def test_warm_sample_index_peaks_below_32_kib():
 @st.composite
 def kept_tables(draw):
     """Arrays for one reused `BornTable`: long ones the filter takes, and
-    ones it refuses (fewer than 128 entries, a negative entry, a NaN, and,
+    ones it refuses (at most 128 entries, a negative entry, a NaN, and,
     among the long ones, totals that miss 1)."""
     kind = draw(st.sampled_from(["long", "short", "negative", "nan"]))
     if kind == "short":
@@ -543,6 +559,45 @@ def test_a_kept_table_samples_what_a_fresh_array_samples(probs, us):
         at += len(batch)
     assert outcome(table.sample, us) == first
     assert probs.tobytes() == kept.tobytes()
+
+
+@st.composite
+def exact_route_arrays(draw):
+    """Arrays the exact route takes, 1 to 128 entries: entries up to 1
+    mixed with zeros and values below, at and just above the floor, and a
+    total short of 1 by a residual gap (the last gaps fail the residual
+    check)."""
+    n = draw(st.integers(1, LONG - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = gen.random(n) + 1e-3
+    small = gen.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    small[gen.integers(n)] = False
+    tiny = [0.0, 1e-18, PROB_FLOOR / 2, PROB_FLOOR, 2 * PROB_FLOOR]
+    probs[small] = gen.choice(tiny, size=int(small.sum()))
+    gap = draw(st.sampled_from([0.0, 4e-13, -4e-13, 9.5e-13, 2e-12]))
+    probs[~small] *= (1.0 - gap - probs[small].sum()) / probs[~small].sum()
+    return probs
+
+
+@settings(max_examples=100)
+@given(probs=exact_route_arrays(), us=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                               max_size=10))
+def test_a_kept_exact_table_draws_what_the_kahan_route_draws(probs, us):
+    table = rng.BornTable(probs)
+    assert table._grid is None
+    edges = kahan_cumsum(probs)
+    # on and just below every Kahan edge, and in the residual gap past the last
+    draws = us + edges + np.nextafter(edges, 0.0).tolist() + [0.0, np.nextafter(1.0, 0.0)]
+    draws = [u for u in draws if u < 1.0] + [(edges[-1] + 1.0) / 2]
+    want = outcome(kahan_sample_indices, probs, draws)
+    # the first call builds the edges, later calls search the kept ones
+    assert outcome(table.sample, draws) == want
+    for i, u in enumerate(draws):
+        assert outcome(table.sample, [u]) == (want if isinstance(want, str) else [want[i]])
+    assert outcome(table.sample, draws[::-1]) == (want if isinstance(want, str) else want[::-1])
+    if not isinstance(want, str):
+        with pytest.raises(ValueError):
+            table._edges[0] = 0.0
 
 
 def test_filter_decides_off_edge_draws_and_defers_edge_draws(monkeypatch):
