@@ -180,10 +180,11 @@ def _pe_table(phi: float, b: int) -> BornTable:
     built on first use and kept for the next call with the same phase and
     register size; the law does not depend on the seed.
 
-    Bounded: a table holds its 2^b-entry array and its block limits. At the
-    default cap of 24 qubits b is at most 23: 64 MiB and 16 KiB a table,
-    so the two slots hold at most 128.03 MiB. The benchmark's register
-    (b = 7) takes 2 KiB with its exact edges, criterion 5's run one more slot.
+    Bounded: a table holds its 2^b-entry array, its block limits and, once
+    reused, its blocks' edges. At the default cap of 24 qubits b is at most
+    23: 128.03 MiB a table (64 MiB, 16 KiB and 64.02 MiB), so the two slots
+    hold at most 256.06 MiB. The benchmark's register (b = 7) takes 2 KiB
+    with its exact edges, criterion 5's run one more slot.
     """
     dist = _pe_register_distribution(phi, b)
     dist.flags.writeable = False
@@ -426,12 +427,13 @@ def _orbit_table(r: int, b: int) -> BornTable:
     length and register size. The law depends on (r, b) alone, so every
     pair x, N with that orbit draws from one table.
 
-    Bounded: a table holds its 2^b-entry array (512 KiB at b = 16) and
-    its block limits (2 KiB), so 16 slots hold at most 8.1 MiB. Every
-    coprime pair with N <= 64 needs 68 tables, 18.9 MiB if all were kept; the
-    benchmark's pairs (N = 15, 21) need 7 (0.6 MiB) and criterion 7's
-    (N <= 21) 25 (1.4 MiB). In the order criterion 7 makes its 139 calls,
-    16 slots miss only on the first call at each of the 25.
+    Bounded: a table holds its 2^b-entry array (512 KiB at b = 16), its
+    block limits (2 KiB) and, once reused, its blocks' edges (514 KiB), so
+    16 slots hold at most 16.1 MiB. Every coprime pair with N <= 64 needs
+    68 tables, 37.8 MiB if all were kept; the benchmark's pairs (N = 15,
+    21) need 7 (1.2 MiB) and criterion 7's (N <= 21) 25 (2.9 MiB). In the
+    order criterion 7 makes its 139 calls, 16 slots miss only on the first
+    call at each of the 25.
     """
     return BornTable(_orbit_register_distribution(r, b))
 

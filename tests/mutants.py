@@ -8,10 +8,12 @@ entry of MUTANTS names a file, an old text that must occur in it
 exactly once, its replacement, and the guarantee the replacement attacks.
 For each entry the repository is copied to a temporary directory (the
 working tree is never written), the replacement is made there, and
-tier-1 runs with `-x`. The tool prints one table row per mutant: killed,
-with the first failing test, or survived. It exits 1 when an old text
-does not occur exactly once (before running anything) or when a mutant
-survives. Standard library only; pytest does not collect this file.
+tier-1 runs with `-x`, the mutated file's own tests/test_<name>.py first:
+a mutant killed there pays seconds, not the suite up to its first failing
+test. The tool prints one table row per mutant: killed, with the first
+failing test, or survived. It exits 1 when an old text does not occur
+exactly once (before running anything) or when a mutant survives.
+Standard library only; pytest does not collect this file.
 
 Mutation testing: DeMillo, Lipton & Sayward 1978, IEEE Computer 11(4).
 """
@@ -151,6 +153,14 @@ MUTANTS = [
     ("algorithms.py", "angle = math.ldexp(math.pi, i - m)",
      "angle = 2.0 * math.pi / (1 << (m - i + 1))", "qft's angles past 1,024 qubits"),
     ("statharness.py", "if n > TAIL_MAX_RUNS:", "if False:", "the binomial tail's run cap"),
+    ("rng.py", "            flat.flags.writeable = False\n", "",
+     "a filter table's kept edges are read-only"),
+    ("rng.py", "flat = _block_edges(grid[rows], limits[rows], limits[rows + 1]).reshape(-1)",
+     "flat = self._edges = _block_edges(grid[rows], limits[rows], limits[rows + 1]).reshape(-1)",
+     "a filter table keeps edges only when they cover every block"),
+    ("rng.py", "return below - below // (width + 1), decided",
+     "return below - below // width, decided",
+     "a filter table's pick from its kept edges lies in the lower edge's row"),
 ]
 
 
@@ -172,6 +182,14 @@ def first_failure(output: str) -> str:
     return "(no test id in the output)"
 
 
+def suite_files(name: str) -> list:
+    """Every tier-1 test file, the one named after module `name` first;
+    pytest runs file arguments in the order given."""
+    files = sorted(path.relative_to(REPO).as_posix() for path in (REPO / "tests").glob("test_*.py"))
+    own = f"tests/test_{Path(name).stem}.py"
+    return sorted(files, key=lambda path: path != own)
+
+
 def run_mutant(name: str, old: str, new: str) -> tuple:
     """(killed, first failing test) of one mutant, run on a copy of the repository."""
     with tempfile.TemporaryDirectory(prefix="qsim-mutant-") as tmp:
@@ -180,7 +198,8 @@ def run_mutant(name: str, old: str, new: str) -> tuple:
         path = tree / "src" / "qsim" / name
         path.write_text(path.read_text().replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+        done = subprocess.run(TIER1 + suite_files(name), cwd=tree, env=env,
+                              capture_output=True, text=True)
     if done.returncode == 0:
         return False, ""
     return True, first_failure(done.stdout)

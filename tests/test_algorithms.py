@@ -836,7 +836,8 @@ class TestOrderFind:
     @pytest.mark.parametrize("seed", [SEED, 5, 2026])
     def test_cached_tables_draw_what_the_per_call_route_draws(self, seed, monkeypatch):
         # every attempt's phase, on every coprime pair with N <= 64: first
-        # from a cleared cache, then again from the table the first call kept
+        # from a cleared cache, then from the table the first call kept (whose
+        # second use keeps its edges), then from the kept edges
         phases = []
         candidate = algorithms._order_candidate
         monkeypatch.setattr(algorithms, "_order_candidate",
@@ -847,7 +848,7 @@ class TestOrderFind:
                     continue
                 want = order_find_per_call(x, n, Stream(seed, f"of-table/{n}/{x}"))
                 algorithms._orbit_table.cache_clear()
-                for cache in ("cold", "warm"):
+                for cache in ("cold", "warm", "kept"):
                     phases.clear()
                     try:
                         found = order_find(x, n, Stream(seed, f"of-table/{n}/{x}"))
@@ -873,6 +874,23 @@ class TestOrderFind:
             algorithms._orbit_table(r, 8)
         info = algorithms._orbit_table.cache_info()
         assert info.maxsize == 16 and info.currsize <= 16
+
+    def test_a_warm_call_makes_only_its_draws(self, cold_laws, monkeypatch):
+        # after a cold call and two warm ones at (r, b) = (6, 14), the table
+        # holds every block's edges: a later call cumulates nothing and
+        # builds no register
+        for seed in (61, 67, 71):
+            assert order_find(2, 21, Stream(seed, "warm-draws")) == 6
+        assert algorithms._orbit_table(6, 14)._edges is not None
+
+        def refuse(*args):
+            raise AssertionError("a warm order-finding call redid seed-free work")
+
+        for module, name in ((qrng, "_block_edges"), (qrng, "kahan_cumsum"),
+                             (algorithms, "_orbit_register_distribution")):
+            monkeypatch.setattr(module, name, refuse)
+        for seed in range(73, 83):
+            assert order_find(2, 21, Stream(seed, "warm-draws")) == 6
 
     def test_builds_no_dense_gate(self, monkeypatch):
         def dense(*args):

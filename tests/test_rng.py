@@ -542,22 +542,30 @@ def test_a_kept_table_samples_what_a_fresh_array_samples(probs, us):
     kept = probs.copy()
     # draws within E / 2 of a block start and of Kahan edges, which the
     # filter leaves undecided; then its decided draws, alone and in batches
-    bound = 4.0 * (sum(rng._grid(probs).shape) + 2) * 2.0**-53
+    blocks, width = rng._grid(probs).shape
+    bound = 4.0 * (blocks + width + 2) * 2.0**-53
     starts = block_bounds(probs)[1:-1][::7]
     edges = np.array(kahan_cumsum(probs))[:: max(1, probs.size // 40)]
     near = np.concatenate((starts + bound / 2, edges - bound / 2, edges + bound / 2))
     uniform = np.random.default_rng(probs.size).random(3 * probs.size // 64)
-    batches = [us, near.tolist(), uniform.tolist()] + [[u] for u in us + near[:6].tolist()]
+    # the first call draws fewer than a draw a block, so a filter table
+    # cumulates only its hit blocks; the second keeps every block's edges
+    first = (near[:: max(1, near.size // 6)].tolist() + us)[: blocks - 1]
+    batches = [first, near.tolist(), uniform.tolist(), first]
+    batches += [[u] for u in us + near[:6].tolist()]
     # the Kahan route once, over every draw: each draw's index is its own
     want = outcome(kahan_sample_indices, probs, sum(batches, []))
-    first = outcome(table.sample, us)
     at = 0
-    for batch in batches:
+    for call, batch in enumerate(batches):
         got = outcome(table.sample, batch)
         assert got == outcome(sample_indices, probs.copy(), batch)
         assert got == (want if isinstance(want, str) else want[at : at + len(batch)])
         at += len(batch)
-    assert outcome(table.sample, us) == first
+        if table._grid is not None:
+            assert (table._edges is None) == (call == 0)
+    if table._grid is not None:
+        with pytest.raises(ValueError):
+            table._edges[0] = 0.0
     assert probs.tobytes() == kept.tobytes()
 
 
