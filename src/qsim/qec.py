@@ -223,7 +223,7 @@ def logical_error_rate(p: float, shots: int, rng: Stream) -> float:
     channel = NoiseChannel(BIT_FLIP, p)
     failures = 0
     for start in range(0, shots, SWEEP_BLOCK):
-        a, b, c = rng.below(np.arange(start, min(start + SWEEP_BLOCK, shots)), 3, channel.p)
+        a, b, c = rng.below(range(start, min(start + SWEEP_BLOCK, shots)), 3, channel.p)
         failures += int(np.count_nonzero((a & (b | c)) | (b & c)))
     return failures / shots
 

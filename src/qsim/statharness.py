@@ -92,7 +92,7 @@ def point_mass_mixture(epsilon: float, good: float, bad: float, n: int, shots: i
     GrossErrorModel(epsilon, point_mass(good), point_mass(bad))  # checks epsilon
     if shots < 1:
         raise DomainError("need at least one shot")
-    return np.where(rng.below(np.arange(shots), n, epsilon).T, bad, good)
+    return np.where(rng.below(range(shots), n, epsilon).T, bad, good)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,13 @@ MUTANTS = [
     ("rng.py", "return below - below // (width + 1), decided",
      "return below - below // width, decided",
      "a filter table's pick from its kept edges lies in the lower edge's row"),
+    ("rng.py", "0 <= r.start <= r.stop <= _SHOT_TABLE:", "0 <= r.start <= r.stop <= _SHOT_TABLE + 1:",
+     "a range of shots reads the shot table only inside it"),
+    ("rng.py", "mixed = _SHOT_MIXES[r.start:r.stop]", "mixed = _SHOT_MIXES[r.start + 1:r.stop + 1]",
+     "a range's slice of the shot table starts at its first shot"),
+    ("rng.py", "_SHOT_MIXES.flags.writeable = False\n", "", "the shot table is read-only"),
+    ("rng.py", "    z = z ^ (z >> _U30)\n", "    z ^= z >> _U30\n",
+     "the array mixer leaves its input unchanged"),
 ]
 
 

@@ -227,6 +227,58 @@ def test_scalar_draws_never_reach_the_array_mixer(monkeypatch):
         Stream(21, "guard").shot_uniforms(2, 1)
 
 
+TABLE = rng._SHOT_TABLE
+# (a, b) of range(a, b): ends at the table's edge, small ranges either side of
+# it (empty ones where a >= b), and ranges near 2^64
+SHOT_RANGES = st.one_of(
+    st.tuples(st.integers(1, TABLE + 1), st.sampled_from([TABLE - 1, TABLE, TABLE + 1])),
+    st.integers(0, TABLE + 64).flatmap(lambda a: st.tuples(st.just(a), st.integers(a - 4, a + 40))),
+    st.tuples(st.integers(2**64 - 64, 2**64 - 1), st.integers(2**64 - 64, 2**64)),
+)
+
+
+@settings(max_examples=150)
+@given(seed=SEEDS, tag=TAGS, ends=SHOT_RANGES, draws=st.integers(1, 4), p=PROBS)
+@example(seed=2**64 - 1, tag="", ends=(1, TABLE + 1), draws=3, p=0.5)
+@example(seed=7, tag="qec", ends=(TABLE - 3, TABLE), draws=2, p=0.05)
+@example(seed=0, tag=0, ends=(TABLE, TABLE), draws=1, p=1.0)
+@example(seed=1, tag="empty", ends=(0, -1), draws=2, p=0.5)
+@example(seed=-1, tag="top", ends=(2**64 - 3, 2**64), draws=4, p=2.0**-53)
+def test_a_range_of_shots_draws_what_its_index_array_draws(seed, tag, ends, draws, p):
+    """The table route (a range inside it) and the arange route (any other
+    range) against the array route and the masked derivation."""
+    shots, index = range(*ends), np.arange(*ends, dtype=np.uint64)
+    stream = Stream(seed, tag)
+    got = stream.words(shots, draws)
+    assert got.dtype == np.uint64 and got.shape == (draws, len(shots))
+    assert got.tobytes() == stream.words(index, draws).tobytes()
+    assert got.T.tolist() == oracles.words_masked(seed, tag, index, draws).tolist()
+    assert stream.uniforms(shots, draws).tobytes() == stream.uniforms(index, draws).tobytes()
+    assert stream.below(shots, draws, p).tobytes() == stream.below(index, draws, p).tobytes()
+
+
+def test_a_range_inside_the_table_takes_two_array_mixes(monkeypatch):
+    mix_array, calls = rng._mix_array, []
+
+    def counted(z):
+        calls.append(z.size)
+        return mix_array(z)
+
+    monkeypatch.setattr(rng, "_mix_array", counted)
+    stream = Stream(3, "count")
+    for draw, mixes in [(lambda: stream.shot_uniforms(100, 1), 2),
+                        (lambda: stream.shot_uniforms(TABLE + 1, 1), 3),
+                        (lambda: stream.words(np.arange(100), 1), 3)]:
+        calls.clear()
+        draw()
+        assert len(calls) == mixes
+    table = rng._SHOT_MIXES
+    assert table.dtype == np.uint64 and table.shape == (2**14,) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
+    assert [int(table[i]) for i in (0, 1, TABLE - 1)] == [rng._mix(i) for i in (0, 1, TABLE - 1)]
+
+
 class FixedDraw:
     """Stands in for a Stream whose every uniform is `u`."""
 
