@@ -212,12 +212,25 @@ def _run_stats_bound(args):
     return rows, True
 
 
+@functools.cache
+def _json_encoder():
+    """The C encoder that `json.dumps` builds afresh for every call, built
+    once with its default settings (ASCII escapes, ", " and ": ", NaN and
+    infinities allowed, keys unsorted) but no check for circular
+    containers, which no row has. Called as `encode(obj, 0)`, it returns
+    the chunks whose join is `json.dumps(obj)`."""
+    import json  # here, not at import: start-up does not pay for json
+
+    return json.encoder.c_make_encoder(None, json.JSONEncoder().default,
+                                       json.encoder.encode_basestring_ascii, None,
+                                       ": ", ", ", False, False, True)
+
+
 def _emit(rows, fmt, out):
     if fmt == "jsonl":
-        import json
-
+        encode = _json_encoder()
         for row in rows:
-            out.write(json.dumps(row) + "\n")
+            out.write("".join(encode(row, 0)) + "\n")
     else:
         import csv
 
@@ -325,7 +338,9 @@ class _Scan:
             start = end
         if any(dest not in values for dest in self.required):
             return None
-        return argparse.Namespace(**{**self.defaults, **values})
+        args = argparse.Namespace()  # filled in one step, not a `setattr` a field
+        vars(args).update(self.defaults, **values)
+        return args
 
 
 def parse_args(argv=None) -> argparse.Namespace:

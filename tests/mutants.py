@@ -168,6 +168,16 @@ MUTANTS = [
     ("rng.py", "_SHOT_MIXES.flags.writeable = False\n", "", "the shot table is read-only"),
     ("rng.py", "    z = z ^ (z >> _U30)\n", "    z ^= z >> _U30\n",
      "the array mixer leaves its input unchanged"),
+    ("cli.py", "json.encoder.encode_basestring_ascii, None,", "json.encoder.encode_basestring, None,",
+     "the kept JSON encoder escapes non-ASCII text as json.dumps does"),
+    ("cli.py", '": ", ", ", False, False, True)', '": ", ", ", True, False, True)',
+     "the kept JSON encoder keeps a row's key order"),
+    ("cli.py", "        args = argparse.Namespace()  #",
+     '        args = self.__dict__.setdefault("kept", argparse.Namespace())  #',
+     "the CLI's scan gives a fresh Namespace on each call"),
+    ("rng.py", "_U_MUL1, _U_MUL2 = _u64(0xBF58476D1CE4E5B9),",
+     "_U_MUL1, _U_MUL2 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64),",
+     "the array mixer's multiplier is read-only"),
 ]
 
 

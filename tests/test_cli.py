@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -512,6 +513,32 @@ def test_cli_fuzz_exits_0_2_or_3_in_a_memory_capped_child():
     assert json.loads(proc.stdout) == [0, 2, 3]
 
 
+# JSON values at the edges of `json.dumps`: ints past 64 bits, bools, the
+# float extremes and non-finite values, strings needing escapes (quotes,
+# backslashes, control and non-ASCII characters), None, tuples and lists
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "é€\u2028😀", 'say "hi"\r\n']),
+)
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple)), max_leaves=6)
+_JSON_ROWS = st.lists(st.dictionaries(
+    st.one_of(st.text(max_size=6), st.sampled_from(["value", "é", '"', "\n"])),
+    _JSON_VALUES, max_size=6), max_size=4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rows=_JSON_ROWS)
+@example(rows=[{"z": 1, "a": [2**70, -0.0, 5e-324, 1e308, math.nan, -math.inf],
+                "é": ("\u00e9\x00\"", None, True)}])
+def test_jsonl_rows_are_json_dumps_lines(rows):
+    out = io.StringIO()
+    cli._emit(rows, "jsonl", out)
+    assert out.getvalue() == "".join(json.dumps(row) + "\n" for row in rows)
+
+
 def test_import_leaves_the_thread_pool_and_csv_unloaded():
     # set-up cost: nothing on the default route uses either module
     code = ("import sys, qsim.cli\n"
@@ -625,6 +652,19 @@ def test_the_scan_decides_well_formed_argvs(argv, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert _typed(cli.parse_args(argv)) == _typed(reference)
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_each_scan_gives_a_fresh_namespace_in_the_merge_order(argv):
+    first = _scan(argv)
+    fields = dict(vars(first))
+    # the key order of the former `Namespace(**{**defaults, **values})`
+    assert list(fields) == list({**build_parser().scans[argv[0]].defaults, **fields})
+    first.seed, first.added = -1, "changed"  # a caller's change stays its own
+    second = _scan(argv)
+    assert second is not first and vars(second) == fields
+    assert list(vars(second)) == list(fields)
+    assert (first.seed, first.added) == (-1, "changed")
 
 
 # a valid use of each option but --experiment, which the strategy below draws apart

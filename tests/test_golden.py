@@ -129,13 +129,14 @@ def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch, cold_laws):
 
 
 # Caches that `cold_laws` leaves full: each builds a constant that no test's
-# patch changes (the parser; fixed settings, states and Pauli strings; the
-# exact sin^2 and flip-gate tables; the qmc model, whose observable is
-# diagonal, so every eigensolver gives it the same projectors).
+# patch changes (the parser and the JSON row encoder; fixed settings, states
+# and Pauli strings; the exact sin^2 and flip-gate tables; the qmc model,
+# whose observable is diagonal, so every eigensolver gives it the same
+# projectors).
 CONSTANT_BUILDERS = {
-    ("cli", "build_parser"), ("entangle", "default_chsh_setting"), ("entangle", "singlet"),
-    ("entangle", "_chsh_pairs"), ("hamsim", "_pauli_strings"), ("hamsim", "qmc_problem"),
-    ("algorithms", "_sin2_table"), ("qec", "_flip_gate"),
+    ("cli", "build_parser"), ("cli", "_json_encoder"), ("entangle", "default_chsh_setting"),
+    ("entangle", "singlet"), ("entangle", "_chsh_pairs"), ("hamsim", "_pauli_strings"),
+    ("hamsim", "qmc_problem"), ("algorithms", "_sin2_table"), ("qec", "_flip_gate"),
 }
 
 

@@ -227,6 +227,19 @@ def test_scalar_draws_never_reach_the_array_mixer(monkeypatch):
         Stream(21, "guard").shot_uniforms(2, 1)
 
 
+def test_the_uint64_operands_are_read_only_0d_arrays():
+    operands = {name: value for name, value in vars(rng).items()
+                if isinstance(value, (np.ndarray, np.generic)) and value.dtype == np.uint64
+                and value.ndim == 0}
+    assert {name: int(value) for name, value in operands.items()} == {
+        "_U30": 30, "_U27": 27, "_U31": 31, "_U11": 11, "_U_MUL1": 0xBF58476D1CE4E5B9,
+        "_U_MUL2": 0x94D049BB133111EB, "_U_GOLDEN": rng._GOLDEN}
+    for name, operand in operands.items():
+        assert isinstance(operand, np.ndarray) and not operand.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            operand[()] = 0
+
+
 TABLE = rng._SHOT_TABLE
 # (a, b) of range(a, b): ends at the table's edge, small ranges either side of
 # it (empty ones where a >= b), and ranges near 2^64
