@@ -449,7 +449,8 @@ def order_find(x: int, N: int, rng: Stream) -> int:
     multiplication gate (`tests/oracles.py`'s `modmul_unitary`) is the
     route it stands for. Its Born table comes from `_orbit_table`, built
     once per (r, b), and attempt i draws from it with the first uniform of
-    rng.substream(i). Each run measures a phase estimate,
+    rng.substream(i), given as one float: on a table that keeps its edges
+    the draw is one scalar search. Each run measures a phase estimate,
     recovers a candidate denominator, and verifies x^r = 1 (mod N);
     repetition is driven by the verified repetition strategy. Raises
     NotFoundError when none of ORDER_MAX_RUNS runs verifies.
@@ -466,7 +467,7 @@ def order_find(x: int, N: int, rng: Stream) -> int:
     scale = float(1 << b)
 
     def run(attempt: int):
-        idx = int(table.sample([rng.substream(attempt).uniform()])[0])
+        idx = table.sample(rng.substream(attempt).uniform())
         return _order_candidate(idx / scale, x, N, window)
 
     def verify(candidate):

@@ -306,8 +306,14 @@ class _Scan:
 
     def __init__(self, name: str, command: argparse.ArgumentParser):
         stores = (argparse._StoreAction, argparse._StoreConstAction)
-        self.options = {string: action for action in command._actions
-                        if isinstance(action, stores) for string in action.option_strings}
+        # option string -> (dest, nargs, converter, choices, const); every
+        # choice in the parser is hashable, so a set answers `in` as a list does
+        self.options = {
+            string: (action.dest, action.nargs, action.type or str,
+                     None if action.choices is None else frozenset(action.choices),
+                     action.const)
+            for action in command._actions if isinstance(action, stores)
+            for string in action.option_strings}
         self.required = [action.dest for action in command._actions if action.required]
         self.defaults = {"command": name}
         for action in command._actions:  # as argparse fills them: the first action of a dest wins
@@ -315,26 +321,42 @@ class _Scan:
                 self.defaults.setdefault(action.dest, action.default)
 
     def __call__(self, tokens):
-        values, start = {}, 0
-        while start < len(tokens):
-            action = self.options.get(tokens[start])
-            if action is None or action.dest in values:
+        values, start, count = {}, 0, len(tokens)
+        while start < count:
+            option = self.options.get(tokens[start])
+            if option is None or option[0] in values:  # unknown, or its dest repeated
                 return None
+            dest, nargs, convert, choices, const = option
             end = start + 1
-            while end < len(tokens) and tokens[end][:1] != "-":
+            if nargs is None:  # one value, then the end or the next option
                 end += 1
-            nargs, strings = action.nargs, tokens[start + 1:end]
-            wanted = 1 if nargs is None else nargs  # 0 for a flag, N, or "+" for one or more
-            if not (strings if wanted == "+" else len(strings) == wanted):
-                return None
-            try:
-                parsed = [(action.type or str)(string) for string in strings]
-            except (ValueError, TypeError, argparse.ArgumentTypeError):
-                return None
-            if action.choices is not None and any(v not in action.choices for v in parsed):
-                return None
-            values[action.dest] = (action.const if nargs == 0 else
-                                   parsed[0] if nargs is None else parsed)
+                if end > count or tokens[start + 1][:1] == "-" or (
+                        end < count and tokens[end][:1] != "-"):
+                    return None
+                try:
+                    value = convert(tokens[start + 1])
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    return None
+                if choices is not None and value not in choices:
+                    return None
+                values[dest] = value
+            elif nargs == 0:  # a flag
+                if end < count and tokens[end][:1] != "-":
+                    return None
+                values[dest] = const
+            else:  # N values, or "+" for one or more
+                while end < count and tokens[end][:1] != "-":
+                    end += 1
+                strings = tokens[start + 1:end]
+                if not (strings if nargs == "+" else len(strings) == nargs):
+                    return None
+                try:
+                    parsed = [convert(string) for string in strings]
+                except (ValueError, TypeError, argparse.ArgumentTypeError):
+                    return None
+                if choices is not None and any(v not in choices for v in parsed):
+                    return None
+                values[dest] = parsed
             start = end
         if any(dest not in values for dest in self.required):
             return None

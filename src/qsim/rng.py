@@ -40,7 +40,10 @@ array again and again keeps the table, so each later draw costs only the
 per-draw half: one search over kept edges (the exact ones at most 128
 outcomes, the filter's from a table's second call on) and, on the filter,
 its bound test. Order finding, phase estimation and qmc each keep tables
-per parameter set.
+per parameter set. `sample` also takes one Python float and returns a
+Python int; once the table keeps its edges, that draw is one search with
+a scalar key and the bound test in Python floats, about 1.3 us against
+6 us through a one-element array. Order finding draws its attempts so.
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,
@@ -305,9 +308,10 @@ class BornTable:
     edges, read-only (about one float an entry, beside the grid), so
     each later call is one search and the bound test. A one-draw call on
     2^12 to 2^16 outcomes takes about 15-18 us first and 6-7 us once the
-    edges are kept; the keeping call about 30 us at 2^12, 85 us at 2^14
-    and 0.32 ms at 2^16 (timeit, 2-vCPU Xeon). Undecided draws still take
-    the exact route, built afresh. A table keeps `probs` itself, not a
+    edges are kept, or about 1.3 us given as one float (`_draw`); the
+    keeping call about 30 us at 2^12, 85 us at 2^14 and 0.32 ms at 2^16
+    (timeit, 2-vCPU Xeon). Undecided draws still take the exact route,
+    built afresh. A table keeps `probs` itself, not a
     copy, which its keeper must not change. Raises DomainError unless
     `probs` is 1-D.
 
@@ -413,9 +417,13 @@ class BornTable:
         row, col = np.divmod(below, width + 1)
         return rows.take(row, mode="clip") * width + col, decided
 
-    def sample(self, u) -> np.ndarray:
+    def sample(self, u) -> np.ndarray | int:
         """One index per uniform in `u`, as `sample_indices` defines it:
-        the filter decides what it can, the exact route the rest."""
+        the filter decides what it can, the exact route the rest. One
+        Python float `u` gives a Python int, `int(self.sample([u])[0])`,
+        errors included; once the table keeps its edges it takes `_draw`."""
+        if isinstance(u, float):
+            return int(self.sample([u])[0]) if self._edges is None else self._draw(u)
         u = np.asarray(u, dtype=np.float64)
         if self._grid is None:
             if self._edges is None:
@@ -426,6 +434,21 @@ class BornTable:
             undecided = ~decided
             picks[undecided] = _exact_edges(self.probs).searchsorted(u[undecided], side="right")
         return picks
+
+    def _draw(self, u: float) -> int:
+        """`sample` of one float over kept edges: one search with a scalar
+        key and, on the filter, its bound test in Python floats."""
+        edges = self._edges
+        pick = int(edges.searchsorted(u, side="right"))
+        if self._grid is None:
+            return pick
+        below = pick - 1  # as in `_filtered`: the lower edge, and the pick's edge after it
+        # below = -1 (u under every edge) reads the last edge, which like the
+        # clipped first one lies above u, so the draw is undecided either way
+        lower, upper = edges[below], edges[min(pick, edges.size - 1)]
+        if min(u - lower, upper - u) > self._bound:
+            return below - below // (self._grid.shape[1] + 1)
+        return int(_exact_edges(self.probs).searchsorted(u, side="right"))
 
 
 def _exact_edges(probs: np.ndarray) -> np.ndarray:

@@ -59,14 +59,18 @@ MUTANTS = [
      "the CLI's argparse route reports leftover tokens"),
     ("cli.py", 'self.defaults = {"command": name}', "self.defaults = {}",
      "the CLI's scan names its command"),
-    ("cli.py", "if action.choices is not None and any(", "if False and any(",
+    ("cli.py", "if choices is not None and any(", "if False and any(",
      "the CLI's scan defers a value outside the action's choices"),
-    ("cli.py", 'tokens[end][:1] != "-"', "tokens[end] not in self.options",
+    ("cli.py", "if choices is not None and value not in choices:", "if False:",
+     "the CLI's scan defers a single value outside the action's choices"),
+    ("cli.py", 'while end < count and tokens[end][:1] != "-"',
+     "while end < count and tokens[end] not in self.options",
      "the CLI's scan defers a value that starts with -"),
+    ("cli.py", 'tokens[start + 1][:1] == "-"', "tokens[start + 1] in self.options",
+     "the CLI's scan defers a single value that starts with -"),
     ("cli.py", "for dest in self.required", "for dest in ()",
      "the CLI's scan defers an argv missing a required option"),
-    ("cli.py", "parsed[0] if nargs is None else parsed",
-     'parsed[0] if nargs in (None, "+") else parsed',
+    ("cli.py", "values[dest] = parsed", "values[dest] = parsed[:1]",
      "the CLI's scan reads every value of a nargs='+' option"),
     ("acceptance.py", "return error <= 1e-9", "return error <= 1e-8", "error_ok's threshold"),
     ("acceptance.py", "return value >= 1.0 - 1e-9", "return value >= 1.0 - 1e-8",
@@ -175,6 +179,13 @@ MUTANTS = [
     ("cli.py", "        args = argparse.Namespace()  #",
      '        args = self.__dict__.setdefault("kept", argparse.Namespace())  #',
      "the CLI's scan gives a fresh Namespace on each call"),
+    ("rng.py", "if min(u - lower, upper - u) > self._bound:", "if True:",
+     "a float draw from kept edges makes the filter's bound test"),
+    ("rng.py", "return below - below // (self._grid.shape[1] + 1)",
+     "return below - below // self._grid.shape[1]",
+     "a float draw's pick from kept edges lies in the lower edge's row"),
+    ("rng.py", "edges[min(pick, edges.size - 1)]", "edges[pick]",
+     "a float draw past the last kept edge reads that edge as its upper one"),
     ("rng.py", "_U_MUL1, _U_MUL2 = _u64(0xBF58476D1CE4E5B9),",
      "_U_MUL1, _U_MUL2 = np.array(0xBF58476D1CE4E5B9, dtype=np.uint64),",
      "the array mixer's multiplier is read-only"),
@@ -192,10 +203,11 @@ def check_texts(mutants) -> list:
 
 
 def first_failure(output: str) -> str:
-    """The first FAILED or ERROR test id in pytest's short summary."""
+    """The first FAILED or ERROR test id in pytest's short summary. The id
+    runs to the " - " before the message, and may itself hold spaces."""
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" ")[1]
+            return line.split(" ", 1)[1].split(" - ", 1)[0]
     return "(no test id in the output)"
 
 

@@ -877,8 +877,8 @@ class TestOrderFind:
 
     def test_a_warm_call_makes_only_its_draws(self, cold_laws, monkeypatch):
         # after a cold call and two warm ones at (r, b) = (6, 14), the table
-        # holds every block's edges: a later call cumulates nothing and
-        # builds no register
+        # holds every block's edges: a later call cumulates nothing, builds
+        # no register and draws its float by one search, not by `_filtered`
         for seed in (61, 67, 71):
             assert order_find(2, 21, Stream(seed, "warm-draws")) == 6
         assert algorithms._orbit_table(6, 14)._edges is not None
@@ -887,6 +887,7 @@ class TestOrderFind:
             raise AssertionError("a warm order-finding call redid seed-free work")
 
         for module, name in ((qrng, "_block_edges"), (qrng, "kahan_cumsum"),
+                             (qrng.BornTable, "_filtered"),
                              (algorithms, "_orbit_register_distribution")):
             monkeypatch.setattr(module, name, refuse)
         for seed in range(73, 83):

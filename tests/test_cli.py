@@ -654,6 +654,15 @@ def test_the_scan_decides_well_formed_argvs(argv, monkeypatch):
     assert _typed(cli.parse_args(argv)) == _typed(reference)
 
 
+def test_the_scan_defers_one_of_several_values_outside_the_choices():
+    # no qsim option takes several values with choices; this parser's does
+    command = argparse.ArgumentParser()
+    command.add_argument("--pair", nargs=2, choices=("a", "b"))
+    scan = cli._Scan("pairs", command)
+    assert vars(scan(["--pair", "b", "a"])) == {"command": "pairs", "pair": ["b", "a"]}
+    assert scan(["--pair", "a", "c"]) is None
+
+
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
 def test_each_scan_gives_a_fresh_namespace_in_the_merge_order(argv):
     first = _scan(argv)

@@ -617,7 +617,12 @@ def test_a_kept_table_samples_what_a_fresh_array_samples(probs, us):
     # cumulates only its hit blocks; the second keeps every block's edges
     first = (near[:: max(1, near.size // 6)].tolist() + us)[: blocks - 1]
     batches = [first, near.tolist(), uniform.tolist(), first]
-    batches += [[u] for u in us + near[:6].tolist()]
+    # single draws, also given as floats, among them the last block's end,
+    # which the search places past every kept edge, and the draw halfway
+    # from there to 1 (in the residual gap when the total is short of 1)
+    last = float(block_bounds(probs)[-1])
+    singles = us + near[:6].tolist() + [last, (last + 1.0) / 2]
+    batches += [[u] for u in singles]
     # the Kahan route once, over every draw: each draw's index is its own
     want = outcome(kahan_sample_indices, probs, sum(batches, []))
     at = 0
@@ -625,9 +630,25 @@ def test_a_kept_table_samples_what_a_fresh_array_samples(probs, us):
         got = outcome(table.sample, batch)
         assert got == outcome(sample_indices, probs.copy(), batch)
         assert got == (want if isinstance(want, str) else want[at : at + len(batch)])
+        if len(batch) == 1:
+            drawn = outcome(table.sample, batch[0])
+            assert drawn == (want if isinstance(want, str) else want[at])
+            assert isinstance(want, str) or type(drawn) is int
         at += len(batch)
         if table._grid is not None:
             assert (table._edges is None) == (call == 0)
+    # a fresh table drawn by floats alone: its first call cumulates only the
+    # hit block, its second keeps every block's edges, and the later ones
+    # search them
+    floats = rng.BornTable(probs)
+    draws = singles + uniform[:4].tolist()
+    want = outcome(kahan_sample_indices, probs, draws)
+    for call, u in enumerate(draws):
+        drawn = outcome(floats.sample, u)
+        assert drawn == (want if isinstance(want, str) else want[call])
+        assert isinstance(want, str) or type(drawn) is int
+        if floats._grid is not None:
+            assert (floats._edges is None) == (call == 0)
     if table._grid is not None:
         with pytest.raises(ValueError):
             table._edges[0] = 0.0
@@ -667,6 +688,9 @@ def test_a_kept_exact_table_draws_what_the_kahan_route_draws(probs, us):
     assert outcome(table.sample, draws) == want
     for i, u in enumerate(draws):
         assert outcome(table.sample, [u]) == (want if isinstance(want, str) else [want[i]])
+        drawn = outcome(table.sample, u)
+        assert drawn == (want if isinstance(want, str) else want[i])
+        assert isinstance(want, str) or type(drawn) is int
     assert outcome(table.sample, draws[::-1]) == (want if isinstance(want, str) else want[::-1])
     if not isinstance(want, str):
         with pytest.raises(ValueError):
