@@ -11,13 +11,12 @@ has Shor's closed form; the dense routes are in tests/oracles.py.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import statharness
+from . import laws, statharness
 from .errors import DomainError, InternalError, NotFoundError, ResourceError, ValidationError
 from .gates import (
     BooleanOracle,
@@ -174,21 +173,11 @@ def phase_estimates(u: GateOp, eigenstate: StateVector, plan: PhasePlan, shots: 
     return _pe_draws(lam, plan.b, shots, rng)
 
 
-@functools.lru_cache(maxsize=2)
+@laws.kept
 def _pe_table(phi: float, b: int) -> BornTable:
-    """The `BornTable` of `_pe_register_distribution(phi, b)`, read-only,
-    built on first use and kept for the next call with the same phase and
-    register size; the law does not depend on the seed.
-
-    Bounded: a table holds its 2^b-entry array, its block limits and, once
-    reused, its blocks' edges. At the default cap of 24 qubits b is at most
-    23: 128.03 MiB a table (64 MiB, 16 KiB and 64.02 MiB), so the two slots
-    hold at most 256.06 MiB. The benchmark's register (b = 7) takes 2 KiB
-    with its exact edges, criterion 5's run one more slot.
-    """
-    dist = _pe_register_distribution(phi, b)
-    dist.flags.writeable = False
-    return BornTable(dist)
+    """The `BornTable` of `_pe_register_distribution(phi, b)`, kept per phase
+    and register size; the law does not depend on the seed."""
+    return BornTable(_pe_register_distribution(phi, b))
 
 
 def _pe_draws(lam: complex, b: int, shots: int, rng: Stream) -> np.ndarray:
@@ -361,17 +350,13 @@ def _order_candidate(phi: float, x: int, N: int, window: float):
     return None
 
 
-@functools.cache
+@laws.kept
 def _sin2_table(b: int) -> np.ndarray:
-    """S(j) = sin^2(pi j / M) for every j < M = 2^b, read-only, built on
-    first use. S(M - j) = S(j), so it is computed up to M/2 and mirrored.
-    Order finding takes N <= 64, so b = 2 ceil(log2 N) + 4 <= 16: at most
-    six tables, 0.7 MB in all."""
+    """S(j) = sin^2(pi j / M) for every j < M = 2^b, kept. S(M - j) = S(j),
+    so it is computed up to M/2 and mirrored."""
     M = 1 << b
     half = np.sin(np.pi / M * np.arange(M // 2 + 1)) ** 2
-    table = np.concatenate((half, half[-2:0:-1]))
-    table.flags.writeable = False
-    return table
+    return np.concatenate((half, half[-2:0:-1]))
 
 
 def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
@@ -416,25 +401,15 @@ def _orbit_register_distribution(r: int, b: int) -> np.ndarray:
     half /= den
     half[peaks] = (a * L * L + (r - a) * (L - 1) ** 2) / M**2
     dist[M // 2 + 1 :] = half[-2:0:-1]
-    dist.flags.writeable = False
     return dist
 
 
-@functools.lru_cache(maxsize=16)
+@laws.kept
 def _orbit_table(r: int, b: int) -> BornTable:
-    """The `BornTable` of `_orbit_register_distribution(r, b)`, built on
-    first use and kept for the next order-finding call with the same orbit
-    length and register size. The law depends on (r, b) alone, so every
-    pair x, N with that orbit draws from one table.
-
-    Bounded: a table holds its 2^b-entry array (512 KiB at b = 16), its
-    block limits (2 KiB) and, once reused, its blocks' edges (514 KiB), so
-    16 slots hold at most 16.1 MiB. Every coprime pair with N <= 64 needs
-    68 tables, 37.8 MiB if all were kept; the benchmark's pairs (N = 15,
-    21) need 7 (1.2 MiB) and criterion 7's (N <= 21) 25 (2.9 MiB). In the
-    order criterion 7 makes its 139 calls, 16 slots miss only on the first
-    call at each of the 25.
-    """
+    """The `BornTable` of `_orbit_register_distribution(r, b)`, kept for the
+    next order-finding call with the same orbit length and register size.
+    The law depends on (r, b) alone, so every pair x, N with that orbit
+    draws from one table."""
     return BornTable(_orbit_register_distribution(r, b))
 
 

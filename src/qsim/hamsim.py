@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import laws, linalg
 from .errors import DomainError, ResourceError, ValidationError
 from .gates import PAULI_X, PAULI_Y, PAULI_Z, hadamard_layer
 from .qstate import Observable, StateVector, _apply_matrix, _check_dense_qubits, _check_targets
@@ -271,20 +271,15 @@ def qmc_problem():
     return ising_chain(2, coupling=0.6, field=0.7), Observable(linalg.kron(PAULI_Z, np.eye(2)))
 
 
-@functools.lru_cache(maxsize=16, typed=True)
+@laws.kept
 def _qmc_law(t_final: float, steps: int) -> tuple:
     """The `qmc_law` of trotter_qmc: |00> prepared by `steps` Trotter steps
-    to t_final, against its exact evolution. Built on first use and kept
-    read-only for the next call with the same (t_final, steps); the law does
-    not depend on the seed. Typed, so a float step count still raises where
-    a cached int one would answer. Bounded: an entry is two floats, two
-    2-entry arrays and a table, under 1 KiB, so 16 slots hold under 16 KiB."""
+    to t_final, against its exact evolution. Kept for the next call with the
+    same (t_final, steps); the law does not depend on the seed."""
     model, obs = qmc_problem()
     psi0 = basis_state(2, 0)
     prepared = trotter_evolve(model, TrotterPlan(t_final, steps), psi0)[-1]
-    law = qmc_law(obs, prepared, exact_evolve(model, t_final, psi0))
-    law[2].flags.writeable = law[3].probs.flags.writeable = False
-    return law
+    return qmc_law(obs, prepared, exact_evolve(model, t_final, psi0))
 
 
 def trotter_qmc(t_final: float, steps: int, shots: int, rng: Stream) -> QmcResult:

@@ -9,9 +9,9 @@ fixed by one sigma_z on the offending block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def encode_bitflip(q: StateVector) -> StateVector:
     return StateVector(3, amps, _trusted=True)
 
 
-@lru_cache(maxsize=None)
+@functools.cache
 def _flip_gate(kind: str, q: int):
     return pauli_x(q) if kind == BIT_FLIP else pauli_z(q)
 

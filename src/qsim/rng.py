@@ -35,15 +35,10 @@ sits a certified filter: one pass sums the block totals, and only the
 blocks that the draws land in are cumulated, so a single draw from 2^14
 outcomes cumulates one block of 128 and allocates no full-length array.
 Either route's per-array half is a `BornTable`: `sample_indices(probs, u)`
-is `BornTable(probs).sample(u)`, and a caller that draws from one fixed
-array again and again keeps the table, so each later draw costs only the
-per-draw half: one search over kept edges (the exact ones at most 128
-outcomes, the filter's from a table's second call on) and, on the filter,
-its bound test. Order finding, phase estimation and qmc each keep tables
-per parameter set. `sample` also takes one Python float and returns a
-Python int; once the table keeps its edges, that draw is one search with
-a scalar key and the bound test in Python floats, about 1.3 us against
-6 us through a one-element array. Order finding draws its attempts so.
+is `BornTable(probs).sample(u)`. The laws kept in `laws` keep their tables,
+so each later draw is one search over kept edges and, on the filter, its
+bound test; given as one Python float, about 1.3 us against 6 us through a
+one-element array. Order finding draws its attempts so.
 
 A sampler whose shots all measure one fixed distribution takes
 `(..., shots, rng)`, gives shot i row i of `rng.shot_uniforms(shots, k)`,
@@ -311,61 +306,17 @@ class BornTable:
     edges are kept, or about 1.3 us given as one float (`_draw`); the
     keeping call about 30 us at 2^12, 85 us at 2^14 and 0.32 ms at 2^16
     (timeit, 2-vCPU Xeon). Undecided draws still take the exact route,
-    built afresh. A table keeps `probs` itself, not a
-    copy, which its keeper must not change. Raises DomainError unless
-    `probs` is 1-D.
+    built afresh. A table keeps `probs` itself, not a copy, which its
+    keeper must not change. Raises DomainError unless `probs` is 1-D.
 
     This is the floating-point filter of adaptive-precision predicates
     (Shewchuk 1997): a fast answer with a rigorous error bound, and the
     exact route only where the bound cannot decide. Every entry is summed
     once for the block totals; then only the blocks that hold a draw are
     cumulated (all of them once the draws are as many as the blocks, or
-    the table is reused), each once however many draws land in it.
-
-    The bound. For non-negative finite p_0..p_{n-1} with exact prefix sums
-    S_i, total T = S_{n-1}, unit roundoff u and gamma_k = k u / (1 - k u)
-    (Higham, ASNA ch. 3-4):
-
-    - the array is cut into nb blocks of width m (`_grid`; zero padding
-      adds exactly). Each block total is summed in whatever order `np.sum`
-      takes (pairwise), with relative error at most gamma_{m-1};
-    - the block ends e_j are the running sum of the computed totals, one
-      more factor (1 + theta), |theta| <= gamma_{nb-1}: e_j is within
-      gamma_{m+nb-2} T of S at block j's last entry. Block j starts at
-      e_{j-1} (e_{-1} = 0);
-    - within a hit block j, a_i = e_{j-1} + (running sum of the block up
-      to i): gamma_{m-1} for the running sum and one rounding for the add,
-      so |a_i - S_i| <= G = gamma_{m+nb-1} T;
-    - the edge of entry i is a_i clipped into [e_{j-1}, e_j]. S_i lies
-      between the exact sums that e_{j-1} and e_j approximate within G, so
-      the clip keeps the edge within G of S_i.
-
-    Kahan's sum obeys |c_i - S_i| <= (2u + O(n u^2)) S_i (ASNA section
-    4.3), at most 3u T while n u is far below 1. So every edge, and every
-    block start, is within D = G + 3u T <= 1.03 (m + nb + 2) u T of the
-    Kahan value c_i of the entry it stands for. The residual test
-    |e_{nb-1} - 1| <= CDF_RESIDUAL - E gives T < 1.01, and with it
-    |c_{n-1} - 1| < CDF_RESIDUAL. E = 4 (m + nb + 2) u is therefore more
-    than twice D; the rest covers the rounding of the comparisons.
-
-    The search. `np.cumsum` is sequential and rounding is monotone, so the
-    edges rise within a block, and the clip keeps each block at or below the
-    start of the next: the rows of the hit blocks (or of every block, once
-    kept), each led by its start, form one non-decreasing array, and one
-    search serves every draw. A draw u picks the first entry whose edge
-    exceeds it; its lower edge is the value before that one in the array,
-    which is the block start where the pick opens its block. The draw is
-    decided when u is more than E above its lower edge and more than E below
-    the pick's edge. Then the pick lies in u's block, between that block's
-    start and end. Every entry before the pick, in its block or an earlier
-    one, has an edge at most the lower edge, so a Kahan value below u; the
-    pick's Kahan value is above u; and the pick is not floored, because its
-    edge and its lower edge lie more than 2E apart and each within G of an
-    exact sum, so p_pick > 2E - 2G > E >= 4 (16 + 8 + 2) u > PROB_FLOOR. So
-    the exact route picks it too. A block start is never decided as a pick:
-    the first edge above u is the start of the next hit block only when u
-    lies between the last edge of its own block j and e_j, which are less
-    than 2G < E apart. Nor is a draw below or past every edge.
+    the table is reused), each once however many draws land in it. README's
+    "The Born filter's bound" derives E and shows that a decided draw is
+    the exact route's.
     """
 
     __slots__ = ("probs", "_grid", "_limits", "_bound", "_edges", "_fresh")
@@ -388,6 +339,16 @@ class BornTable:
             return
         grid.flags.writeable = limits.flags.writeable = False
         self._grid, self._limits, self._bound = grid, limits, bound
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the table holds once it keeps its edges: `probs`, and the
+        exact edges or a padded grid copy, the limits and the filter's edges."""
+        probs, grid = self.probs, self._grid
+        if grid is None:
+            return 2 * probs.nbytes
+        padding = grid.nbytes if grid.size > probs.size else 0
+        return probs.nbytes + padding + self._limits.nbytes + (grid.size + grid.shape[0]) * 8
 
     def _filtered(self, u: np.ndarray):
         """(picks, decided): picks[i] is the exact route's index wherever

@@ -1,9 +1,10 @@
-import importlib
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+from qsim import laws
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,23 +14,15 @@ settings.register_profile("qsim", derandomize=True, deadline=None)
 settings.load_profile("qsim")
 
 
-# The kept seed-free laws, as (module of qsim, cached function): qmc's law
-# and the phase-estimation and order-finding Born tables.
-KEPT_LAWS = (("hamsim", "_qmc_law"), ("algorithms", "_pe_table"), ("algorithms", "_orbit_table"))
-
-
 @pytest.fixture
 def cold_laws():
-    """Empties the kept seed-free laws (KEPT_LAWS) before and after the
-    test. A test that patches a function they call then builds them under
-    its patch, and no law built under the patch reaches a later test."""
-    caches = [getattr(importlib.import_module(f"qsim.{module}"), name)
-              for module, name in KEPT_LAWS]
-    for cache in caches:
-        cache.cache_clear()
+    """Empties the store of kept seed-free laws (`qsim.laws`) before and
+    after the test. A test that patches a function they call then builds
+    them under its patch, and no law built under the patch reaches a later
+    test."""
+    laws.clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    laws.clear()
 
 
 @pytest.fixture

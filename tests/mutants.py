@@ -121,10 +121,18 @@ MUTANTS = [
     ("hamsim.py", "return qmc_draws(_qmc_law(t_final, steps), shots, rng)",
      "return qmc_draws(_qmc_law.__dict__.setdefault(steps, _qmc_law(t_final, steps)), shots, rng)",
      "the qmc law cache is keyed by t_final and steps, not by steps alone"),
-    ("hamsim.py", "@functools.lru_cache(maxsize=16, typed=True)", "@functools.lru_cache(maxsize=16)",
-     "the qmc law cache keeps a float step count apart from an int one"),
-    ("hamsim.py", "    law[2].flags.writeable = law[3].probs.flags.writeable = False", "    pass",
-     "the kept qmc law is read-only"),
+    ("laws.py", "key = (build, args, tuple(map(type, args)))", "key = (build, args)",
+     "the store keeps a float argument apart from an int one"),
+    ("laws.py", "value.flags.writeable = False", "pass", "the kept qmc law is read-only"),
+    ("laws.py", "_laws.popitem(last=False)", "_laws.popitem(last=True)",
+     "the store evicts its least recently used law"),
+    ("laws.py", "while _held + charge > BUDGET:", "while _held > BUDGET:",
+     "the store makes room for the law it keeps"),
+    ("laws.py", "if charge <= BUDGET:", "if True:", "the store returns a law over its budget unkept"),
+    ("rng.py", " + (grid.size + grid.shape[0]) * 8", "",
+     "a filter table's charge counts its edges"),
+    ("rng.py", "return 2 * probs.nbytes", "return probs.nbytes",
+     "an exact table's charge counts its edges"),
     ("rng.py", 'return self._edges.searchsorted(u, side="right")',
      'return self._edges.searchsorted(u, side="left")',
      "a kept exact table searches its edges with side='right'"),
@@ -138,8 +146,7 @@ MUTANTS = [
     ("algorithms.py", "return _pe_table(phi, b).sample(draws)",
      "return _pe_table.__dict__.setdefault(b, _pe_table(phi, b)).sample(draws)",
      "the phase-estimation cache is keyed by phi and b, not by b alone"),
-    ("algorithms.py", "    dist = _pe_register_distribution(phi, b)\n    dist.flags.writeable = False",
-     "    dist = _pe_register_distribution(phi, b)",
+    ("laws.py", "value.probs.flags.writeable = False", "pass",
      "the kept phase-estimation table is read-only"),
     ("rng.py", "if not abs(float(limits[-1]) - 1.0) <= CDF_RESIDUAL - bound:", "if False:",
      "a prepared Born table makes its residual check"),

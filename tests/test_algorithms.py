@@ -42,7 +42,7 @@ from qsim.algorithms import (
     _orbit_register_distribution,
     _pe_register_distribution,
 )
-from qsim import algorithms, linalg
+from qsim import algorithms, laws, linalg
 from qsim import rng as qrng
 from qsim.acceptance import SEED, run_acceptance
 from qsim.entangle import (
@@ -659,7 +659,7 @@ class TestKeptPhaseTable:
         estimates = phase_estimates_per_call(u, basis_state(1, 1), plan, shots,
                                              Stream(seed, "kept")).tolist()
         coverage = phase_coverage_by_gate(phi, plan, shots, Stream(seed, "kept"))
-        algorithms._pe_table.cache_clear()
+        laws.clear()
         for cache in ("cold", "warm"):
             got = counted_estimates(phi, plan, shots, Stream(seed, "kept"))
             assert got == (coverage, estimates), cache
@@ -667,7 +667,7 @@ class TestKeptPhaseTable:
             assert got.tolist() == estimates, cache
 
     def test_the_table_is_kept_per_phase_and_register_size(self):
-        algorithms._pe_table.cache_clear()
+        laws.clear()
         for phi in (1 / 3, 0.7):
             for b in (4, 6):
                 plan = plan_with_b(b)
@@ -702,8 +702,7 @@ class TestKeptPhaseTable:
                 array[0] = 0.0
         for b in range(3, 8):
             algorithms._pe_table(0.25, b)
-        info = algorithms._pe_table.cache_info()
-        assert info.maxsize == 2 and info.currsize <= 2
+        assert laws.nbytes() <= laws.BUDGET
 
     def test_checks_come_before_the_table(self, monkeypatch):
         def refuse(*args):
@@ -847,7 +846,7 @@ class TestOrderFind:
                 if math.gcd(x, n) != 1:
                     continue
                 want = order_find_per_call(x, n, Stream(seed, f"of-table/{n}/{x}"))
-                algorithms._orbit_table.cache_clear()
+                laws.clear()
                 for cache in ("cold", "warm", "kept"):
                     phases.clear()
                     try:
@@ -858,7 +857,7 @@ class TestOrderFind:
 
     def test_a_second_pair_with_the_same_orbit_builds_no_table(self, monkeypatch):
         # after one pair at (r, b) = (4, 12), a second one reuses its table
-        algorithms._orbit_table.cache_clear()
+        laws.clear()
         assert order_find(7, 15, Stream(59, "once")) == 4
 
         def rebuilt(r, b):
@@ -872,8 +871,7 @@ class TestOrderFind:
         monkeypatch.undo()
         for r in range(1, 18):
             algorithms._orbit_table(r, 8)
-        info = algorithms._orbit_table.cache_info()
-        assert info.maxsize == 16 and info.currsize <= 16
+        assert laws.nbytes() <= laws.BUDGET
 
     def test_a_warm_call_makes_only_its_draws(self, cold_laws, monkeypatch):
         # after a cold call and two warm ones at (r, b) = (6, 14), the table

@@ -3,6 +3,7 @@ byte (see make_goldens.py; the criterion details are compared in
 test_acceptance.py)."""
 
 import ast
+import importlib
 import json
 import math
 from pathlib import Path
@@ -13,9 +14,8 @@ import pytest
 import make_goldens
 import oracles
 import qsim
-from conftest import KEPT_LAWS
 from make_goldens import CLI_CASES, acceptance_path, cli_path, details_line, run_case
-from qsim import acceptance, linalg
+from qsim import acceptance, laws, linalg
 from qsim.acceptance import CRITERIA, run_acceptance
 
 
@@ -130,20 +130,19 @@ def test_jacobi_oracle_reproduces_repinned_golden(case, monkeypatch, cold_laws):
 
 # Caches that `cold_laws` leaves full: each builds a constant that no test's
 # patch changes (the parser and the JSON row encoder; fixed settings, states
-# and Pauli strings; the exact sin^2 and flip-gate tables; the qmc model,
-# whose observable is diagonal, so every eigensolver gives it the same
-# projectors).
+# and Pauli strings; the flip-gate table; the qmc model, whose observable is
+# diagonal, so every eigensolver gives it the same projectors).
 CONSTANT_BUILDERS = {
     ("cli", "build_parser"), ("cli", "_json_encoder"), ("entangle", "default_chsh_setting"),
     ("entangle", "singlet"), ("entangle", "_chsh_pairs"), ("hamsim", "_pauli_strings"),
-    ("hamsim", "qmc_problem"), ("algorithms", "_sin2_table"), ("qec", "_flip_gate"),
+    ("hamsim", "qmc_problem"), ("qec", "_flip_gate"),
 }
 
 
-def _cache_sites():
-    """(module, function) of every function of src/qsim decorated with
-    functools' `cache` or `lru_cache`, called or not, however imported."""
-    sites = set()
+def _decorated_sites():
+    """{decorator name: {(module, function)}} over src/qsim, for functools'
+    `cache` and `lru_cache` (called or not, however imported) and `laws.kept`."""
+    sites = {"cache": set(), "lru_cache": set(), "kept": set()}
     for path in Path(qsim.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -151,15 +150,25 @@ def _cache_sites():
             for deco in node.decorator_list:
                 deco = deco.func if isinstance(deco, ast.Call) else deco
                 name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", "")
-                if name in ("cache", "lru_cache"):
-                    sites.add((path.stem, node.name))
+                if name in sites:
+                    sites[name].add((path.stem, node.name))
     return sites
 
 
 def test_every_cache_is_a_kept_law_or_a_constant():
-    sites = _cache_sites()
-    assert sites - set(KEPT_LAWS) - CONSTANT_BUILDERS == set(), "cold_laws must empty it"
-    assert set(KEPT_LAWS) | CONSTANT_BUILDERS <= sites  # no stale name on either list
+    # a functools cache outlives `cold_laws`, so it may hold only a constant;
+    # every seed-free law goes through `laws.kept`, which `laws.clear` empties
+    sites = _decorated_sites()
+    assert sites["cache"] | sites["lru_cache"] == CONSTANT_BUILDERS  # none missing, none stale
+    law_code = laws.kept(len).__code__
+    kept = set()
+    for path in Path(qsim.__file__).parent.glob("*.py"):
+        module = importlib.import_module("qsim" if path.stem == "__init__" else f"qsim.{path.stem}")
+        kept |= {(path.stem, name) for name, value in vars(module).items()
+                 if getattr(value, "__code__", None) is law_code
+                 and value.__module__ == module.__name__}
+    assert kept == sites["kept"] >= {("algorithms", "_pe_table"), ("algorithms", "_orbit_table"),
+                                     ("algorithms", "_sin2_table"), ("hamsim", "_qmc_law")}
 
 
 # `linalg.kron` is the package's one Kronecker product, of vectors and of

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import dense_embedding
-from qsim import hamsim, linalg, qstate
+from qsim import hamsim, laws, linalg, qstate
 from qsim.acceptance import run_acceptance
 from qsim.errors import DomainError, ResourceError, ValidationError
 from qsim.gates import PAULI_X, PAULI_Y, PAULI_Z, hadamard_layer
@@ -379,13 +379,13 @@ class TestKeptQmcStates:
     @settings(max_examples=80)
     def test_cold_and_warm_calls_match_the_per_call_route(self, t_final, steps, shots, seed):
         want = oracles.trotter_qmc_per_call(t_final, steps, shots, Stream(seed, "kept"))
-        hamsim._qmc_law.cache_clear()
+        laws.clear()
         for cache in ("cold", "warm"):
             got = trotter_qmc(t_final, steps, shots, Stream(seed, "kept"))
             assert repr(got) == repr(want), cache
 
     def test_the_states_are_kept_per_time_and_step_count(self):
-        hamsim._qmc_law.cache_clear()
+        laws.clear()
         for t_final in (0.5, 1.0):
             for steps in (1, 2):
                 want = oracles.trotter_qmc_per_call(t_final, steps, 50, Stream(4, "key"))
